@@ -10,14 +10,14 @@ from .bell import (
     BellTestResult,
     TwoQubitState,
     WitnessExperiment,
+    bell_test,
     chsh_max,
     dual_rail_measurement_circuit,
     filter_condition_residuals,
     find_witness,
     product_condition,
     replay_witness,
-    run_erasure_ys,
-    run_filtered_ys,
+    two_mode_preparations,
     witness_from_dict,
     witness_to_dict,
     yurke_stoler_postselect,
@@ -32,14 +32,11 @@ from .circuits import (
     circuit_to_dict,
     circuit_to_unitary,
     detector_statistics,
-    fermion_herald_circuit,
     hadamard,
     load_circuit,
-    quantum_erasure_circuit,
     reck_decompose,
     run_circuit,
     save_circuit,
-    two_particle_filter_circuit,
     yurke_stoler_circuit,
 )
 from .classify import (

@@ -3,9 +3,14 @@
 The splitter stage of :func:`fockopt.circuits.yurke_stoler_circuit` turns a
 two-particle two-mode state into a pair of dual-rail qubits once runs with one
 particle per rail pair are kept.  CHSH is then maximized exactly through the
-two-qubit correlation-matrix criterion, and for states that are not reducible
-to a single mode an explicit violating experiment is assembled from heralded
-filters.
+two-qubit correlation-matrix criterion.
+
+For states that are not reducible to a single mode, :func:`find_witness`
+assembles an explicit violating experiment.  Herald prefixes reduce the state
+to two modes, and :func:`two_mode_preparations` supplies the final stage: the
+heralded two-mode filters, then the quantum-erasure filter for NOON-like
+states.  :func:`bell_test` runs one such preparation through the splitter
+stage and the CHSH optimum; it is the only runner of the construction.
 """
 
 import math
@@ -18,18 +23,17 @@ from .circuits import (
     Circuit,
     Detector,
     detector_statistics,
-    element_modes,
     hadamard,
-    quantum_erasure_circuit,
     run_circuit,
-    two_particle_filter_circuit,
     yurke_stoler_circuit,
 )
 from .classify import is_single_mode_type
-from .errors import InvalidParameter, NotUnitary, ShapeMismatch, ZeroOutcome
-from .states import BOSON, FERMION, apply_mode_unitary, embed, herald
+from .errors import ShapeMismatch, ZeroOutcome
+from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald, require_unitary
 
 VIOLATION_MARGIN = 1e-6
+# middle coefficients below this fraction of the largest one count as absent
+NOON_REL_TOL = 1e-9
 CHSH_MAX_VALUE = 2.0 * math.sqrt(2.0)
 
 _PAULI = (
@@ -56,7 +60,7 @@ class TwoQubitState:
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise ShapeMismatch("two-qubit state needs exactly four amplitudes")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ValueError("two-qubit amplitudes must be normalized")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -210,9 +214,7 @@ def dual_rail_measurement_circuit(basis, modes, n_modes=None):
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (2, 2):
         raise ShapeMismatch("measurement basis must be 2x2")
-    dev = np.max(np.abs(basis.conj().T @ basis - np.eye(2)))
-    if dev > 1e-10:
-        raise NotUnitary(f"basis columns are not orthonormal (deviation {dev:.3e})")
+    require_unitary(basis)
     if n_modes is None:
         n_modes = max(modes) + 1
     gate = basis.conj()
@@ -255,7 +257,15 @@ class FilterResiduals:
         return worst
 
 
-def filter_condition_residuals(phi, middle_tol=1e-9):
+def _noon_like(phi):
+    """True iff every middle coefficient of the two-mode state vanishes
+    relative to the largest one, so that only b_0 and b_N can survive."""
+    beta = two_mode_coefficients(phi)
+    peak = np.max(np.abs(beta))
+    return phi.n_particles >= 2 and bool(np.all(np.abs(beta[1:-1]) < NOON_REL_TOL * peak))
+
+
+def filter_condition_residuals(phi):
     """Evaluate the two-mode product-form constraints coefficient-wise."""
     beta = two_mode_coefficients(phi)
     n = phi.n_particles
@@ -271,38 +281,44 @@ def filter_condition_residuals(phi, middle_tol=1e-9):
         )
         for s in range(n - 1)
     ]
-    middle = np.abs(beta[1:-1]) if n >= 2 else np.array([])
-    noon_applicable = bool(n >= 2 and (middle.size == 0 or np.all(middle < middle_tol)))
+    noon_applicable = _noon_like(phi)
     noon_residual = float(abs(beta[0] * beta[-1])) if noon_applicable else 0.0
     return FilterResiduals(res, noon_applicable, noon_residual)
 
 
-def run_filtered_ys(phi, s):
-    """Filtered Bell test: herald (s, N-s-2) on the ancillas, then split and
-    maximize CHSH on the event-ready two-particle state."""
-    if phi.n_modes != 2:
-        raise ShapeMismatch("the filter acts on a two-mode state")
-    circuit = two_particle_filter_circuit(s, phi.n_particles)
-    prepared, p_herald = run_circuit(embed(phi, 4, (0, 1)), circuit)
-    chi, p_ys = yurke_stoler_postselect(prepared)
-    result = chsh_max(chi)
-    return replace(result, success_probability=p_herald * p_ys)
+def two_mode_preparations(phi, live, ancillas):
+    """Event-ready stages that leave two of the N particles of ``phi`` on ``live``.
+
+    Every stage splits the two ``live`` modes onto the two empty ``ancillas``
+    with Hadamards and heralds N-2 particles there.  Filter stage ``s`` (for
+    s = 0..N-2, in this order) heralds ``s`` on the first ancilla and N-2-s on
+    the second.  For NOON-like states, whose middle coefficients vanish and
+    leave every filter blind, one erasure stage follows: a Hadamard across the
+    ancillas before heralding (N-2, 0) erases which-mode information.  Stages
+    are tuples of circuit elements, to be appended to a herald prefix.
+    """
+    n = phi.n_particles
+    a, b = ancillas
+    h = hadamard()
+    split = (BeamSplitter((live[0], a), h), BeamSplitter((live[1], b), h))
+    for s in range(n - 1):
+        yield split + (Detector(a, s), Detector(b, n - 2 - s))
+    if _noon_like(phi):
+        yield split + (BeamSplitter((a, b), h), Detector(a, n - 2), Detector(b, 0))
 
 
-def run_erasure_ys(phi, middle_tol=1e-9):
-    """Erasure Bell test for two-mode states with no middle coefficients."""
-    if phi.n_modes != 2:
-        raise ShapeMismatch("the erasure filter acts on a two-mode state")
-    if phi.statistics is not BOSON:
-        raise ShapeMismatch("the erasure filter is defined for bosons")
-    beta = two_mode_coefficients(phi)
-    if phi.n_particles >= 2 and np.any(np.abs(beta[1:-1]) >= middle_tol):
-        raise InvalidParameter("erasure test expects vanishing middle coefficients")
-    circuit = quantum_erasure_circuit(phi.n_particles)
-    prepared, p_herald = run_circuit(embed(phi, 4, (0, 1)), circuit)
+def bell_test(state, preparation):
+    """Run one event-ready ``preparation``, the splitter stage and the CHSH optimum.
+
+    ``state`` is padded with vacuum up to the width of the preparation
+    circuit, whose heralds must leave two particles on two output modes.
+    ``success_probability`` is the herald probability times the splitter
+    stage's post-selection probability.  Raises ZeroOutcome when the heralds
+    never fire.
+    """
+    prepared, p_prep = run_circuit(_embedded_input(state, preparation), preparation)
     chi, p_ys = yurke_stoler_postselect(prepared)
-    result = chsh_max(chi)
-    return replace(result, success_probability=p_herald * p_ys)
+    return replace(chsh_max(chi), success_probability=p_prep * p_ys)
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +354,6 @@ def _embedded_input(state, circuit):
     return embed(state, circuit.n_modes, range(state.n_modes))
 
 
-def _noon_like(phi, rel_tol=1e-9):
-    beta = two_mode_coefficients(phi)
-    peak = np.max(np.abs(beta))
-    return phi.n_particles >= 2 and np.all(np.abs(beta[1:-1]) < rel_tol * peak)
-
-
-def _two_mode_candidates(phi, live, prefix, total_modes):
-    """Filter and erasure preparations for a two-mode reduced state."""
-    n = phi.n_particles
-    a, b = total_modes, total_modes + 1
-    h = hadamard()
-    split = (
-        BeamSplitter((live[0], a), h),
-        BeamSplitter((live[1], b), h),
-    )
-    for s in range(n - 1):
-        yield prefix + split + (Detector(a, s), Detector(b, n - 2 - s))
-    if _noon_like(phi):
-        yield prefix + split + (
-            BeamSplitter((a, b), h),
-            Detector(a, n - 2),
-            Detector(b, 0),
-        )
-
-
 def _boson_candidates(phi, live, prefix, total_modes):
     """Preparation candidates for a boson state on ``len(live)`` modes.
 
@@ -375,7 +366,8 @@ def _boson_candidates(phi, live, prefix, total_modes):
     if n < 2 or len(live) < 2:
         return
     if len(live) == 2:
-        yield from _two_mode_candidates(phi, live, prefix, total_modes)
+        for stage in two_mode_preparations(phi, live, (total_modes, total_modes + 1)):
+            yield prefix + stage
         return
     rest_local = list(range(2, len(live)))
     rest = [live[i] for i in rest_local]
@@ -439,12 +431,9 @@ def _candidate_circuits(state):
         for elements in _fermion_candidates(state, m):
             yield Circuit(m, elements)
         return
+    # every boson candidate ends in a two-mode stage on the ancillas (m, m+1)
     for elements in _boson_candidates(state, list(range(m)), (), m):
-        # ancilla rails appear only in two-mode filter stages
-        width = m
-        for el in elements:
-            width = max(width, max(element_modes(el)) + 1)
-        yield Circuit(width, elements)
+        yield Circuit(m + 2, elements)
 
 
 def find_witness(state):
@@ -458,18 +447,11 @@ def find_witness(state):
         return None
     for prep in _candidate_circuits(state):
         try:
-            prepared, p_prep = run_circuit(_embedded_input(state, prep), prep)
+            result = bell_test(state, prep)
         except ZeroOutcome:
             continue
-        if prepared.n_particles != 2 or prepared.n_modes != 2:
-            continue
-        chi, p_ys = yurke_stoler_postselect(prepared)
-        result = chsh_max(chi)
         if result.violated:
-            return WitnessExperiment(
-                circuit=prep,
-                result=replace(result, success_probability=p_prep * p_ys),
-            )
+            return WitnessExperiment(circuit=prep, result=result)
     return None
 
 

@@ -67,8 +67,11 @@ class PhaseShifter:
     phi: float
 
     def __post_init__(self):
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise InvalidParameter(f"phase must be finite, got {phi!r}")
         object.__setattr__(self, "mode", int(self.mode))
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,9 @@ def reck_decompose(u):
 # published interferometer topologies
 #
 # Mode layout convention: the two signal modes come first, ancilla rails are
-# appended after them.
+# appended after them.  The splitter stage lives here; the heralded filter and
+# erasure stages that feed it are built per state by
+# ``fockopt.bell.two_mode_preparations``.
 # ---------------------------------------------------------------------------
 
 def yurke_stoler_circuit():
@@ -303,65 +308,6 @@ def yurke_stoler_circuit():
     return Circuit(
         4,
         [BeamSplitter((0, 2), h), BeamSplitter((1, 3), h), Swap((2, 3))],
-    )
-
-
-def two_particle_filter_circuit(s, n_particles):
-    """Event-ready filter pulling N-2 particles into heralded ancillas.
-
-    Splits input modes (0,1) onto ancillas (2,3) with Hadamards and heralds
-    ``s`` counts on ancilla 2 and ``N-s-2`` on ancilla 3, leaving a
-    two-particle state on modes (0,1).
-    """
-    n = int(n_particles)
-    s = int(s)
-    if n < 2 or not 0 <= s <= n - 2:
-        raise InvalidParameter(f"filter needs 0 <= s <= N-2, got s={s}, N={n}")
-    h = hadamard()
-    return Circuit(
-        4,
-        [
-            BeamSplitter((0, 2), h),
-            BeamSplitter((1, 3), h),
-            Detector(2, s),
-            Detector(3, n - s - 2),
-        ],
-    )
-
-
-def quantum_erasure_circuit(n_particles):
-    """Filter variant that erases which-mode particle-number information.
-
-    A Hadamard across the two ancilla rails precedes detection; heralding is
-    fixed to ``N-2`` counts on ancilla 2 and zero on ancilla 3.
-    """
-    n = int(n_particles)
-    if n < 2:
-        raise InvalidParameter("erasure needs at least two particles")
-    h = hadamard()
-    return Circuit(
-        4,
-        [
-            BeamSplitter((0, 2), h),
-            BeamSplitter((1, 3), h),
-            BeamSplitter((2, 3), h),
-            Detector(2, n - 2),
-            Detector(3, 0),
-        ],
-    )
-
-
-def fermion_herald_circuit(n_modes, counts):
-    """Herald exact counts on modes 2..M-1, leaving modes (0,1) event-ready.
-
-    ``counts`` lists the required detections for modes 2, 3, ..., M-1.
-    """
-    n_modes = int(n_modes)
-    counts = [int(c) for c in counts]
-    if len(counts) != n_modes - 2:
-        raise InvalidParameter(f"need {n_modes - 2} herald counts, got {len(counts)}")
-    return Circuit(
-        n_modes, [Detector(m, c) for m, c in zip(range(2, n_modes), counts)]
     )
 
 
@@ -435,12 +381,11 @@ def circuit_from_dict(data):
                 )
             else:
                 raise InvalidFile(f"unknown element type {kind!r}")
+        circuit = Circuit(n_modes, elements)
     except InvalidFile:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidFile(f"malformed circuit description: {exc}") from exc
-    try:
-        circuit = Circuit(n_modes, elements)
     except (InvalidCircuit, NotUnitary, ShapeMismatch, InvalidParameter) as exc:
         raise InvalidFile(f"invalid circuit content: {exc}") from exc
     declared = data.get("outputs")

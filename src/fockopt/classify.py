@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSingleMode, PauliForbidden, ShapeMismatch
+from .errors import InvalidParameter, NotSingleMode, PauliForbidden, ShapeMismatch
 from .states import BOSON, FERMION, FockState, require_unitary
 
 DEFAULT_TOL = 1e-8
@@ -115,13 +115,20 @@ def _try_alpha(state, support, alpha, atol):
 def is_single_mode_type(state, tol=DEFAULT_TOL):
     """Decide reducibility to one mode; returns a Classification.
 
-    The test follows the coefficient structure directly: modes whose pure
-    N-particle coefficient vanishes must be unoccupied everywhere; the
-    reference root of the largest pure coefficient fixes the remaining
-    entries (all N root choices differ by a global phase only, so each is
-    verified in turn); finally every coefficient is compared to the product
-    form within ``tol`` relative to the largest amplitude.
+    The test follows the coefficient structure directly: the support is the
+    set of modes occupied by some coefficient of at least ``tol`` relative to
+    the largest amplitude; the reference root of the largest pure N-particle
+    coefficient on that support fixes the remaining entries through the
+    one-particle coefficients (all N root choices differ by a global phase
+    only, so each is verified in turn); finally every coefficient is compared
+    to the product form within ``tol`` relative to the largest amplitude.
+    A support mode with a tiny entry keeps a pure coefficient far below the
+    threshold while its one-particle coefficient is not, which is why the
+    support is not read off the pure coefficients.
     """
+    # relative to the largest amplitude: at 1 or above even that one is dropped
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameter(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
     n = state.n_particles
     m = state.n_modes
     if n == 0:
@@ -131,14 +138,15 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
         return Classification(False, None, math.inf, first)
     peak = max(abs(a) for _, a in state.items())
     atol = tol * peak
+    significant = sorted(occ for occ, amp in state.items() if abs(amp) >= atol)
+    support = [j for j in range(m) if any(occ[j] for occ in significant)]
     tops = [state.amplitude(_unit_vector_occ(m, j, n)) for j in range(m)]
-    support = [j for j in range(m) if abs(tops[j]) >= atol]
-    off_support = set(range(m)) - set(support)
-    for occ, amp in sorted(state.items()):
-        if abs(amp) >= atol and any(occ[j] > 0 for j in off_support):
-            return Classification(False, None, math.inf, occ)
     ref = max(support, key=lambda j: abs(tops[j]))
     top = tops[ref]
+    if abs(top) < atol:
+        # no pure coefficient reaches the threshold, as for the pair state
+        # |1,1>; the product form is not fitted from a root of float dust
+        return Classification(False, None, math.inf, significant[0])
     magnitude = abs(top) ** (1.0 / n)
     base_phase = cmath.phase(top)
     best = (math.inf, None)

@@ -26,7 +26,7 @@ from .circuits import (
     reck_decompose,
     run_circuit,
 )
-from .classify import is_single_mode_type
+from .classify import DEFAULT_TOL, is_single_mode_type
 from .errors import FockoptError, InvalidFile, ZeroOutcome
 from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
 from .states import embed, load_state, state_to_dict
@@ -235,7 +235,9 @@ def build_parser():
 
     p = sub.add_parser("classify", help="decide whether a state is of single-mode type")
     p.add_argument("state", help="state file (JSON)")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative residual tolerance")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL, help="relative residual tolerance, in (0, 1)"
+    )
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_classify)
 
@@ -267,7 +269,7 @@ def build_parser():
     p.add_argument("circuit")
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None, help="overrides FOCKOPT_SEED")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=_cmd_lhv_compare)
 

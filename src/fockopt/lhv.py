@@ -23,7 +23,7 @@ from .circuits import (
     detector_statistics,
 )
 from .classify import single_mode_state
-from .errors import DegenerateAmplitude, ShapeMismatch
+from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
 
 DEFAULT_SEED = 20240901
 _SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -303,11 +303,13 @@ class ComparisonReport:
 
     @property
     def passed(self):
-        return self.chi2_p_value > 0.001
+        # with no accepted shot there is nothing to test, which is no pass
+        return self.accepted > 0 and self.chi2_p_value > 0.001
 
     @property
     def tv_bound(self):
-        return 4.0 * math.sqrt(self.n_outcomes / max(1, self.accepted))
+        # a TV distance never exceeds 1, so neither does a bound on it
+        return min(1.0, 4.0 * math.sqrt(self.n_outcomes / max(1, self.accepted)))
 
     def to_table(self):
         lines = [
@@ -417,6 +419,8 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
     to the readout counts of both sides (quantum by conditioning, LHV by
     rejection), covering post-selection rules that are not per-mode heralds.
     """
+    if shots < 1:
+        raise InvalidParameter(f"a comparison needs at least one shot, got {shots}")
     if spec.n_modes != circuit.n_modes:
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"

@@ -174,6 +174,8 @@ def require_unitary(u, tol=UNITARY_TOL):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise NotUnitary("matrix has non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if dev > tol:
         raise NotUnitary(f"matrix deviates from unitarity by {dev:.3e}")
@@ -322,17 +324,31 @@ def state_to_dict(state):
     }
 
 
+def _file_number(value):
+    """A finite JSON number; bools are rejected (``true`` is not 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _file_count(value):
+    value = _file_number(value)
+    if value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def state_from_dict(data):
     try:
         statistics = Statistics(data["statistics"])
-        n_modes = int(data["modes"])
+        n_modes = _file_count(data["modes"])
         amps = {}
         for term in data["terms"]:
-            occ = tuple(int(n) for n in term["occ"])
+            occ = tuple(_file_count(n) for n in term["occ"])
             amps[occ] = amps.get(occ, 0j) + complex(
-                float(term["re"]), float(term.get("im", 0.0))
+                _file_number(term["re"]), _file_number(term.get("im", 0.0))
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidFile(f"malformed state description: {exc}") from exc
     try:
         raw = FockState(statistics, n_modes, amps, normalized=False)

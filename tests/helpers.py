@@ -51,6 +51,12 @@ def random_state(rng, n, m, statistics=fo.BOSON):
     return fo.FockState(statistics, m, dict(zip(basis, amps)))
 
 
+def two_mode_stages(phi):
+    """The witness search's two-mode stages for ``phi`` as circuits on modes
+    (0, 1) with ancillas (2, 3): filters s = 0..N-2, then any erasure stage."""
+    return [fo.Circuit(4, stage) for stage in fo.two_mode_preparations(phi, (0, 1), (2, 3))]
+
+
 def _perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)

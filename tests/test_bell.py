@@ -5,8 +5,8 @@ import pytest
 
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
-from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
-from helpers import random_alpha, random_state, random_unitary
+from fockopt.errors import ShapeMismatch, ZeroOutcome
+from helpers import random_alpha, random_state, random_unitary, two_mode_stages
 
 SQ2 = math.sqrt(2.0)
 CHSH_TSIRELSON = 2.0 * SQ2
@@ -17,6 +17,18 @@ def two_mode_state(beta, statistics=fo.BOSON):
     n = len(beta) - 1
     amps = {(k, n - k): b for k, b in enumerate(beta) if b != 0}
     return fo.FockState(statistics, 2, amps)
+
+
+def filtered_test(phi, s):
+    """Filter stage ``s`` through the splitter stage and the CHSH optimum."""
+    return fo.bell_test(phi, two_mode_stages(phi)[s])
+
+
+def erasure_stage(phi):
+    stages = two_mode_stages(phi)
+    # N-1 filter stages, then the erasure stage
+    assert len(stages) == phi.n_particles
+    return stages[-1]
 
 
 def filter_heralded_oracle(beta, n, s):
@@ -230,20 +242,27 @@ class TestRunFilteredYS:
     def test_binomial_state_not_violating(self, rng):
         phi = fo.single_mode_state(random_alpha(rng, 2), 3)
         for s in (0, 1):
-            res = fo.run_filtered_ys(phi, s)
+            res = filtered_test(phi, s)
             assert not res.violated
             assert abs(res.chsh - 2.0) < 1e-6
 
     def test_21_state(self):
         phi = fo.make_number_state((2, 1))
-        res1 = fo.run_filtered_ys(phi, 1)
+        res1 = filtered_test(phi, 1)
         assert abs(res1.chsh - CHSH_TSIRELSON) < 1e-9
-        res0 = fo.run_filtered_ys(phi, 0)
+        res0 = filtered_test(phi, 0)
         assert abs(res0.chsh - 2.0) < 1e-9
+
+    def test_success_probability_is_herald_times_postselection(self):
+        phi = fo.make_number_state((2, 1))
+        circuit = two_mode_stages(phi)[1]
+        _, p_herald = fo.run_circuit(fo.embed(phi, 4, (0, 1)), circuit)
+        res = fo.bell_test(phi, circuit)
+        assert abs(res.success_probability - 0.5 * p_herald) < 1e-12
 
     def test_noon3_filter_blind(self):
         noon = two_mode_state([1 / SQ2, 0, 0, 1 / SQ2])
-        res = fo.run_filtered_ys(noon, 0)
+        res = filtered_test(noon, 0)
         assert abs(res.chsh - 2.0) < 1e-9
 
     def test_heralded_state_matches_binomial_expansion(self, rng):
@@ -255,7 +274,7 @@ class TestRunFilteredYS:
             for s in range(n - 1):
                 expected = filter_heralded_oracle(beta, n, s)
                 norm = math.sqrt(sum(abs(a) ** 2 for a in expected.values()))
-                circuit = fo.two_particle_filter_circuit(s, n)
+                circuit = two_mode_stages(phi)[s]
                 try:
                     prepared, _ = fo.run_circuit(fo.embed(phi, 4, (0, 1)), circuit)
                 except ZeroOutcome:
@@ -270,16 +289,17 @@ class TestRunFilteredYS:
 class TestRunErasureYS:
     def test_balanced_noon3(self):
         noon = two_mode_state([1 / SQ2, 0, 0, 1 / SQ2])
-        res = fo.run_erasure_ys(noon)
+        res = fo.bell_test(noon, erasure_stage(noon))
         assert abs(res.chsh - CHSH_TSIRELSON) < 1e-9
 
     def test_all_in_one_mode_stays_local(self):
-        res = fo.run_erasure_ys(fo.make_number_state((0, 3)))
+        phi = fo.make_number_state((0, 3))
+        res = fo.bell_test(phi, erasure_stage(phi))
         assert abs(res.chsh - 2.0) < 1e-9
 
     def test_unbalanced_noon4_hand_value(self):
         noon = two_mode_state([0.6, 0, 0, 0, 0.8])
-        res = fo.run_erasure_ys(noon)
+        res = fo.bell_test(noon, erasure_stage(noon))
         assert abs(res.chsh - 2.0 * math.sqrt(1.0 + 0.96**2)) < 1e-9
         assert res.violated
 
@@ -291,17 +311,28 @@ class TestRunErasureYS:
             b0, bn = random_alpha(rng, 2)
             beta = [b0] + [0.0] * (n - 1) + [bn]
             phi = two_mode_state(beta)
-            prepared, _ = fo.run_circuit(
-                fo.embed(phi, 4, (0, 1)), fo.quantum_erasure_circuit(n)
-            )
+            prepared, _ = fo.run_circuit(fo.embed(phi, 4, (0, 1)), erasure_stage(phi))
             reference = fo.FockState(
                 fo.BOSON, 2, {(2, 0): bn * SQ2, (0, 2): b0 * SQ2}, normalized=False
             ).normalized()
             assert abs(fo.fidelity(prepared, reference) - 1.0) < 1e-9
 
     def test_middle_coefficients_rejected(self):
-        with pytest.raises(InvalidParameter):
-            fo.run_erasure_ys(two_mode_state([0.5, 0.5, 0.5, 0.5]))
+        # a state with middle coefficients gets the N-1 filter stages only
+        phi = two_mode_state([0.5, 0.5, 0.5, 0.5])
+        stages = two_mode_stages(phi)
+        assert len(stages) == 2
+        assert all(
+            not (isinstance(el, fo.BeamSplitter) and el.modes == (2, 3))
+            for circuit in stages
+            for el in circuit.elements
+        )
+
+    def test_find_witness_runs_the_same_stage(self):
+        noon = two_mode_state([0.6, 0, 0, 0, 0.8])
+        wit = fo.find_witness(noon)
+        assert repr(wit.circuit) == repr(erasure_stage(noon))
+        assert wit.result.chsh == fo.bell_test(noon, erasure_stage(noon)).chsh
 
 
 class TestFindWitness:

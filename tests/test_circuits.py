@@ -6,7 +6,7 @@ import pytest
 import fockopt as fo
 from fockopt.circuits import element_unitary
 from fockopt.errors import InvalidCircuit, InvalidParameter, NotUnitary, ZeroOutcome
-from helpers import assert_states_close, random_state, random_unitary
+from helpers import assert_states_close, random_state, random_unitary, two_mode_stages
 
 SQ2 = math.sqrt(2.0)
 
@@ -30,10 +30,15 @@ class TestRunCircuit:
         # event-ready pair state with the squared coefficient as probability
         s = random_state(rng, 3, 4, fo.FERMION)
         target = next(occ for occ in sorted(s.occupations()) if occ[0] and occ[1])
-        circuit = fo.fermion_herald_circuit(4, [target[2], target[3]])
+        circuit = fo.Circuit(4, [fo.Detector(2, target[2]), fo.Detector(3, target[3])])
         out, prob = fo.run_circuit(s, circuit)
         assert abs(prob - abs(s.amplitude(target)) ** 2) < 1e-12
         assert abs(abs(out.amplitude((1, 1))) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        with pytest.raises(InvalidParameter):
+            fo.PhaseShifter(0, phi)
 
     def test_gate_on_detected_mode_rejected(self):
         with pytest.raises(InvalidCircuit):
@@ -155,29 +160,19 @@ class TestReckDecompose:
 class TestStandardCircuits:
     def test_filter_zero_is_passthrough(self, rng):
         s = random_state(rng, 2, 2)
-        circuit = fo.two_particle_filter_circuit(0, 2)
+        circuit = two_mode_stages(s)[0]
         out, prob = fo.run_circuit(fo.embed(s, 4, (0, 1)), circuit)
         assert abs(prob - 0.25) < 1e-12
         assert_states_close(out, s)
-
-    def test_filter_range_check(self):
-        with pytest.raises(InvalidParameter):
-            fo.two_particle_filter_circuit(2, 3)
-        with pytest.raises(InvalidParameter):
-            fo.two_particle_filter_circuit(-1, 3)
 
     def test_erasure_on_balanced_noon(self):
         noon = fo.superpose(
             [(1, fo.make_number_state((3, 0))), (1, fo.make_number_state((0, 3)))]
         )
-        out, prob = fo.run_circuit(fo.embed(noon, 4, (0, 1)), fo.quantum_erasure_circuit(3))
+        out, prob = fo.run_circuit(fo.embed(noon, 4, (0, 1)), two_mode_stages(noon)[-1])
         assert prob > 0
         assert abs(abs(out.amplitude((2, 0))) - abs(out.amplitude((0, 2)))) < 1e-12
         assert abs(out.amplitude((1, 1))) < 1e-12
-
-    def test_fermion_herald_circuit_arity(self):
-        with pytest.raises(InvalidParameter):
-            fo.fermion_herald_circuit(4, [1])
 
     def test_ys_circuit_structure(self):
         circuit = fo.yurke_stoler_circuit()

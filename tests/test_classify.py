@@ -5,7 +5,7 @@ import pytest
 
 import fockopt as fo
 from fockopt.classify import compositions, multinomial
-from fockopt.errors import NotSingleMode, PauliForbidden
+from fockopt.errors import InvalidParameter, NotSingleMode, PauliForbidden
 from helpers import random_alpha, random_state, random_unitary
 
 SQ2 = math.sqrt(2.0)
@@ -133,6 +133,29 @@ class TestIsSingleModeType:
                 continue
             fid = fo.fidelity(fo.single_mode_state(a, n), fo.single_mode_state(b, n))
             assert fid < 1.0 - 1e-9
+
+    @pytest.mark.parametrize("small", [0.005, 0.01])
+    def test_tiny_support_entry(self, small):
+        # the pure coefficient of the middle mode falls below the threshold
+        # while its one-particle coefficient does not
+        alpha = np.array([1.0, small, 0.5])
+        alpha /= np.linalg.norm(alpha)
+        verdict = fo.is_single_mode_type(fo.single_mode_state(alpha, 4))
+        assert verdict.single_mode
+        assert fo.phase_distance(verdict.alpha, alpha) < 1e-9
+
+    def test_random_alpha_sweep_n8_m5(self):
+        rng = np.random.default_rng(20240818)
+        for _ in range(60):
+            alpha = random_alpha(rng, 5)
+            verdict = fo.is_single_mode_type(fo.single_mode_state(alpha, 8))
+            assert verdict.single_mode, verdict.violation
+            assert fo.phase_distance(verdict.alpha, alpha) < 1e-9
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, math.nan, math.inf])
+    def test_tolerance_must_lie_in_unit_interval(self, tol):
+        with pytest.raises(InvalidParameter):
+            fo.is_single_mode_type(fo.make_number_state((2, 0)), tol=tol)
 
     def test_multinomial_detection_statistics(self, rng):
         m, n = 3, 4

@@ -1,0 +1,250 @@
+"""The command line, called in-process: every subcommand and exit code.
+
+Exit codes: 0 success, 10 negative result, 11 failed precondition, 2 malformed
+input.  Files are written under ``tmp_path``; the one committed input used is
+the benchmark's single-mode state with a tiny amplitude entry.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fockopt as fo
+from fockopt.cli import main
+from helpers import random_alpha, random_state, random_unitary
+
+FAULTY_SINGLE = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "faulty_single.json"
+SHOTS = "2000"
+
+
+def write(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def state_file(tmp_path, state, name="state.json"):
+    return write(tmp_path, name, fo.state_to_dict(state))
+
+
+def circuit_file(tmp_path, circuit, name="circuit.json"):
+    return write(tmp_path, name, fo.circuit_to_dict(circuit))
+
+
+def readout(circuit):
+    return circuit.extended([fo.Detector(m) for m in range(circuit.n_modes)])
+
+
+def printed_json(capsys):
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def single(rng):
+    return fo.single_mode_state(random_alpha(rng, 3), 3)
+
+
+@pytest.fixture
+def generic(rng):
+    return random_state(rng, 3, 3)
+
+
+@pytest.fixture
+def mesh(rng):
+    return fo.reck_decompose(random_unitary(rng, 3))
+
+
+def bad_state_payloads():
+    good = {"statistics": "boson", "modes": 2, "terms": [{"occ": [1, 1], "re": 1.0, "im": 0.0}]}
+    cases = {
+        "fractional occupation": {"occ": [1.7, 0.3]},
+        "bool occupation": {"occ": [True, 1]},
+        "nan re": {"re": math.nan},
+        "infinite im": {"im": math.inf},
+        "string re": {"re": "1"},
+    }
+    out = []
+    for label, change in cases.items():
+        payload = json.loads(json.dumps(good))
+        payload["terms"][0].update(change)
+        out.append(pytest.param(payload, id=label))
+    for label, modes in (("bool modes", True), ("fractional modes", 2.5)):
+        out.append(pytest.param(dict(good, modes=modes), id=label))
+    return out
+
+
+class TestClassify:
+    def test_single_mode_exits_0(self, tmp_path, capsys, single):
+        code = main(["classify", state_file(tmp_path, single), "--format", "json"])
+        assert code == 0
+        payload = printed_json(capsys)
+        alpha = np.array([complex(re, im) for re, im in payload["alpha"]])
+        assert fo.phase_distance(alpha, fo.extract_alpha(single)) < 1e-9
+
+    def test_generic_exits_10(self, tmp_path, generic):
+        assert main(["classify", state_file(tmp_path, generic)]) == 10
+
+    def test_tiny_support_entry_exits_0(self, capsys):
+        # alpha ~ (1, 0.005, 0.5), N=4: the middle mode's pure coefficient is
+        # below the threshold, its one-particle coefficient is not
+        assert main(["classify", str(FAULTY_SINGLE), "--format", "json"]) == 0
+        assert printed_json(capsys)["single_mode"] is True
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1", "2"])
+    def test_tolerance_must_lie_in_unit_interval(self, tmp_path, single, tol):
+        assert main(["classify", state_file(tmp_path, single), "--tol", tol]) == 2
+
+    @pytest.mark.parametrize("payload", bad_state_payloads())
+    def test_malformed_state_exits_2(self, tmp_path, payload):
+        assert main(["classify", write(tmp_path, "bad.json", payload)]) == 2
+
+    def test_missing_file_exits_2(self, tmp_path):
+        assert main(["classify", str(tmp_path / "absent.json")]) == 2
+
+    def test_invalid_json_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"statistics": "boson",')
+        assert main(["classify", str(path)]) == 2
+
+
+class TestEvolve:
+    def test_runs_circuit_exits_0(self, tmp_path, capsys, generic, mesh):
+        circuit = mesh.extended([fo.Detector(2, 1)])
+        code = main(
+            ["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit), "--format", "json"]
+        )
+        assert code == 0
+        payload = printed_json(capsys)
+        expected, prob = fo.run_circuit(generic, circuit)
+        assert abs(payload["probability"] - prob) < 1e-12
+        out = fo.state_from_dict(payload["state"])
+        assert abs(fo.fidelity(out, expected) - 1.0) < 1e-12
+
+    def test_herald_never_fires_exits_10(self, tmp_path, generic):
+        circuit = fo.Circuit(3, [fo.Detector(0, 4)])
+        code = main(["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)])
+        assert code == 10
+
+    def test_nan_beam_splitter_exits_2(self, tmp_path, generic):
+        circuit = {
+            "modes": 3,
+            "elements": [
+                {"type": "bs", "modes": [1, 2], "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]}
+            ],
+        }
+        code = main(["evolve", state_file(tmp_path, generic), write(tmp_path, "c.json", circuit)])
+        assert code == 2
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phase_exits_2(self, tmp_path, generic, phi):
+        circuit = {"modes": 3, "elements": [{"type": "ps", "mode": 1, "phi": phi}]}
+        code = main(["evolve", state_file(tmp_path, generic), write(tmp_path, "c.json", circuit)])
+        assert code == 2
+
+
+class TestYsTest:
+    def test_pair_state_exits_0(self, tmp_path, capsys):
+        code = main(["ys-test", state_file(tmp_path, fo.make_number_state((1, 1))), "--format", "json"])
+        assert code == 0
+        payload = printed_json(capsys)
+        assert abs(payload["chsh"] - 2.0 * math.sqrt(2.0)) < 1e-9
+        assert abs(payload["success_probability"] - 0.5) < 1e-12
+
+    def test_single_mode_pair_exits_10(self, tmp_path, rng):
+        state = fo.single_mode_state(random_alpha(rng, 2), 2)
+        assert main(["ys-test", state_file(tmp_path, state)]) == 10
+
+    def test_three_modes_exits_2(self, tmp_path, generic):
+        assert main(["ys-test", state_file(tmp_path, generic)]) == 2
+
+
+class TestWitness:
+    def test_generic_state_exits_0(self, tmp_path, capsys, generic):
+        out = tmp_path / "witness.json"
+        code = main(["witness", state_file(tmp_path, generic), "--output", str(out), "--format", "json"])
+        assert code == 0
+        payload = printed_json(capsys)
+        assert json.loads(out.read_text()) == payload
+        assert payload["chsh"] > 2.0
+        back = fo.witness_from_dict(payload)
+        assert abs(fo.replay_witness(generic, back) - payload["chsh"]) < 1e-6
+
+    def test_single_mode_state_exits_10(self, tmp_path, single):
+        assert main(["witness", state_file(tmp_path, single)]) == 10
+
+    def test_tiny_support_entry_exits_10(self):
+        assert main(["witness", str(FAULTY_SINGLE)]) == 10
+
+    def test_malformed_state_exits_2(self, tmp_path):
+        payload = {"statistics": "boson", "modes": 2, "terms": [{"occ": [1.7, 1], "re": 1.0}]}
+        assert main(["witness", write(tmp_path, "bad.json", payload)]) == 2
+
+
+class TestLhvCompare:
+    def lhv(self, state_path, circuit_path, *extra):
+        return main(["lhv-compare", state_path, circuit_path, "--shots", SHOTS, "--seed", "3", *extra])
+
+    def test_single_mode_state_exits_0(self, tmp_path, capsys, single, mesh):
+        code = self.lhv(state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh)), "--format", "json")
+        assert code == 0
+        payload = printed_json(capsys)
+        assert payload["passed"] and payload["accepted"] == int(SHOTS)
+        assert payload["tv_distance"] <= payload["tv_bound"] <= 1.0
+
+    def test_tiny_support_entry_exits_0(self, tmp_path, mesh):
+        assert self.lhv(str(FAULTY_SINGLE), circuit_file(tmp_path, readout(mesh))) == 0
+
+    def test_herald_that_never_fires_exits_10(self, tmp_path, capsys, single, mesh):
+        # no shot is accepted on either side: nothing was tested, so no PASS
+        circuit = mesh.extended([fo.Detector(0, 4), fo.Detector(1), fo.Detector(2)])
+        code = self.lhv(state_file(tmp_path, single), circuit_file(tmp_path, circuit), "--format", "json")
+        assert code == 10
+        payload = printed_json(capsys)
+        assert payload["accepted"] == 0 and payload["passed"] is False
+
+    def test_not_single_mode_exits_11(self, tmp_path, generic, mesh):
+        assert self.lhv(state_file(tmp_path, generic), circuit_file(tmp_path, readout(mesh))) == 11
+
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_no_shots_exits_2(self, tmp_path, single, mesh, shots):
+        argv = ["lhv-compare", state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
+        assert main(argv + ["--shots", shots]) == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_2(self, tmp_path, generic, mesh, tol):
+        # a rejected tolerance must not read as a non-local resource (11)
+        code = self.lhv(state_file(tmp_path, generic), circuit_file(tmp_path, readout(mesh)), "--tol", tol)
+        assert code == 2
+
+    def test_nan_beam_splitter_exits_2(self, tmp_path, single):
+        circuit = {
+            "modes": 3,
+            "elements": [
+                {"type": "bs", "modes": [1, 2], "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                {"type": "detect", "mode": 1},
+            ],
+        }
+        assert self.lhv(state_file(tmp_path, single), write(tmp_path, "c.json", circuit)) == 2
+
+
+class TestDecompose:
+    def test_unitary_exits_0(self, tmp_path, capsys, rng):
+        u = random_unitary(rng, 3)
+        payload = {"matrix": [[[z.real, z.imag] for z in row] for row in u]}
+        assert main(["decompose", write(tmp_path, "u.json", payload)]) == 0
+        circuit = fo.circuit_from_dict(printed_json(capsys))
+        assert np.max(np.abs(fo.circuit_to_unitary(circuit) - u)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            pytest.param([[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]], id="nan"),
+            pytest.param([[[1, 0], [1, 0]], [[1, 0], [1, 0]]], id="not unitary"),
+            pytest.param([[1, 0], [0, 1]], id="real entries"),
+        ],
+    )
+    def test_bad_matrix_exits_2(self, tmp_path, matrix):
+        assert main(["decompose", write(tmp_path, "u.json", {"matrix": matrix})]) == 2

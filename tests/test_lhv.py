@@ -5,7 +5,7 @@ import pytest
 
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
-from fockopt.errors import DegenerateAmplitude, InvalidCircuit, ShapeMismatch
+from fockopt.errors import DegenerateAmplitude, InvalidCircuit, InvalidParameter, ShapeMismatch
 from fockopt.lhv import _chi_square_p
 from helpers import random_alpha, random_unitary
 
@@ -196,6 +196,28 @@ class TestComparison:
         )
         assert report.passed
         assert report.tv_distance < report.tv_bound
+
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_no_shots_rejected(self, rng, shots):
+        spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)
+        with pytest.raises(InvalidParameter):
+            fo.compare_lhv_quantum(spec, readout_circuit(fo.Circuit(2)), shots=shots)
+
+    def test_no_accepted_shot_is_no_pass(self, rng):
+        # a herald above the particle number rejects every shot on both sides
+        spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)
+        circuit = fo.Circuit(2, [fo.Detector(1, 3), fo.Detector(0)])
+        report = fo.compare_lhv_quantum(spec, circuit, shots=200, seed=18)
+        assert report.accepted == 0
+        assert not report.passed
+
+    def test_tv_bound_at_most_one(self):
+        # N=8 M=6 read out on every mode: 1287 outcomes over 20 000 shots
+        report = fo.ComparisonReport(
+            rows=[], tv_distance=0.1, chi2_p_value=0.5, n_outcomes=1287,
+            shots=20000, accepted=20000, quantum_herald=1.0, lhv_herald=1.0, seed=0,
+        )
+        assert report.tv_bound == 1.0
 
     def test_report_formats(self, rng):
         spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)

@@ -97,6 +97,11 @@ class TestApplyModeUnitary:
         with pytest.raises(NotUnitary):
             fo.apply_mode_unitary(fo.make_number_state((1, 1)), np.array([[1, 1], [0, 1.0]]))
 
+    def test_non_finite_matrix_rejected(self):
+        # NaN slips past a deviation test, since nan > tol is False
+        with pytest.raises(NotUnitary):
+            fo.apply_mode_unitary(fo.make_number_state((1, 1)), np.array([[np.nan, 0], [0, 1.0]]))
+
     @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
     def test_norm_preserved_random(self, rng, statistics):
         for _ in range(10):
