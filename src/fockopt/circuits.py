@@ -22,14 +22,17 @@ from .errors import (
     ShapeMismatch,
 )
 from .states import (
-    FockState,
-    apply_mode_unitary,
+    _file_count,
+    _file_number,
     detection_distribution,
+    evolve,
     herald,
+    reck_gates,
     require_unitary,
 )
 
-RECK_TOL = 1e-13
+_SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SWAP_MATRIX.flags.writeable = False
 
 
 def hadamard():
@@ -108,22 +111,17 @@ def element_modes(element):
     return (element.mode,)
 
 
-def element_unitary(element, n_modes):
-    """Embed a gate into the full M-mode transformation matrix."""
-    u = np.eye(n_modes, dtype=complex)
-    if isinstance(element, BeamSplitter):
-        s, t = element.modes
-        u[s, s], u[s, t] = element.matrix[0, 0], element.matrix[0, 1]
-        u[t, s], u[t, t] = element.matrix[1, 0], element.matrix[1, 1]
-    elif isinstance(element, Swap):
-        s, t = element.modes
-        u[s, s] = u[t, t] = 0.0
-        u[s, t] = u[t, s] = 1.0
-    elif isinstance(element, PhaseShifter):
-        u[element.mode, element.mode] = cmath.exp(1j * element.phi)
-    else:
-        raise InvalidCircuit(f"{element!r} has no unitary action")
-    return u
+def _kernel_gates(elements):
+    """The gates among ``elements`` in the form ``states.evolve`` takes."""
+    gates = []
+    for el in elements:
+        if isinstance(el, BeamSplitter):
+            gates.append((el.modes, el.matrix))
+        elif isinstance(el, Swap):
+            gates.append((el.modes, _SWAP_MATRIX))
+        elif isinstance(el, PhaseShifter):
+            gates.append(((el.mode,), el.phi))
+    return gates
 
 
 class Circuit:
@@ -184,11 +182,7 @@ def _evolve_gates(state, circuit):
         raise ShapeMismatch(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
         )
-    for el in circuit.elements:
-        if isinstance(el, Detector):
-            continue
-        state = apply_mode_unitary(state, element_unitary(el, circuit.n_modes))
-    return state
+    return evolve(state, _kernel_gates(circuit.elements))
 
 
 def run_circuit(state, circuit):
@@ -248,13 +242,16 @@ def circuit_to_unitary(circuit):
 
     The first element acts first, so the result is the left-to-right matrix
     product of the embedded gates (creation-operator substitution composes
-    that way).
+    that way): each gate mixes the columns of the modes it acts on.
     """
     if circuit.detectors:
         raise InvalidCircuit("circuit with detectors has no overall unitary")
     u = np.eye(circuit.n_modes, dtype=complex)
-    for el in circuit.elements:
-        u = u @ element_unitary(el, circuit.n_modes)
+    for modes, value in _kernel_gates(circuit.elements):
+        if len(modes) == 1:
+            u[:, modes[0]] *= cmath.exp(1j * value)
+        else:
+            u[:, list(modes)] = u[:, list(modes)] @ value
     return u
 
 
@@ -265,26 +262,13 @@ def reck_decompose(u):
     to M phase shifters, with ``circuit_to_unitary`` recovering ``u``.
     """
     u = require_unitary(u)
-    m = u.shape[0]
-    a = u.copy()
-    elements = []
-    for col in range(m - 1):
-        for row in range(m - 1, col, -1):
-            x = a[row - 1, col]
-            y = a[row, col]
-            if abs(y) <= RECK_TOL:
-                continue
-            norm = math.hypot(abs(x), abs(y))
-            r = np.array(
-                [[x.conjugate() / norm, y.conjugate() / norm], [-y / norm, x / norm]]
-            )
-            a[row - 1 : row + 1, :] = r @ a[row - 1 : row + 1, :]
-            elements.append(BeamSplitter((row - 1, row), r.conj().T))
-    for mode in range(m):
-        phi = cmath.phase(a[mode, mode])
-        if abs(phi) > 1e-12:
-            elements.append(PhaseShifter(mode, phi))
-    return Circuit(m, elements)
+    return Circuit(
+        u.shape[0],
+        [
+            PhaseShifter(modes[0], value) if len(modes) == 1 else BeamSplitter(modes, value)
+            for modes, value in reck_gates(u)
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,43 +341,45 @@ def circuit_to_dict(circuit):
 
 def circuit_from_dict(data):
     try:
-        n_modes = int(data["modes"])
+        n_modes = _file_count(data["modes"])
         elements = []
         for entry in data["elements"]:
             kind = entry["type"]
             if kind == "bs":
-                s, t = entry["modes"]
-                elements.append(
-                    BeamSplitter((int(s) - 1, int(t) - 1), _matrix_from_json(entry["matrix"]))
-                )
+                s, t = (_file_count(x) - 1 for x in entry["modes"])
+                elements.append(BeamSplitter((s, t), _matrix_from_json(entry["matrix"])))
             elif kind == "ps":
-                elements.append(PhaseShifter(int(entry["mode"]) - 1, float(entry["phi"])))
+                elements.append(
+                    PhaseShifter(_file_count(entry["mode"]) - 1, _file_number(entry["phi"]))
+                )
             elif kind == "swap":
-                s, t = entry["modes"]
-                elements.append(Swap((int(s) - 1, int(t) - 1)))
+                s, t = (_file_count(x) - 1 for x in entry["modes"])
+                elements.append(Swap((s, t)))
             elif kind == "detect":
                 herald_count = entry.get("herald")
                 elements.append(
                     Detector(
-                        int(entry["mode"]) - 1,
-                        None if herald_count is None else int(herald_count),
+                        _file_count(entry["mode"]) - 1,
+                        None if herald_count is None else _file_count(herald_count),
                     )
                 )
             else:
                 raise InvalidFile(f"unknown element type {kind!r}")
         circuit = Circuit(n_modes, elements)
+        declared = data.get("outputs")
+        if declared is not None:
+            declared = sorted(_file_count(x) for x in declared)
     except InvalidFile:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidFile(f"malformed circuit description: {exc}") from exc
     except (InvalidCircuit, NotUnitary, ShapeMismatch, InvalidParameter) as exc:
         raise InvalidFile(f"invalid circuit content: {exc}") from exc
-    declared = data.get("outputs")
     if declared is not None:
         actual = [m + 1 for m in circuit.output_modes]
-        if sorted(int(x) for x in declared) != actual:
+        if declared != actual:
             raise InvalidFile(
-                f"declared outputs {declared} disagree with undetected modes {actual}"
+                f"declared outputs {data['outputs']} disagree with undetected modes {actual}"
             )
     return circuit
 

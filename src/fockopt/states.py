@@ -1,11 +1,35 @@
-"""Sparse Fock states of identical particles and their linear-optical evolution.
+"""Fock states of identical particles and their linear-optical evolution.
 
-States live in the fixed-N sector of the occupation-number representation and
-are stored as sparse maps from occupation tuples to complex amplitudes.  Mode
-transformations act by substituting creation operators, so both boson and
-fermion statistics are handled by the same expansion with normal ordering.
+A state lives in the fixed-N sector of the occupation-number representation.
+At the API boundary, :class:`FockState` holds it as a sparse map from
+occupation tuples to complex amplitudes.  Evolution runs on one dense complex
+vector over the whole sector instead, one gate at a time (the strong
+simulation of SLOS, Heurtel et al., arXiv:2206.10549):
+
+* **Rank indexing.**  The basis of the N-particle, M-mode sector is listed
+  once per (M, N, statistics) and cached with its rank map.  Basis states are
+  ranked by the lexicographic order of their occupied modes, one entry per
+  particle: the modes with repetition (bosons) or the sorted distinct modes
+  (fermions).  Amplitude r of the vector belongs to basis state r.
+* **Block action.**  A two-mode gate g on modes (s, t) keeps n = n_s + n_t and
+  the occupations of all other modes.  Basis states that share both form one
+  block, and the gate acts on it as one small matrix on |n_s, n_t>.  For
+  bosons this is the n-th symmetric power of the 2x2 matrix g.  The index
+  sets of the blocks are cached per (M, N, statistics, s, t).
+* **Fermion sign rule.**  Fermion amplitudes refer to creation operators
+  applied in increasing mode order.  A particle moved between s and t passes
+  the occupied modes strictly between them, so the n = 1 block takes the
+  sign (-1)^(occupied modes strictly between s and t) on its off-diagonal
+  entries.  With both modes occupied the block is the number det(g).
+* **Phase shifter.**  A diagonal multiply by exp(i phi n_mode).
+* **Dense U.**  :func:`apply_mode_unitary` factors U with Reck's triangular
+  Givens loop (:func:`reck_gates`) into at most M(M-1)/2 gates on adjacent
+  modes and M phases, and runs those through the kernel.
 """
 
+import cmath
+import functools
+import itertools
 import json
 import math
 import warnings
@@ -27,6 +51,12 @@ UNITARY_TOL = 1e-10
 HERALD_CUTOFF = 1e-14
 # amplitudes below this fraction of the largest one are dropped as float dust
 PRUNE_REL = 1e-14
+# Givens rotations of entries below this are skipped by the Reck factorization
+RECK_TOL = 1e-13
+# cached sectors and two-mode index sets; a fixed bound keeps memory flat when
+# many shapes pass through
+SECTOR_CACHE = 64
+PAIR_CACHE = 512
 
 
 class Statistics(Enum):
@@ -36,13 +66,6 @@ class Statistics(Enum):
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
-
-
-def _occ_factorial(occ):
-    out = 1
-    for n in occ:
-        out *= math.factorial(n)
-    return out
 
 
 def _validate_occupation(occ, n_modes, statistics):
@@ -85,6 +108,24 @@ class FockState:
             amp = complex(amp)
             if amp != 0:
                 amps[occ] = amps.get(occ, 0j) + amp
+        self._store(statistics, n_modes, n_particles, amps, normalized)
+
+    @classmethod
+    def _from_vector(cls, statistics, n_modes, n_particles, vec):
+        """State from a sector vector in rank order (see the module docstring)."""
+        basis = _sector(n_modes, n_particles, statistics is FERMION)[0]
+        nonzero = np.flatnonzero(vec)
+        state = object.__new__(cls)
+        state._store(
+            statistics,
+            n_modes,
+            n_particles,
+            dict(zip([basis[i] for i in nonzero], vec[nonzero].tolist())),
+            True,
+        )
+        return state
+
+    def _store(self, statistics, n_modes, n_particles, amps, normalized):
         if not amps:
             raise ZeroState("state has no nonzero amplitude")
         peak = max(abs(a) for a in amps.values())
@@ -103,7 +144,8 @@ class FockState:
 
     @property
     def norm(self):
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amps.values()))
+        # hypot scales internally, so huge amplitudes do not overflow
+        return math.hypot(*map(abs, self._amps.values()))
 
     def amplitude(self, occ):
         return self._amps.get(tuple(occ), 0j)
@@ -161,7 +203,7 @@ def superpose(terms):
             raise ShapeMismatch("superposition terms must share statistics, N and M")
         for occ, amp in state.items():
             amps[occ] = amps.get(occ, 0j) + complex(coeff) * amp
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    norm = math.hypot(*map(abs, amps.values()))
     if norm < 1e-12:
         raise ZeroState("superposition cancelled to the zero vector")
     return FockState(
@@ -182,41 +224,166 @@ def require_unitary(u, tol=UNITARY_TOL):
     return u
 
 
+# ---------------------------------------------------------------------------
+# the sector kernel (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _read_only(a):
+    # cached arrays are shared by every caller
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=SECTOR_CACHE)
+def _sector(n_modes, n_particles, fermionic):
+    """Basis of one sector in rank order, its rank map and its occupation array."""
+    if fermionic:
+        picks = itertools.combinations(range(n_modes), n_particles)
+    else:
+        picks = itertools.combinations_with_replacement(range(n_modes), n_particles)
+    basis = []
+    for pick in picks:
+        occ = [0] * n_modes
+        for j in pick:
+            occ[j] += 1
+        basis.append(tuple(occ))
+    rank = {occ: r for r, occ in enumerate(basis)}
+    occupations = np.array(basis, dtype=np.intp).reshape(len(basis), n_modes)
+    return tuple(basis), rank, _read_only(occupations)
+
+
+@functools.lru_cache(maxsize=PAIR_CACHE)
+def _pair_blocks(n_modes, n_particles, fermionic, s, t):
+    """Index sets of a two-mode gate's blocks on modes s < t.
+
+    Returns ``(n, odd, idx)`` for each n = n_s + n_t > 0 and, for fermions,
+    each parity ``odd`` of the occupied modes strictly between s and t.  Row
+    r of ``idx`` holds the ranks of one occupation of the other modes, ordered
+    by n_s ascending.
+    """
+    basis = _sector(n_modes, n_particles, fermionic)[0]
+    cap = 1 if fermionic else n_particles
+    groups = {}
+    for r, occ in enumerate(basis):
+        n = occ[s] + occ[t]
+        if n == 0:
+            continue
+        odd = fermionic and sum(occ[s + 1 : t]) % 2 == 1
+        lo = max(0, n - cap)
+        rest = occ[:s] + occ[s + 1 : t] + occ[t + 1 :]
+        row = groups.setdefault((n, odd), {}).setdefault(rest, [0] * (min(n, cap) - lo + 1))
+        row[occ[s] - lo] = r
+    return tuple(
+        (n, odd, _read_only(np.array(list(rows.values()), dtype=np.intp)))
+        for (n, odd), rows in groups.items()
+    )
+
+
+@functools.lru_cache(maxsize=SECTOR_CACHE)
+def _number_scale(n):
+    f = np.sqrt([math.factorial(k) * math.factorial(n - k) for k in range(n + 1)])
+    return _read_only(f[:, None] / f[None, :])
+
+
+def _symmetric_powers(g, n_max):
+    """Boson blocks of gate ``g``: its action on |k, n-k>, n = 0..n_max.
+
+    Column k of the n-th matrix holds the coefficients of
+    (g01 + g00 x)^k (g11 + g10 x)^(n-k) in powers of x, rescaled from
+    monomials to normalized number states.
+    """
+    c = np.ones((1, 1), dtype=complex)
+    out = [c]
+    for n in range(1, n_max + 1):
+        nxt = np.zeros((n + 1, n + 1), dtype=complex)
+        nxt[:-1, :-1] = g[1, 1] * c
+        nxt[1:, :-1] += g[1, 0] * c
+        nxt[:-1, -1] = g[0, 1] * c[:, -1]
+        nxt[1:, -1] += g[0, 0] * c[:, -1]
+        c = nxt
+        out.append(c * _number_scale(n))
+    return out
+
+
+def _fermion_block(g, n, odd):
+    if n == 2:
+        return np.array([[g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]]])
+    sign = -1.0 if odd else 1.0
+    return np.array([[g[1, 1], sign * g[0, 1]], [sign * g[1, 0], g[0, 0]]])
+
+
+def evolve(state, gates):
+    """Run ``gates`` on ``state`` through the sector kernel, first gate first.
+
+    A gate is ``((s, t), g)`` for a 2x2 unitary ``g`` acting as
+    a_s^† -> g00 a_s^† + g01 a_t^†, a_t^† -> g10 a_s^† + g11 a_t^†, or
+    ``((mode,), phi)`` for a phase shift.  Gates are trusted: their
+    unitarity and mode ranges are checked where they are built.
+    """
+    if not gates:
+        return state
+    m, n = state.n_modes, state.n_particles
+    fermionic = state.statistics is FERMION
+    basis, rank, occ = _sector(m, n, fermionic)
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[[rank[o] for o in state.occupations()]] = list(state._amps.values())
+    for modes, value in gates:
+        if len(modes) == 1:
+            vec *= np.exp(1j * value * occ[:, modes[0]])
+            continue
+        (s, t), g = modes, value
+        if s > t:
+            s, t, g = t, s, g[::-1, ::-1]
+        powers = None if fermionic else _symmetric_powers(g, n)
+        for k, odd, idx in _pair_blocks(m, n, fermionic, s, t):
+            block = _fermion_block(g, k, odd) if fermionic else powers[k]
+            vec[idx] = vec[idx] @ block.T
+    return FockState._from_vector(state.statistics, m, n, vec)
+
+
+def reck_gates(u):
+    """Factor unitary ``u`` into a triangular mesh (Reck et al.).
+
+    Returns kernel gates in the form :func:`evolve` takes: at most M(M-1)/2
+    two-mode gates on adjacent modes, then up to M phases.  Composed left to
+    right, their embedded matrices give ``u``.
+    """
+    m = u.shape[0]
+    a = np.array(u, dtype=complex)
+    gates = []
+    for col in range(m - 1):
+        for row in range(m - 1, col, -1):
+            x = a[row - 1, col]
+            y = a[row, col]
+            if abs(y) <= RECK_TOL:
+                continue
+            norm = math.hypot(abs(x), abs(y))
+            r = np.array(
+                [[x.conjugate() / norm, y.conjugate() / norm], [-y / norm, x / norm]]
+            )
+            a[row - 1 : row + 1, :] = r @ a[row - 1 : row + 1, :]
+            gates.append(((row - 1, row), r.conj().T))
+    for mode in range(m):
+        phi = cmath.phase(a[mode, mode])
+        if abs(phi) > 1e-12:
+            gates.append(((mode,), phi))
+    return gates
+
+
 def apply_mode_unitary(state, u):
     """Evolve ``state`` under the mode transformation a_i^† -> sum_j U_ij a_j^†.
 
-    Bosons expand by plain polynomial multiplication; fermions pick up
-    normal-ordering signs and respect exclusion.  Applying U then V equals a
-    single application of the matrix product U @ V.
+    U is checked by :func:`require_unitary`, factored by Reck's Givens loop
+    (:func:`reck_gates`) into two-mode gates and phases, and run through the
+    sector kernel (:func:`evolve`), which applies each gate block by block.
+    The fermion sign rule of the module docstring makes both statistics exact.
+    Applying U then V equals a single application of the matrix product U @ V.
     """
     u = require_unitary(u)
     m = state.n_modes
     if u.shape[0] != m:
         raise ShapeMismatch(f"unitary is {u.shape[0]}x{u.shape[0]}, state has {m} modes")
-    fermionic = state.statistics is FERMION
-    rows = [[(j, u[i, j]) for j in range(m) if u[i, j] != 0] for i in range(m)]
-    out = {}
-    for occ, amp in state.items():
-        poly = {(0,) * m: amp / math.sqrt(_occ_factorial(occ))}
-        for i, n_i in enumerate(occ):
-            row = rows[i]
-            for _ in range(n_i):
-                nxt = {}
-                for mono, coeff in poly.items():
-                    for j, uij in row:
-                        if fermionic:
-                            if mono[j]:
-                                continue
-                            sign = -1.0 if sum(mono[j + 1 :]) % 2 else 1.0
-                            key = mono[:j] + (1,) + mono[j + 1 :]
-                            nxt[key] = nxt.get(key, 0j) + sign * coeff * uij
-                        else:
-                            key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                            nxt[key] = nxt.get(key, 0j) + coeff * uij
-                poly = nxt
-        for mono, coeff in poly.items():
-            out[mono] = out.get(mono, 0j) + coeff * math.sqrt(_occ_factorial(mono))
-    return FockState(state.statistics, m, out)
+    return evolve(state, reck_gates(u))
 
 
 def detection_distribution(state):

@@ -101,6 +101,31 @@ def oracle_amplitude(u, occ_in, occ_out, statistics):
     return total / math.sqrt(norm)
 
 
+def oracle_evolve(state, u):
+    """``state`` under mode unitary ``u``, amplitude by amplitude from the
+    oracle; returns the output amplitudes as an occupation map."""
+    return {
+        occ_out: sum(
+            amp * oracle_amplitude(u, occ_in, occ_out, state.statistics)
+            for occ_in, amp in state.items()
+        )
+        for occ_out in sector_occupations(state.n_particles, state.n_modes, state.statistics)
+    }
+
+
+def embedded_gate(element, m):
+    """The M x M matrix of one gate, built entry by entry."""
+    u = np.eye(m, dtype=complex)
+    if isinstance(element, fo.PhaseShifter):
+        u[element.mode, element.mode] = np.exp(1j * element.phi)
+        return u
+    g = element.matrix if isinstance(element, fo.BeamSplitter) else np.array([[0, 1], [1, 0]])
+    for a, row in enumerate(element.modes):
+        for b, col in enumerate(element.modes):
+            u[row, col] = g[a, b]
+    return u
+
+
 def state_from_occupation_map(amps, statistics=fo.BOSON):
     m = len(next(iter(amps)))
     return fo.FockState(statistics, m, amps)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import fockopt as fo
-from fockopt.circuits import element_unitary
 from fockopt.errors import InvalidCircuit, InvalidParameter, NotUnitary, ZeroOutcome
 from helpers import assert_states_close, random_state, random_unitary, two_mode_stages
 
@@ -221,6 +220,6 @@ class TestCircuitFiles:
 
     def test_embedding_matches_elements(self, rng):
         bs = fo.BeamSplitter((1, 3), random_unitary(rng, 2))
-        u = element_unitary(bs, 5)
+        u = fo.circuit_to_unitary(fo.Circuit(5, [bs]))
         assert u[1, 1] == bs.matrix[0, 0] and u[1, 3] == bs.matrix[0, 1]
         assert u[0, 0] == 1.0 and u[2, 2] == 1.0

@@ -76,6 +76,31 @@ def bad_state_payloads():
     return out
 
 
+def bad_circuit_payloads():
+    """Two-mode circuits whose counts, modes or phase are not what they seem."""
+    exchange = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    cases = {
+        "fractional detector mode and herald": [{"type": "detect", "mode": 1.9, "herald": 1.7}],
+        "bool herald": [{"type": "detect", "mode": 1, "herald": True}],
+        "fractional herald": [{"type": "detect", "mode": 1, "herald": 1.7}],
+        "infinite herald": [{"type": "detect", "mode": 1, "herald": math.inf}],
+        "fractional splitter mode": [{"type": "bs", "modes": [1, 2.5], "matrix": exchange}],
+        "bool swap mode": [{"type": "swap", "modes": [True, 2]}],
+        "fractional phase mode": [{"type": "ps", "mode": 1.5, "phi": 0.3}],
+        "bool phase": [{"type": "ps", "mode": 1, "phi": True}],
+        "string phase": [{"type": "ps", "mode": 1, "phi": "0.3"}],
+    }
+    out = [
+        pytest.param({"modes": 2, "elements": elements}, id=label)
+        for label, elements in cases.items()
+    ]
+    for label, modes in (("bool modes", True), ("fractional modes", 2.5), ("nan modes", math.nan)):
+        out.append(pytest.param({"modes": modes, "elements": []}, id=label))
+    outputs = {"modes": 2, "elements": [], "outputs": [1, 2.5]}
+    out.append(pytest.param(outputs, id="fractional output"))
+    return out
+
+
 class TestClassify:
     def test_single_mode_exits_0(self, tmp_path, capsys, single):
         code = main(["classify", state_file(tmp_path, single), "--format", "json"])
@@ -103,6 +128,15 @@ class TestClassify:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["classify", str(tmp_path / "absent.json")]) == 2
+
+    def test_huge_amplitudes_renormalize_and_exit_0(self, tmp_path):
+        payload = {
+            "statistics": "boson",
+            "modes": 2,
+            "terms": [{"occ": [1, 0], "re": 1e308}, {"occ": [0, 1], "re": 1e308}],
+        }
+        with pytest.warns(UserWarning, match="renormalizing"):
+            assert main(["classify", write(tmp_path, "huge.json", payload)]) == 0
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -142,6 +176,12 @@ class TestEvolve:
     def test_non_finite_phase_exits_2(self, tmp_path, generic, phi):
         circuit = {"modes": 3, "elements": [{"type": "ps", "mode": 1, "phi": phi}]}
         code = main(["evolve", state_file(tmp_path, generic), write(tmp_path, "c.json", circuit)])
+        assert code == 2
+
+    @pytest.mark.parametrize("circuit", bad_circuit_payloads())
+    def test_malformed_circuit_exits_2(self, tmp_path, circuit):
+        state = fo.FockState(fo.BOSON, 2, {(1, 0): 0.6, (0, 1): 0.8})
+        code = main(["evolve", state_file(tmp_path, state), write(tmp_path, "c.json", circuit)])
         assert code == 2
 
 

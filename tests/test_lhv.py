@@ -242,3 +242,20 @@ class TestChiSquareHelper:
         counts = {(0,): 5050, (1,): 4950}
         p = _chi_square_p(counts, {(0,): 0.5, (1,): 0.5}, 10000)
         assert 0.05 < p < 1.0
+
+    def test_p_value_matches_scipy_stats(self, rng):
+        from scipy import stats
+
+        for _ in range(50):
+            k = int(rng.integers(2, 9))
+            # every cell expects at least 12 counts, so none is pooled
+            probs = 1.0 + rng.random(k)
+            probs /= probs.sum()
+            total = int(rng.integers(200, 5000))
+            counts = rng.multinomial(total, probs)
+            p = _chi_square_p(
+                {(i,): int(c) for i, c in enumerate(counts)},
+                {(i,): float(q) for i, q in enumerate(probs)},
+                total,
+            )
+            assert abs(p - stats.chisquare(counts, probs * total).pvalue) < 1e-12

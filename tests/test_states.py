@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockopt as fo
 from fockopt.errors import (
@@ -15,7 +17,9 @@ from fockopt.errors import (
 )
 from helpers import (
     assert_states_close,
+    embedded_gate,
     oracle_amplitude,
+    oracle_evolve,
     random_state,
     random_unitary,
     sector_occupations,
@@ -160,6 +164,109 @@ class TestApplyModeUnitary:
             for i, j in enumerate(perm):
                 relabeled[j] = occ[i]
             assert abs(dist_p[tuple(relabeled)] - prob) < 1e-12
+
+
+def random_gates(rng, m, count):
+    """Beam splitters, swaps and phase shifters; pairs in either order and
+    not necessarily adjacent."""
+    gates = []
+    for _ in range(count):
+        kind = int(rng.integers(3))
+        if m == 1 or kind == 2:
+            gates.append(fo.PhaseShifter(int(rng.integers(m)), float(rng.uniform(0, 7))))
+            continue
+        s, t = (int(x) for x in rng.choice(m, 2, replace=False))
+        if kind == 0:
+            gates.append(fo.BeamSplitter((s, t), random_unitary(rng, 2)))
+        else:
+            gates.append(fo.Swap((s, t)))
+    return gates
+
+
+def gates_unitary(gates, m):
+    u = np.eye(m, dtype=complex)
+    for gate in gates:
+        u = u @ embedded_gate(gate, m)
+    return u
+
+
+def assert_matches_oracle(out, state, u, atol=1e-10):
+    expected = oracle_evolve(state, u)
+    assert set(out.occupations()) <= set(expected)
+    for occ, amp in expected.items():
+        assert abs(out.amplitude(occ) - amp) < atol
+
+
+def run_gates(state, gates):
+    out, prob = fo.run_circuit(state, fo.Circuit(state.n_modes, gates))
+    assert prob == 1.0
+    return out
+
+
+STATS = [fo.BOSON, fo.FERMION]
+
+
+class TestSectorKernel:
+    """Gate-by-gate and dense-U evolution against the permanent/determinant oracle."""
+
+    @pytest.mark.parametrize("statistics", STATS)
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 3), (2, 5), (3, 4)])
+    def test_gate_lists_match_oracle(self, rng, statistics, n, m):
+        s = random_state(rng, n, m, statistics)
+        gates = random_gates(rng, m, 10)
+        assert_matches_oracle(run_gates(s, gates), s, gates_unitary(gates, m))
+
+    @pytest.mark.parametrize("statistics", STATS)
+    @pytest.mark.parametrize("n,m", [(2, 4), (3, 5), (4, 4)])
+    def test_dense_unitary_matches_oracle(self, rng, statistics, n, m):
+        s = random_state(rng, n, m, statistics)
+        u = random_unitary(rng, m)
+        assert_matches_oracle(fo.apply_mode_unitary(s, u), s, u)
+
+    @pytest.mark.parametrize("statistics", STATS)
+    def test_reversed_far_pairs_and_swap(self, rng, statistics):
+        # modes 1 and 2 sit between the pair, so the fermion sign depends on
+        # their occupation
+        s = random_state(rng, 2, 4, statistics)
+        gates = [fo.BeamSplitter((3, 0), random_unitary(rng, 2)), fo.Swap((2, 0)), fo.Swap((0, 3))]
+        assert_matches_oracle(run_gates(s, gates), s, gates_unitary(gates, 4))
+
+    @pytest.mark.parametrize("statistics", STATS)
+    def test_vacuum_is_invariant(self, rng, statistics):
+        vacuum = fo.make_number_state((0, 0, 0), statistics)
+        assert fo.apply_mode_unitary(vacuum, random_unitary(rng, 3)).amplitude((0, 0, 0)) == 1.0
+        assert run_gates(vacuum, random_gates(rng, 3, 6)).amplitude((0, 0, 0)) == 1.0
+
+    def test_single_mode_takes_the_phase(self):
+        s = fo.make_number_state((3,))
+        out = fo.apply_mode_unitary(s, np.array([[np.exp(0.4j)]]))
+        assert abs(out.amplitude((3,)) - np.exp(1.2j)) < 1e-12
+        assert abs(run_gates(s, [fo.PhaseShifter(0, 0.4)]).amplitude((3,)) - np.exp(1.2j)) < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_full_fermion_sector_is_determinant(self, rng, m):
+        filled = fo.make_number_state((1,) * m, fo.FERMION)
+        gates = random_gates(rng, m, 12)
+        out = run_gates(filled, gates)
+        assert abs(out.amplitude((1,) * m) - np.linalg.det(gates_unitary(gates, m))) < 1e-10
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        statistics=st.sampled_from(STATS),
+        m=st.integers(1, 4),
+        n=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_composition_matches_oracle(self, statistics, m, n, seed):
+        # U then V equals U @ V, and both match the oracle
+        if statistics is fo.FERMION:
+            n = min(n, m)
+        rng = np.random.default_rng(seed)
+        s = random_state(rng, n, m, statistics)
+        u, v = random_unitary(rng, m), random_unitary(rng, m)
+        seq = fo.apply_mode_unitary(fo.apply_mode_unitary(s, u), v)
+        assert_matches_oracle(seq, s, u @ v)
+        assert_matches_oracle(fo.apply_mode_unitary(s, u @ v), s, u @ v)
 
 
 class TestDetectionDistribution:
