@@ -65,15 +65,8 @@ from .lhv import (
     ComparisonReport,
     EpistemicSpec,
     LhvRunResult,
-    OnticState,
     compare_lhv_quantum,
-    lhv_beam_splitter,
-    lhv_detect,
-    lhv_phase_shifter,
     run_lhv_experiment,
-    run_shot,
-    sample_epistemic,
-    shot_generator,
 )
 from .states import (
     BOSON,

@@ -22,13 +22,17 @@ from .circuits import (
     BeamSplitter,
     Circuit,
     Detector,
+    _matrix_from_json,
+    _matrix_to_json,
+    circuit_from_dict,
+    circuit_to_dict,
     detector_statistics,
     hadamard,
     run_circuit,
     yurke_stoler_circuit,
 )
 from .classify import is_single_mode_type
-from .errors import ShapeMismatch, ZeroOutcome
+from .errors import InvalidFile, ShapeMismatch, ZeroOutcome
 from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald, require_unitary
 
 VIOLATION_MARGIN = 1e-6
@@ -457,8 +461,6 @@ def find_witness(state):
 
 def witness_to_dict(experiment):
     """Serialize prep circuit, rail assignment, settings, and CHSH value."""
-    from .circuits import _matrix_to_json, circuit_to_dict
-
     res = experiment.result
     return {
         "circuit": circuit_to_dict(experiment.circuit),
@@ -476,9 +478,6 @@ def witness_to_dict(experiment):
 
 
 def witness_from_dict(data):
-    from .circuits import _matrix_from_json, circuit_from_dict
-    from .errors import InvalidFile
-
     try:
         circuit = circuit_from_dict(data["circuit"])
         settings_a = tuple(_matrix_from_json(b) for b in data["settings"]["party_A"])

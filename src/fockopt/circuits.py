@@ -24,6 +24,7 @@ from .errors import (
 from .states import (
     _file_count,
     _file_number,
+    _read_json,
     detection_distribution,
     evolve,
     herald,
@@ -308,8 +309,9 @@ def _matrix_to_json(m):
 
 
 def _matrix_from_json(rows):
+    """Inverse of ``_matrix_to_json``; every part must be a finite number."""
     return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
+        [[complex(_file_number(re), _file_number(im)) for re, im in row] for row in rows],
         dtype=complex,
     )
 
@@ -385,15 +387,7 @@ def circuit_from_dict(data):
 
 
 def load_circuit(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidFile(
-            f"JSON parse error: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
-    return circuit_from_dict(data)
+    return circuit_from_dict(_read_json(path))
 
 
 def save_circuit(circuit, path):

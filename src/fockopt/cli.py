@@ -20,7 +20,8 @@ from .bell import (
     yurke_stoler_postselect,
 )
 from .circuits import (
-    circuit_from_dict,
+    _matrix_from_json,
+    _matrix_to_json,
     circuit_to_dict,
     load_circuit,
     reck_decompose,
@@ -29,7 +30,7 @@ from .circuits import (
 from .classify import DEFAULT_TOL, is_single_mode_type
 from .errors import FockoptError, InvalidFile, ZeroOutcome
 from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
-from .states import embed, load_state, state_to_dict
+from .states import _read_json, embed, load_state, state_to_dict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,28 +46,12 @@ def _print_json(payload):
     print(json.dumps(payload, indent=1))
 
 
-def _complex_matrix_json(m):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _load_unitary(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    data = _read_json(path)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidFile(
-            f"JSON parse error: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
-    try:
-        rows = data["matrix"]
-        u = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        return _matrix_from_json(data["matrix"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFile(f"malformed unitary description: {exc}") from exc
-    return u
 
 
 def _resolve_seed(args):
@@ -148,8 +133,8 @@ def _cmd_ys_test(args):
                 "violated": result.violated,
                 "success_probability": prob,
                 "settings": {
-                    "party_A": [_complex_matrix_json(b) for b in result.settings_a],
-                    "party_B": [_complex_matrix_json(b) for b in result.settings_b],
+                    "party_A": [_matrix_to_json(b) for b in result.settings_a],
+                    "party_B": [_matrix_to_json(b) for b in result.settings_b],
                 },
             }
         )

@@ -1,11 +1,22 @@
 """Local hidden-variable Monte Carlo for states reducible to a single mode.
 
-Each mode carries an ontic pair (complex amplitude, particle count).  Beam
-splitters rotate the two local amplitudes and re-deal the local particles
-binomially on the rotated weights; phase shifters act on the amplitude alone;
-detectors read the count.  Runs are reproducible shot by shot: shot ``i`` of
-seed ``s`` draws from its own counter-based stream keyed by ``(s, i)``, so
-tallies are independent of execution order.
+The ontic state of a shot is a particle count per mode.  The preparation
+draws the counts of |alpha>^N multinomially on the weights |alpha_j|^2.  A
+two-mode gate on (s, t) re-deals the pair's particles binomially: each one
+leaves on s with probability p = w_s / (w_s + w_t), where w are the weights
+of alpha carried through the circuit up to that gate.  Detectors read the
+counts.  A multinomial re-dealt this way stays multinomial on the rotated
+weights, so the count law equals the quantum detection law at every step.
+
+Alpha evolves deterministically up to a global phase that no statistic sees,
+so every split probability p is fixed by the circuit: :func:`_splits`
+computes them once, and phase shifters enter only through them.  Shots run
+in blocks of ``BLOCK``.  Block b of seed s draws from its own counter-based
+Philox stream keyed (s, b) (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11): one multinomial for the block's starts, then one
+vectorized binomial per gate.  A tally therefore depends on the seed, the
+shot count and ``BLOCK`` alone, not on the order in which blocks run;
+``BLOCK`` is part of that contract, and changing it changes every tally.
 """
 
 import cmath
@@ -14,42 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (
-    BeamSplitter,
-    Detector,
-    PhaseShifter,
-    Swap,
-    detector_statistics,
-)
+from .circuits import _kernel_gates, detector_statistics
 from .classify import single_mode_state
 from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
 
 DEFAULT_SEED = 20240901
-
-
-@dataclass
-class OnticState:
-    """Hidden-variable configuration: per-mode amplitude and particle count."""
-
-    amplitudes: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-
-    @property
-    def n_particles(self):
-        return int(self.counts.sum())
+# shots per random stream; part of the reproducibility contract (see above)
+BLOCK = 4096
+# a pair whose weight is below this carries no particles and gets no split
+EMPTY_PAIR = 1e-30
 
 
 @dataclass(frozen=True)
 class EpistemicSpec:
     """Preparation ensemble of a single-mode-type state.
 
-    Amplitudes are drawn as the reference vector times a uniform global
-    phase (statistically inert but sampled anyway), counts multinomially on
-    the squared moduli.
+    Counts are drawn multinomially on the squared moduli of ``alpha``; its
+    global phase is statistically inert and is not drawn.
     """
 
     alpha: np.ndarray
@@ -57,8 +49,9 @@ class EpistemicSpec:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=complex)
-        if abs(np.linalg.norm(alpha) - 1.0) > 1e-9:
-            raise ShapeMismatch("epistemic amplitude vector must be normalized")
+        # written so that a NaN norm fails it too
+        if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-9:
+            raise ShapeMismatch("epistemic amplitude vector must be finite and normalized")
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
@@ -72,139 +65,48 @@ class EpistemicSpec:
         return single_mode_state(self.alpha, self.n_particles)
 
 
-def shot_generator(seed, shot):
-    """Independent counter-based stream for one shot."""
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(shot)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _splits(alpha, circuit):
+    """``(s, t, p)`` for each two-mode gate of ``circuit``, in order.
 
-
-def sample_epistemic(spec, rng):
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    probs = np.abs(spec.alpha) ** 2
-    probs = probs / probs.sum()
-    counts = rng.multinomial(spec.n_particles, probs)
-    return OnticState(phase * spec.alpha.copy(), counts.astype(np.int64))
-
-
-def lhv_beam_splitter(state, modes, v, rng):
-    """Rotate the pair amplitudes by ``v`` and re-deal the pair's particles."""
-    s, t = modes
-    if s == t:
-        raise ShapeMismatch("beam splitter needs two distinct modes")
-    amps = state.amplitudes.copy()
-    counts = state.counts.copy()
-    pair = np.array([amps[s], amps[t]]) @ np.asarray(v, dtype=complex)
-    amps[s], amps[t] = pair[0], pair[1]
-    k = int(counts[s] + counts[t])
-    ws = abs(pair[0]) ** 2
-    wt = abs(pair[1]) ** 2
-    if k > 0:
-        if ws + wt < 1e-30:
-            raise DegenerateAmplitude(
-                "both rotated amplitudes vanish while particles are present"
-            )
-        p = min(1.0, max(0.0, ws / (ws + wt)))
-        ks = int(rng.binomial(k, p))
-        counts[s], counts[t] = ks, k - ks
-    return OnticState(amps, counts)
-
-
-def lhv_phase_shifter(state, mode, phi):
-    amps = state.amplitudes.copy()
-    amps[mode] = amps[mode] * np.exp(1j * phi)
-    return OnticState(amps, state.counts.copy())
-
-
-def lhv_detect(state, mode):
-    """Number revealed by the detector in ``mode``."""
-    return int(state.counts[mode])
-
-
-def _compile_elements(circuit):
-    """Flatten the circuit into scalar gate records for the shot loop."""
-    ops = []
-    for el in circuit.elements:
-        if isinstance(el, BeamSplitter):
-            v = el.matrix
-            ops.append(
-                (
-                    "bs",
-                    el.modes[0],
-                    el.modes[1],
-                    complex(v[0, 0]),
-                    complex(v[0, 1]),
-                    complex(v[1, 0]),
-                    complex(v[1, 1]),
-                )
-            )
-        elif isinstance(el, Swap):
-            ops.append(("bs", el.modes[0], el.modes[1], 0j, 1 + 0j, 1 + 0j, 0j))
-        elif isinstance(el, PhaseShifter):
-            ops.append(("ps", el.mode, complex(np.exp(1j * el.phi))))
-        else:
-            ops.append(("det", el.mode))
-    return ops
-
-
-def _run_shot_compiled(alpha, n, ops, probs, rng):
-    # scalar arithmetic throughout; draw order matches the gate-level API.
-    # Norm conservation is tracked incrementally (gates only touch two
-    # amplitudes), so the per-gate asserts stay O(1).
-    phase = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    counts = rng.multinomial(n, probs).tolist()
-    amps = [phase * a for a in alpha]
-    norm2 = 1.0
-    readings = {}
-    for op in ops:
-        kind = op[0]
-        if kind == "bs":
-            _, s, t, v00, v01, v10, v11 = op
-            a_s, a_t = amps[s], amps[t]
-            b_s = a_s * v00 + a_t * v10
-            b_t = a_s * v01 + a_t * v11
-            amps[s], amps[t] = b_s, b_t
-            ws = b_s.real * b_s.real + b_s.imag * b_s.imag
-            wt = b_t.real * b_t.real + b_t.imag * b_t.imag
-            norm2 += (ws + wt) - (
-                a_s.real * a_s.real
-                + a_s.imag * a_s.imag
-                + a_t.real * a_t.real
-                + a_t.imag * a_t.imag
-            )
-            assert abs(norm2 - 1.0) < 1e-9
-            k = counts[s] + counts[t]
-            if k > 0:
-                if ws + wt < 1e-30:
-                    raise DegenerateAmplitude(
-                        "both rotated amplitudes vanish while particles are present"
-                    )
-                ks = int(rng.binomial(k, min(1.0, max(0.0, ws / (ws + wt)))))
-                counts[s], counts[t] = ks, k - ks
-                assert counts[s] + counts[t] == k
-        elif kind == "ps":
-            amps[op[1]] = amps[op[1]] * op[2]
-        else:
-            readings[op[1]] = counts[op[1]]
-    return readings, amps, counts
-
-
-def run_shot(spec, circuit, rng):
-    """One trajectory; returns (detector readings by mode, final ontic state).
-
-    Conservation of the particle total and of the amplitude norm is asserted
-    after every beam splitter.
+    ``alpha`` is carried once through every gate; ``p`` is the probability
+    that a particle of the pair leaves on mode ``s``, or None for a pair of
+    weight below ``EMPTY_PAIR``, which no particle can reach.
     """
-    if spec.n_modes != circuit.n_modes:
-        raise ShapeMismatch(
-            f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
-        )
+    amps = np.array(alpha, dtype=complex)
+    splits = []
+    for modes, value in _kernel_gates(circuit.elements):
+        if len(modes) == 1:
+            amps[modes[0]] *= cmath.exp(1j * value)
+            continue
+        s, t = modes
+        amps[[s, t]] = amps[[s, t]] @ value
+        ws, wt = abs(amps[s]) ** 2, abs(amps[t]) ** 2
+        splits.append((s, t, ws / (ws + wt) if ws + wt >= EMPTY_PAIR else None))
+    return splits
+
+
+def _run_block(spec, circuit, splits, seed, block, size):
+    """Readout tallies and accepted count of ``size`` shots of block ``block``."""
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     probs = np.abs(spec.alpha) ** 2
-    probs = probs / probs.sum()
-    alpha = [complex(a) for a in spec.alpha]
-    readings, amps, counts = _run_shot_compiled(
-        alpha, spec.n_particles, _compile_elements(circuit), probs, rng
+    counts = rng.multinomial(spec.n_particles, probs / probs.sum(), size=size)
+    for s, t, p in splits:
+        k = counts[:, s] + counts[:, t]
+        if p is None:
+            if k.any():
+                raise DegenerateAmplitude(
+                    "both rotated amplitudes vanish while particles are present"
+                )
+            continue
+        counts[:, s] = rng.binomial(k, p)
+        counts[:, t] = k - counts[:, s]
+    heralds = circuit.heralds
+    accepted = np.all(counts[:, list(heralds)] == list(heralds.values()), axis=1)
+    rows, hits = np.unique(
+        counts[accepted][:, list(circuit.readout_modes)], axis=0, return_counts=True
     )
-    return readings, OnticState(np.array(amps), np.array(counts, dtype=np.int64))
+    return dict(zip(map(tuple, rows.tolist()), hits.tolist())), int(accepted.sum())
 
 
 @dataclass
@@ -227,49 +129,31 @@ class LhvRunResult:
 
 
 def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
-    """Run independent trajectories and tally readout-detector outcomes.
+    """Run ``shots`` independent shots and tally readout-detector outcomes.
 
-    Shots whose heralded detectors miss their required count are rejected
-    (and counted, so the acceptance rate can be compared with the quantum
-    herald probability).  Outcome keys follow ``circuit.readout_modes``.
+    Shots run in blocks of ``BLOCK``, block b drawing from the Philox stream
+    keyed ``(seed, b)`` (see the module docstring), so a tally is fixed by
+    ``(seed, shots, BLOCK)``.  Shots whose heralded detectors miss their
+    required count are rejected (and counted, so the acceptance rate can be
+    compared with the quantum herald probability).  Outcome keys follow
+    ``circuit.readout_modes``.
     """
     if spec.n_modes != circuit.n_modes:
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
-    heralds = tuple(circuit.heralds.items())
-    readout = circuit.readout_modes
-    ops = _compile_elements(circuit)
-    probs = np.abs(spec.alpha) ** 2
-    probs = probs / probs.sum()
-    alpha = [complex(a) for a in spec.alpha]
-    n = spec.n_particles
+    shots = int(shots)
+    splits = _splits(spec.alpha, circuit)
     counts = {}
     accepted = 0
-    # one Philox instance re-keyed per shot; state reset reproduces a fresh
-    # (seed, shot)-keyed stream bit-exactly without per-shot entropy overhead
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    zeros4 = np.zeros(4, dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": zeros4, "key": key},
-        "buffer": zeros4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for shot in range(int(shots)):
-        key[1] = shot
-        bitgen.state = fresh
-        readings, _, _ = _run_shot_compiled(alpha, n, ops, probs, rng)
-        if any(readings[m] != c for m, c in heralds):
-            continue
-        accepted += 1
-        out = tuple(readings[m] for m in readout)
-        counts[out] = counts.get(out, 0) + 1
-    return LhvRunResult(counts, int(shots), accepted, readout)
+    for block, start in enumerate(range(0, shots, BLOCK)):
+        tally, hits = _run_block(
+            spec, circuit, splits, seed, block, min(BLOCK, shots - start)
+        )
+        accepted += hits
+        for outcome, hit in tally.items():
+            counts[outcome] = counts.get(outcome, 0) + hit
+    return LhvRunResult(counts, shots, accepted, circuit.readout_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     InvalidFile,
     InvalidOccupation,
+    InvalidParameter,
     NotUnitary,
     ShapeMismatch,
     ZeroOutcome,
@@ -106,6 +107,8 @@ class FockState:
                     f"mixed particle numbers {n_particles} and {total} in one state"
                 )
             amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise InvalidParameter(f"amplitude of {occ} is not finite: {amp!r}")
             if amp != 0:
                 amps[occ] = amps.get(occ, 0j) + amp
         self._store(statistics, n_modes, n_particles, amps, normalized)
@@ -529,16 +532,21 @@ def state_from_dict(data):
     return raw.normalized()
 
 
-def load_state(path):
+def _read_json(path):
+    """The JSON document in ``path``; a parse error is ``InvalidFile`` with
+    its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidFile(
             f"JSON parse error: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
-    return state_from_dict(data)
+
+
+def load_state(path):
+    return state_from_dict(_read_json(path))
 
 
 def save_state(state, path):

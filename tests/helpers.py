@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 import fockopt as fo
+from fockopt.lhv import _splits
 
 
 def random_unitary(rng, m):
@@ -124,6 +125,48 @@ def embedded_gate(element, m):
         for b, col in enumerate(element.modes):
             u[row, col] = g[a, b]
     return u
+
+
+def lhv_count_law(spec, circuit):
+    """Exact law of the LHV engine's readout, as a Markov chain over count
+    vectors: a multinomial start on |alpha|^2, one binomial re-deal per
+    ``lhv._splits`` record, then the heralds as conditioning.
+
+    Returns ``(distribution over readout tuples, herald probability)`` in the
+    form of ``detector_statistics``.
+    """
+    n = spec.n_particles
+    weights = np.abs(spec.alpha) ** 2
+    law = {}
+    for occ in boson_occupations(n, spec.n_modes):
+        p = float(math.factorial(n))
+        for c, w in zip(occ, weights):
+            p *= w**c / math.factorial(c)
+        law[occ] = p
+    for s, t, split in _splits(spec.alpha, circuit):
+        if split is None:
+            # a pair of zero weight holds no particles: nothing to re-deal
+            continue
+        dealt = {}
+        for occ, q in law.items():
+            k = occ[s] + occ[t]
+            for ks in range(k + 1):
+                out = list(occ)
+                out[s], out[t] = ks, k - ks
+                out = tuple(out)
+                weight = math.comb(k, ks) * split**ks * (1 - split) ** (k - ks)
+                dealt[out] = dealt.get(out, 0.0) + q * weight
+        law = dealt
+    heralds = circuit.heralds
+    dist = {}
+    for occ, q in law.items():
+        if all(occ[m] == c for m, c in heralds.items()):
+            key = tuple(occ[m] for m in circuit.readout_modes)
+            dist[key] = dist.get(key, 0.0) + q
+    p_herald = sum(dist.values())
+    if p_herald <= 0.0:
+        return {}, 0.0
+    return {k: v / p_herald for k, v in dist.items()}, p_herald
 
 
 def state_from_occupation_map(amps, statistics=fo.BOSON):

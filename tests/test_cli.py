@@ -76,6 +76,16 @@ def bad_state_payloads():
     return out
 
 
+def bad_matrices():
+    """2x2 matrices in the file format whose entries are not finite numbers;
+    read as numbers, the first is the identity."""
+    return [
+        ("bool matrix", [[[True, False], [False, False]], [[False, False], [True, False]]]),
+        ("string matrix entry", [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]),
+        ("infinite matrix entry", [[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    ]
+
+
 def bad_circuit_payloads():
     """Two-mode circuits whose counts, modes or phase are not what they seem."""
     exchange = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
@@ -90,6 +100,8 @@ def bad_circuit_payloads():
         "bool phase": [{"type": "ps", "mode": 1, "phi": True}],
         "string phase": [{"type": "ps", "mode": 1, "phi": "0.3"}],
     }
+    for label, matrix in bad_matrices():
+        cases[label] = [{"type": "bs", "modes": [1, 2], "matrix": matrix}]
     out = [
         pytest.param({"modes": 2, "elements": elements}, id=label)
         for label, elements in cases.items()
@@ -284,6 +296,7 @@ class TestDecompose:
             pytest.param([[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]], id="nan"),
             pytest.param([[[1, 0], [1, 0]], [[1, 0], [1, 0]]], id="not unitary"),
             pytest.param([[1, 0], [0, 1]], id="real entries"),
+            *(pytest.param(matrix, id=label) for label, matrix in bad_matrices()),
         ],
     )
     def test_bad_matrix_exits_2(self, tmp_path, matrix):

@@ -6,8 +6,8 @@ import pytest
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import DegenerateAmplitude, InvalidCircuit, InvalidParameter, ShapeMismatch
-from fockopt.lhv import _chi_square_p
-from helpers import random_alpha, random_unitary
+from fockopt.lhv import BLOCK, _chi_square_p, _run_block, _splits
+from helpers import lhv_count_law, random_alpha, random_unitary
 
 SQ2 = math.sqrt(2.0)
 
@@ -19,19 +19,14 @@ def readout_circuit(base):
 class TestSampleEpistemic:
     def test_degenerate_all_in_one_mode(self):
         spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 2)
-        rng = fo.shot_generator(1, 0)
-        ontic = fo.sample_epistemic(spec, rng)
-        assert tuple(ontic.counts) == (2, 0)
-        assert abs(abs(ontic.amplitudes[0]) - 1.0) < 1e-12
+        run = fo.run_lhv_experiment(spec, readout_circuit(fo.Circuit(2)), 1, seed=1)
+        assert run.counts == {(2, 0): 1}
 
     def test_balanced_multinomial(self):
         spec = fo.EpistemicSpec(np.array([1 / SQ2, 1 / SQ2]), 2)
-        hits = 0
         shots = 20000
-        for shot in range(shots):
-            ontic = fo.sample_epistemic(spec, fo.shot_generator(2, shot))
-            if tuple(ontic.counts) == (1, 1):
-                hits += 1
+        run = fo.run_lhv_experiment(spec, readout_circuit(fo.Circuit(2)), shots, seed=2)
+        hits = run.counts.get((1, 1), 0)
         sigma = math.sqrt(shots * 0.5 * 0.5)
         assert abs(hits - 0.5 * shots) < 3 * sigma
 
@@ -40,58 +35,66 @@ class TestSampleEpistemic:
         n = 4
         spec = fo.EpistemicSpec(alpha, n)
         shots = 20000
-        totals = np.zeros(3)
-        for shot in range(shots):
-            totals += fo.sample_epistemic(spec, fo.shot_generator(3, shot)).counts
+        run = fo.run_lhv_experiment(spec, readout_circuit(fo.Circuit(3)), shots, seed=3)
+        totals = sum(hits * np.array(occ) for occ, hits in run.counts.items())
         for i in range(3):
             p = abs(alpha[i]) ** 2
             sigma = math.sqrt(shots * n * p * (1 - p) + 1e-12)
             assert abs(totals[i] - shots * n * p) < 3 * sigma + 1.0
 
 
+def hadamard_circuit():
+    return readout_circuit(fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())]))
+
+
 class TestGates:
     def test_empty_pair_rotates_amplitudes_only(self, rng):
+        # the pair (0, 1) has weight 0: alpha is rotated, the counts are not
+        # re-dealt, and its split record is not a 0/0
         v = random_unitary(rng, 2)
-        ontic = fo.OnticState(np.array([1 / SQ2, 1 / SQ2, 0j]), np.array([0, 0, 3]))
-        out = fo.lhv_beam_splitter(ontic, (0, 1), v, fo.shot_generator(4, 0))
-        assert tuple(out.counts) == (0, 0, 3)
-        np.testing.assert_allclose(
-            out.amplitudes[:2], np.array([1 / SQ2, 1 / SQ2]) @ v, atol=1e-12
-        )
+        spec = fo.EpistemicSpec(np.array([0, 0, 1.0]), 3)
+        circuit = readout_circuit(fo.Circuit(3, [fo.BeamSplitter((0, 1), v)]))
+        assert _splits(spec.alpha, circuit) == [(0, 1, None)]
+        run = fo.run_lhv_experiment(spec, circuit, 1, seed=4)
+        assert run.counts == {(0, 0, 3): 1}
 
     def test_balanced_split_binomial_mean(self):
-        hits = []
-        ontic = fo.OnticState(np.array([1.0 + 0j, 0j]), np.array([4, 0]))
-        for shot in range(20000):
-            out = fo.lhv_beam_splitter(
-                ontic, (0, 1), fo.hadamard(), fo.shot_generator(5, shot)
-            )
-            assert out.counts.sum() == 4
-            hits.append(out.counts[0])
-        mean = np.mean(hits)
-        sigma = math.sqrt(4 * 0.25 / len(hits))
+        spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 4)
+        run = fo.run_lhv_experiment(spec, hadamard_circuit(), 20000, seed=5)
+        assert all(sum(occ) == 4 for occ in run.counts)
+        mean = sum(occ[0] * hits for occ, hits in run.counts.items()) / run.accepted
+        sigma = math.sqrt(4 * 0.25 / run.accepted)
         assert abs(mean - 2.0) < 3 * sigma
 
     def test_hadamard_from_reference_start(self):
-        ontic = fo.OnticState(np.array([1.0 + 0j, 0j]), np.array([3, 0]))
-        out = fo.lhv_beam_splitter(ontic, (0, 1), fo.hadamard(), fo.shot_generator(6, 0))
-        np.testing.assert_allclose(np.abs(out.amplitudes), [1 / SQ2, 1 / SQ2], atol=1e-12)
+        spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 4)
+        [(s, t, p)] = _splits(spec.alpha, hadamard_circuit())
+        assert (s, t) == (0, 1)
+        assert abs(p - 0.5) < 1e-12
 
     def test_phase_shifter_deterministic(self):
-        ontic = fo.OnticState(np.array([1 / SQ2, 1 / SQ2]), np.array([1, 1]))
-        out = fo.lhv_phase_shifter(ontic, 0, math.pi)
-        assert abs(out.amplitudes[0] + 1 / SQ2) < 1e-12
-        assert tuple(out.counts) == (1, 1)
+        # the phase turns alpha = (1, 1)/sqrt2 into (-1, 1)/sqrt2, which the
+        # Hadamard sends wholly to mode 1; without it, wholly to mode 0
+        spec = fo.EpistemicSpec(np.array([1 / SQ2, 1 / SQ2]), 2)
+        h = fo.BeamSplitter((0, 1), fo.hadamard())
+        shifted = readout_circuit(fo.Circuit(2, [fo.PhaseShifter(0, math.pi), h]))
+        assert fo.run_lhv_experiment(spec, shifted, 1000, seed=6).counts == {(0, 2): 1000}
+        plain = readout_circuit(fo.Circuit(2, [h]))
+        assert fo.run_lhv_experiment(spec, plain, 1000, seed=6).counts == {(2, 0): 1000}
 
     def test_detect_reads_count(self):
-        ontic = fo.OnticState(np.array([1.0 + 0j, 0j]), np.array([2, 0]))
-        assert fo.lhv_detect(ontic, 0) == 2
-        assert fo.lhv_detect(ontic, 1) == 0
+        # readout keys follow detector order, not mode order
+        spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 2)
+        circuit = fo.Circuit(2, [fo.Detector(1), fo.Detector(0)])
+        run = fo.run_lhv_experiment(spec, circuit, 10, seed=7)
+        assert run.counts == {(0, 2): 10}
 
     def test_degenerate_amplitudes_fail_loudly(self):
-        ontic = fo.OnticState(np.array([0j, 0j, 1.0 + 0j]), np.array([1, 0, 0]))
+        # a consistent start never puts particles on an empty pair, so the
+        # guard is reached here through a split record that contradicts alpha
+        spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 1)
         with pytest.raises(DegenerateAmplitude):
-            fo.lhv_beam_splitter(ontic, (0, 1), np.eye(2), fo.shot_generator(7, 0))
+            _run_block(spec, fo.Circuit(2), [(0, 1, None)], 7, 0, 1)
 
 
 class TestRunExperiment:
@@ -122,6 +125,11 @@ class TestRunExperiment:
         assert report.tv_distance < report.tv_bound
         assert report.passed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ShapeMismatch):
+            fo.EpistemicSpec(np.array([bad, 1.0]), 2)
+
     def test_mode_count_mismatch(self, rng):
         spec = fo.EpistemicSpec(random_alpha(rng, 3), 2)
         with pytest.raises(ShapeMismatch):
@@ -131,15 +139,21 @@ class TestRunExperiment:
 class TestInvariants:
     def test_particle_conservation_and_alpha_track(self, rng):
         alpha = random_alpha(rng, 4)
-        u = random_unitary(rng, 4)
         spec = fo.EpistemicSpec(alpha, 3)
-        mesh = fo.reck_decompose(u)
-        target = fo.transform_alpha(alpha, fo.circuit_to_unitary(mesh))
-        for shot in range(20):
-            readings, ontic = fo.run_shot(spec, mesh, fo.shot_generator(11, shot))
-            assert ontic.n_particles == 3
-            assert abs(np.linalg.norm(ontic.amplitudes) - 1.0) < 1e-9
-            assert fo.phase_distance(ontic.amplitudes, target) < 1e-9
+        mesh = fo.reck_decompose(random_unitary(rng, 4))
+        run = fo.run_lhv_experiment(spec, readout_circuit(mesh), 20, seed=11)
+        assert run.accepted == 20
+        assert all(sum(occ) == 3 for occ in run.counts)
+        # each split comes from alpha carried through the gates before it
+        splits = iter(_splits(alpha, mesh))
+        for i, el in enumerate(mesh.elements):
+            if isinstance(el, fo.BeamSplitter):
+                prefix = fo.Circuit(4, mesh.elements[: i + 1])
+                beta = fo.transform_alpha(alpha, fo.circuit_to_unitary(prefix))
+                s, t, p = next(splits)
+                ws, wt = abs(beta[s]) ** 2, abs(beta[t]) ** 2
+                assert (s, t) == el.modes and abs(p - ws / (ws + wt)) < 1e-9
+        assert next(splits, None) is None
 
     def test_same_seed_bit_identical(self, rng):
         spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)
@@ -149,16 +163,58 @@ class TestInvariants:
         assert r1.counts == r2.counts
 
     def test_shot_order_irrelevant(self, rng):
-        # per-shot streams: accumulating in reverse gives the same tallies
+        # per-block streams: tallying the blocks in reverse gives the same run
         spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)
         circuit = readout_circuit(fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())]))
-        forward = fo.run_lhv_experiment(spec, circuit, 500, seed=13)
+        shots = 5 * BLOCK // 2
+        forward = fo.run_lhv_experiment(spec, circuit, shots, seed=13)
+        splits = _splits(spec.alpha, circuit)
         tallies = {}
-        for shot in reversed(range(500)):
-            readings, _ = fo.run_shot(spec, circuit, fo.shot_generator(13, shot))
-            key = tuple(readings[m] for m in circuit.readout_modes)
-            tallies[key] = tallies.get(key, 0) + 1
+        accepted = 0
+        for block in reversed(range(3)):
+            size = min(BLOCK, shots - block * BLOCK)
+            tally, hits = _run_block(spec, circuit, splits, 13, block, size)
+            accepted += hits
+            for outcome, hit in tally.items():
+                tallies[outcome] = tallies.get(outcome, 0) + hit
+        assert accepted == forward.accepted == shots
         assert tallies == forward.counts
+
+
+class TestExactLaw:
+    def test_count_law_equals_quantum(self, rng):
+        # the paper's locality claim, exactly: the engine's count law is the
+        # quantum readout law of every reducible state through any mesh
+        worst = 0.0
+        for case in range(40):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(1, 5))
+            alpha = random_alpha(rng, m)
+            gates = []
+            if case % 4 == 0 and m >= 3:
+                # a gate on a pair of zero weight, whose split record is None
+                alpha[:2] = 0.0
+                alpha /= np.linalg.norm(alpha)
+                gates.append(fo.BeamSplitter((0, 1), random_unitary(rng, 2)))
+            s, t = sorted(rng.choice(m, size=2, replace=False).tolist())
+            gates += list(fo.reck_decompose(random_unitary(rng, m)).elements)
+            gates += [
+                fo.PhaseShifter(int(rng.integers(m)), float(rng.uniform(0, 2 * math.pi))),
+                fo.Swap((s, t)),
+                fo.BeamSplitter((t, s), random_unitary(rng, 2)),
+            ]
+            heralded = rng.choice(m, size=int(rng.integers(0, m)), replace=False).tolist()
+            detectors = [fo.Detector(j, int(rng.integers(0, 2))) for j in heralded]
+            detectors += [fo.Detector(j) for j in range(m) if j not in heralded]
+            circuit = fo.Circuit(m, gates + detectors)
+            spec = fo.EpistemicSpec(alpha, n)
+            law, p_herald = lhv_count_law(spec, circuit)
+            quantum = fo.detector_statistics(spec.quantum_state(), circuit)
+            worst = max(worst, abs(p_herald - quantum.herald_probability))
+            for outcome in set(law) | set(quantum.distribution):
+                gap = abs(law.get(outcome, 0.0) - quantum.distribution.get(outcome, 0.0))
+                worst = max(worst, gap)
+        assert worst < 1e-12
 
 
 class TestComparison:

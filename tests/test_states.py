@@ -10,6 +10,7 @@ import fockopt as fo
 from fockopt.errors import (
     InvalidFile,
     InvalidOccupation,
+    InvalidParameter,
     NotUnitary,
     ShapeMismatch,
     ZeroOutcome,
@@ -26,6 +27,14 @@ from helpers import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+class TestFockState:
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_amplitude_rejected(self, amp, normalized):
+        with pytest.raises(InvalidParameter):
+            fo.FockState(fo.BOSON, 2, {(1, 0): amp, (0, 1): 1.0}, normalized=normalized)
 
 
 class TestMakeNumberState:
