@@ -33,18 +33,19 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import InvalidFile, ShapeMismatch, ZeroOutcome
-from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald, require_unitary
+from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald
 
 VIOLATION_MARGIN = 1e-6
 # middle coefficients below this fraction of the largest one count as absent
 NOON_REL_TOL = 1e-9
 CHSH_MAX_VALUE = 2.0 * math.sqrt(2.0)
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+_PAULI = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
 )
+# _PAULI_PAIRS[i, j] is the 4x4 matrix kron(sigma_i, sigma_j)
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(3, 3, 4, 4)
+_PAULI_PAIRS.flags.writeable = False
 
 # occupations of the four kept patterns on the (in1, in2, rail1, rail2)
 # register: Alice's qubit is (in1, rail1), Bob's is (rail2, in2), with "up"
@@ -92,21 +93,13 @@ class TwoQubitState:
     def correlation_matrix(self):
         """3x3 matrix of Pauli-Pauli expectation values."""
         psi = self.amplitudes
-        t = np.empty((3, 3))
-        for i, si in enumerate(_PAULI):
-            for j, sj in enumerate(_PAULI):
-                t[i, j] = np.real(np.vdot(psi, np.kron(si, sj) @ psi))
-        return t
+        return np.einsum("x,ijxy,y->ij", psi.conj(), _PAULI_PAIRS, psi).real
 
     def expectation(self, a, b):
         """<(a.sigma) x (b.sigma)> for Bloch vectors a, b."""
-        obs = np.kron(_bloch_operator(a), _bloch_operator(b))
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        obs = np.einsum("i,j,ijxy->xy", a, b, _PAULI_PAIRS)
         return float(np.real(np.vdot(self.amplitudes, obs @ self.amplitudes)))
-
-
-def _bloch_operator(n):
-    n = np.asarray(n, dtype=float)
-    return n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
 
 
 def bloch_basis(n):
@@ -218,12 +211,12 @@ def dual_rail_measurement_circuit(basis, modes, n_modes=None):
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (2, 2):
         raise ShapeMismatch("measurement basis must be 2x2")
-    require_unitary(basis)
     if n_modes is None:
         n_modes = max(modes) + 1
     gate = basis.conj()
     if np.max(np.abs(gate - np.eye(2))) < 1e-14:
         return Circuit(n_modes, [])
+    # the splitter checks unitarity; a non-finite basis is never the identity
     return Circuit(n_modes, [BeamSplitter(tuple(modes), gate)])
 
 
@@ -304,11 +297,11 @@ def two_mode_preparations(phi, live, ancillas):
     n = phi.n_particles
     a, b = ancillas
     h = hadamard()
-    split = (BeamSplitter((live[0], a), h), BeamSplitter((live[1], b), h))
+    split = (BeamSplitter._trusted((live[0], a), h), BeamSplitter._trusted((live[1], b), h))
     for s in range(n - 1):
         yield split + (Detector(a, s), Detector(b, n - 2 - s))
     if _noon_like(phi):
-        yield split + (BeamSplitter((a, b), h), Detector(a, n - 2), Detector(b, 0))
+        yield split + (BeamSplitter._trusted((a, b), h), Detector(a, n - 2), Detector(b, 0))
 
 
 def bell_test(state, preparation):
@@ -509,13 +502,12 @@ def replay_witness(state, experiment):
     res = experiment.result
     correlators = np.empty((2, 2))
     four = embed(prepared, 4, (0, 1))
-    for i, basis_a in enumerate(res.settings_a):
-        for j, basis_b in enumerate(res.settings_b):
-            circuit = yurke_stoler_circuit().extended(
-                list(dual_rail_measurement_circuit(basis_a, ALICE_RAILS, 4).elements)
-                + list(dual_rail_measurement_circuit(basis_b, BOB_RAILS, 4).elements)
-                + [Detector(m) for m in range(4)]
-            )
+    stages_a = [dual_rail_measurement_circuit(b, ALICE_RAILS, 4).elements for b in res.settings_a]
+    stages_b = [dual_rail_measurement_circuit(b, BOB_RAILS, 4).elements for b in res.settings_b]
+    readout = tuple(Detector(m) for m in range(4))
+    for i, stage_a in enumerate(stages_a):
+        for j, stage_b in enumerate(stages_b):
+            circuit = yurke_stoler_circuit().extended(stage_a + stage_b + readout)
             stats = detector_statistics(four, circuit)
             num = 0.0
             den = 0.0

@@ -64,6 +64,16 @@ class BeamSplitter:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, modes, matrix):
+        """Splitter on distinct ``modes`` with a 2x2 matrix that is unitary by
+        construction; the matrix is neither checked nor copied."""
+        bs = object.__new__(cls)
+        object.__setattr__(bs, "modes", modes)
+        matrix.flags.writeable = False
+        object.__setattr__(bs, "matrix", matrix)
+        return bs
+
 
 @dataclass(frozen=True)
 class PhaseShifter:
@@ -266,7 +276,9 @@ def reck_decompose(u):
     return Circuit(
         u.shape[0],
         [
-            PhaseShifter(modes[0], value) if len(modes) == 1 else BeamSplitter(modes, value)
+            PhaseShifter(modes[0], value)
+            if len(modes) == 1
+            else BeamSplitter._trusted(modes, value)
             for modes, value in reck_gates(u)
         ],
     )
@@ -281,6 +293,16 @@ def reck_decompose(u):
 # ``fockopt.bell.two_mode_preparations``.
 # ---------------------------------------------------------------------------
 
+_YURKE_STOLER = Circuit(
+    4,
+    [
+        BeamSplitter._trusted((0, 2), hadamard()),
+        BeamSplitter._trusted((1, 3), hadamard()),
+        Swap((2, 3)),
+    ],
+)
+
+
 def yurke_stoler_circuit():
     """Two-qubit splitter stage: modes (0,1) = inputs, (2,3) = empty rails.
 
@@ -288,12 +310,9 @@ def yurke_stoler_circuit():
     (the real Hadamard equals its inverse, so both splitters are identical),
     then the two new rails are exchanged.  Post-selection on one particle per
     rail pair is performed by the Bell-test layer, not by this circuit.
+    Every call returns the same immutable circuit.
     """
-    h = hadamard()
-    return Circuit(
-        4,
-        [BeamSplitter((0, 2), h), BeamSplitter((1, 3), h), Swap((2, 3))],
-    )
+    return _YURKE_STOLER
 
 
 # ---------------------------------------------------------------------------

@@ -14,26 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotSingleMode, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, FockState, require_unitary
+from .states import BOSON, FERMION, FockState, _sector, _vector, require_unitary
 
 DEFAULT_TOL = 1e-8
 
 
-def compositions(total, parts):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def multinomial(total, occ):
-    out = math.factorial(total)
-    for n in occ:
-        out //= math.factorial(n)
-    return out
+def _product_form(alpha, occ, sqrt_multinomial):
+    """sqrt(multinomial(N, n)) * prod_j alpha_j ** n_j for each row n of ``occ``."""
+    return sqrt_multinomial * np.prod(alpha**occ, axis=1)
 
 
 def single_mode_state(alpha, n_particles, statistics=BOSON):
@@ -44,6 +32,8 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     """
     alpha = np.asarray(alpha, dtype=complex)
     n = int(n_particles)
+    if n < 0:
+        raise InvalidParameter(f"particle number must be >= 0, got {n}")
     if statistics is FERMION and n >= 2:
         raise PauliForbidden("no multi-particle fermion state fits in one mode")
     norm = np.linalg.norm(alpha)
@@ -51,17 +41,9 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
         raise ShapeMismatch("alpha vector must be nonzero")
     alpha = alpha / norm
     m = alpha.shape[0]
-    if n == 0:
-        return FockState(statistics, m, {(0,) * m: 1.0})
-    amps = {}
-    for occ in compositions(n, m):
-        coeff = math.sqrt(multinomial(n, occ))
-        for a, k in zip(alpha, occ):
-            if k:
-                coeff *= a**k
-        if coeff != 0:
-            amps[occ] = coeff
-    return FockState(statistics, m, amps)
+    _, _, occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
+    amps = _product_form(alpha, occ, sqrt_multinomial)
+    return FockState._from_vector(statistics, m, n, amps)
 
 
 @dataclass
@@ -70,8 +52,8 @@ class Classification:
 
     ``alpha`` is None for non-members and for the vacuum (where it is
     undefined); ``residual`` is the worst coefficient mismatch relative to the
-    largest amplitude; ``violation`` is the first occupation whose coefficient
-    broke the product form.
+    largest amplitude; ``violation`` is the lexicographically smallest
+    occupation whose coefficient breaks the product form.
     """
 
     single_mode: bool
@@ -83,48 +65,23 @@ class Classification:
         return self.single_mode
 
 
-def _unit_vector_occ(m, j, value):
-    occ = [0] * m
-    occ[j] = value
-    return tuple(occ)
-
-
-def _try_alpha(state, support, alpha, atol):
-    """Check every coefficient against the product form; worst deviation."""
-    n = state.n_particles
-    m = state.n_modes
-    worst = 0.0
-    violation = None
-    for occ_s in compositions(n, len(support)):
-        occ = [0] * m
-        for j, k in zip(support, occ_s):
-            occ[j] = k
-        occ = tuple(occ)
-        predicted = math.sqrt(multinomial(n, occ))
-        for j, k in zip(support, occ_s):
-            if k:
-                predicted *= alpha[j] ** k
-        dev = abs(state.amplitude(occ) - predicted)
-        if dev > worst:
-            worst = dev
-        if violation is None and dev >= atol:
-            violation = occ
-    return worst, violation
-
-
 def is_single_mode_type(state, tol=DEFAULT_TOL):
     """Decide reducibility to one mode; returns a Classification.
 
-    The test follows the coefficient structure directly: the support is the
-    set of modes occupied by some coefficient of at least ``tol`` relative to
-    the largest amplitude; the reference root of the largest pure N-particle
-    coefficient on that support fixes the remaining entries through the
-    one-particle coefficients (all N root choices differ by a global phase
-    only, so each is verified in turn); finally every coefficient is compared
-    to the product form within ``tol`` relative to the largest amplitude.
-    A support mode with a tiny entry keeps a pure coefficient far below the
-    threshold while its one-particle coefficient is not, which is why the
-    support is not read off the pure coefficients.
+    The test follows the coefficient structure directly, on the sector vector
+    and its occupation array.  The support is the set of modes occupied by
+    some coefficient of at least ``tol`` relative to the largest amplitude.
+    The N-th root of the largest pure N-particle coefficient on that support
+    fixes its entry of alpha, and the one-particle coefficients fix the
+    others.  The N roots differ by a factor w with w^N = 1, which scales
+    alpha by w and every N-particle product by w^N = 1, so one root serves
+    for all.  Finally every coefficient on the support is compared to the
+    product form within ``tol`` relative to the largest amplitude, in one
+    array expression; ``violation`` is the lexicographically smallest
+    occupation that misses it.  A support mode with a tiny entry keeps a
+    pure coefficient far below the threshold while its one-particle
+    coefficient is not, which is why the support is not read off the pure
+    coefficients.
     """
     # relative to the largest amplitude: at 1 or above even that one is dropped
     if not 0.0 < tol < 1.0:
@@ -136,39 +93,40 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     if state.statistics is FERMION and n >= 2:
         first = min(state.occupations())
         return Classification(False, None, math.inf, first)
-    peak = max(abs(a) for _, a in state.items())
+    basis, rank, occ, sqrt_multinomial = _sector(m, n, state.statistics is FERMION)
+    vec = _vector(state)
+    mag = np.abs(vec)
+    peak = float(mag.max())
     atol = tol * peak
-    significant = sorted(occ for occ, amp in state.items() if abs(amp) >= atol)
-    support = [j for j in range(m) if any(occ[j] for occ in significant)]
-    tops = [state.amplitude(_unit_vector_occ(m, j, n)) for j in range(m)]
-    ref = max(support, key=lambda j: abs(tops[j]))
+    significant = np.flatnonzero(mag >= atol)
+    on_support = occ[significant].any(axis=0)
+    support = np.flatnonzero(on_support)
+    # row of all N particles in mode j, for each j
+    tops = vec[occ.argmax(axis=0)]
+    ref = support[np.argmax(np.abs(tops[support]))]
     top = tops[ref]
     if abs(top) < atol:
         # no pure coefficient reaches the threshold, as for the pair state
         # |1,1>; the product form is not fitted from a root of float dust
-        return Classification(False, None, math.inf, significant[0])
-    magnitude = abs(top) ** (1.0 / n)
-    base_phase = cmath.phase(top)
-    best = (math.inf, None)
-    for k in range(n):
-        u_ref = magnitude * cmath.exp(1j * (base_phase + 2.0 * math.pi * k) / n)
-        alpha = np.zeros(m, dtype=complex)
-        alpha[ref] = u_ref
-        denom = math.sqrt(n) * u_ref ** (n - 1)
-        for j in support:
-            if j == ref:
-                continue
-            occ = [0] * m
-            occ[ref] = n - 1
-            occ[j] = 1
-            alpha[j] = state.amplitude(tuple(occ)) / denom
-        worst, violation = _try_alpha(state, support, alpha, atol)
-        if worst < atol:
-            alpha = alpha / np.linalg.norm(alpha)
-            return Classification(True, alpha, worst / peak, None)
-        if worst < best[0]:
-            best = (worst, violation)
-    return Classification(False, None, best[0] / peak, best[1])
+        return Classification(False, None, math.inf, basis[significant[-1]])
+    u_ref = abs(top) ** (1.0 / n) * cmath.exp(1j * cmath.phase(top) / n)
+    alpha = np.zeros(m, dtype=complex)
+    alpha[ref] = u_ref
+    denom = math.sqrt(n) * u_ref ** (n - 1)
+    for j in support:
+        if j != ref:
+            hop = [0] * m
+            hop[ref] = n - 1
+            hop[j] = 1
+            alpha[j] = vec[rank[tuple(hop)]] / denom
+    rows = np.flatnonzero(~occ[:, ~on_support].any(axis=1))
+    dev = np.abs(vec[rows] - _product_form(alpha, occ[rows], sqrt_multinomial[rows]))
+    worst = float(dev.max())
+    if worst < atol:
+        return Classification(True, alpha / np.linalg.norm(alpha), worst / peak, None)
+    # rank order is descending lexicographic: the last miss is the smallest
+    miss = rows[np.flatnonzero(dev >= atol)[-1]]
+    return Classification(False, None, worst / peak, basis[miss])
 
 
 def extract_alpha(state, tol=DEFAULT_TOL):

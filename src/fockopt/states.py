@@ -10,7 +10,8 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   once per (M, N, statistics) and cached with its rank map.  Basis states are
   ranked by the lexicographic order of their occupied modes, one entry per
   particle: the modes with repetition (bosons) or the sorted distinct modes
-  (fermions).  Amplitude r of the vector belongs to basis state r.
+  (fermions).  That is the descending lexicographic order of the occupation
+  tuples.  Amplitude r of the vector belongs to basis state r.
 * **Block action.**  A two-mode gate g on modes (s, t) keeps n = n_s + n_t and
   the occupations of all other modes.  Basis states that share both form one
   block, and the gate acts on it as one small matrix on |n_s, n_t>.  For
@@ -25,6 +26,12 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
 * **Dense U.**  :func:`apply_mode_unitary` factors U with Reck's triangular
   Givens loop (:func:`reck_gates`) into at most M(M-1)/2 gates on adjacent
   modes and M phases, and runs those through the kernel.
+* **Herald.**  Fixing the counts on the measured modes keeps the descending
+  lexicographic order on the other modes, and the rows that match are every
+  occupation of the remaining particles there.  So the masked sector vector
+  is already the smaller sector's vector in its own rank order: no gather is
+  needed.  The fermion sign of pulling the measured creation operators to the
+  front is the parity of the unmeasured particles below each measured one.
 """
 
 import cmath
@@ -69,16 +76,6 @@ BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
 
 
-def _validate_occupation(occ, n_modes, statistics):
-    if len(occ) != n_modes:
-        raise ShapeMismatch(f"occupation {occ} does not have {n_modes} entries")
-    for n in occ:
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise InvalidOccupation(f"occupation numbers must be integers >= 0, got {occ}")
-        if statistics is FERMION and n > 1:
-            raise InvalidOccupation(f"fermion occupation above 1 in {occ}")
-
-
 class FockState:
     """Definite-N state over M modes with sparse complex amplitudes.
 
@@ -96,9 +93,15 @@ class FockState:
             raise ShapeMismatch("a state needs at least one mode")
         amps = {}
         n_particles = None
+        fermionic = statistics is FERMION
         for occ, amp in amplitudes.items():
-            occ = tuple(int(n) for n in occ)
-            _validate_occupation(occ, n_modes, statistics)
+            occ = tuple(map(int, occ))
+            if len(occ) != n_modes:
+                raise ShapeMismatch(f"occupation {occ} does not have {n_modes} entries")
+            if min(occ) < 0:
+                raise InvalidOccupation(f"occupation numbers must be integers >= 0, got {occ}")
+            if fermionic and max(occ) > 1:
+                raise InvalidOccupation(f"fermion occupation above 1 in {occ}")
             total = sum(occ)
             if n_particles is None:
                 n_particles = total
@@ -111,28 +114,30 @@ class FockState:
                 raise InvalidParameter(f"amplitude of {occ} is not finite: {amp!r}")
             if amp != 0:
                 amps[occ] = amps.get(occ, 0j) + amp
+        if amps:
+            floor = PRUNE_REL * max(map(abs, amps.values()))
+            amps = {occ: a for occ, a in amps.items() if abs(a) > floor}
         self._store(statistics, n_modes, n_particles, amps, normalized)
+
+    @classmethod
+    def _trusted(cls, statistics, n_modes, n_particles, amps):
+        """Unit-norm state from valid, pruned amplitudes; terms are not rechecked."""
+        state = object.__new__(cls)
+        state._store(statistics, n_modes, n_particles, amps, True)
+        return state
 
     @classmethod
     def _from_vector(cls, statistics, n_modes, n_particles, vec):
         """State from a sector vector in rank order (see the module docstring)."""
         basis = _sector(n_modes, n_particles, statistics is FERMION)[0]
-        nonzero = np.flatnonzero(vec)
-        state = object.__new__(cls)
-        state._store(
-            statistics,
-            n_modes,
-            n_particles,
-            dict(zip([basis[i] for i in nonzero], vec[nonzero].tolist())),
-            True,
-        )
-        return state
+        mag = np.abs(vec)
+        keep = np.flatnonzero(mag > PRUNE_REL * mag.max())
+        amps = dict(zip([basis[i] for i in keep], vec[keep].tolist()))
+        return cls._trusted(statistics, n_modes, n_particles, amps)
 
     def _store(self, statistics, n_modes, n_particles, amps, normalized):
         if not amps:
             raise ZeroState("state has no nonzero amplitude")
-        peak = max(abs(a) for a in amps.values())
-        amps = {occ: a for occ, a in amps.items() if abs(a) > PRUNE_REL * peak}
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "n_particles", n_particles)
@@ -239,7 +244,8 @@ def _read_only(a):
 
 @functools.lru_cache(maxsize=SECTOR_CACHE)
 def _sector(n_modes, n_particles, fermionic):
-    """Basis of one sector in rank order, its rank map and its occupation array."""
+    """Basis of one sector in rank order, its rank map, its occupation array
+    and sqrt(N! / prod_j n_j!) per basis state."""
     if fermionic:
         picks = itertools.combinations(range(n_modes), n_particles)
     else:
@@ -252,7 +258,20 @@ def _sector(n_modes, n_particles, fermionic):
         basis.append(tuple(occ))
     rank = {occ: r for r, occ in enumerate(basis)}
     occupations = np.array(basis, dtype=np.intp).reshape(len(basis), n_modes)
-    return tuple(basis), rank, _read_only(occupations)
+    # exact integer multinomials, each rounded once to float
+    top = math.factorial(n_particles)
+    sqrt_multinomial = np.sqrt(
+        [float(top // math.prod(map(math.factorial, occ))) for occ in basis]
+    )
+    return tuple(basis), rank, _read_only(occupations), _read_only(sqrt_multinomial)
+
+
+def _vector(state):
+    """The sector vector of ``state`` in rank order."""
+    basis, rank = _sector(state.n_modes, state.n_particles, state.statistics is FERMION)[:2]
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[[rank[o] for o in state.occupations()]] = list(state._amps.values())
+    return vec
 
 
 @functools.lru_cache(maxsize=PAIR_CACHE)
@@ -288,13 +307,18 @@ def _number_scale(n):
     return _read_only(f[:, None] / f[None, :])
 
 
-def _symmetric_powers(g, n_max):
-    """Boson blocks of gate ``g``: its action on |k, n-k>, n = 0..n_max.
+@functools.lru_cache(maxsize=PAIR_CACHE)
+def _symmetric_powers(g_bytes, n_max):
+    """Boson blocks of the gate with bytes ``g_bytes``: its action on
+    |k, n-k>, n = 0..n_max.
 
     Column k of the n-th matrix holds the coefficients of
     (g01 + g00 x)^k (g11 + g10 x)^(n-k) in powers of x, rescaled from
-    monomials to normalized number states.
+    monomials to normalized number states.  The same gates recur across
+    calls (Hadamards, the splitter stage, a mesh run again), so the blocks
+    are kept per gate.
     """
+    g = np.frombuffer(g_bytes, dtype=complex).reshape(2, 2)
     c = np.ones((1, 1), dtype=complex)
     out = [c]
     for n in range(1, n_max + 1):
@@ -304,8 +328,8 @@ def _symmetric_powers(g, n_max):
         nxt[:-1, -1] = g[0, 1] * c[:, -1]
         nxt[1:, -1] += g[0, 0] * c[:, -1]
         c = nxt
-        out.append(c * _number_scale(n))
-    return out
+        out.append(_read_only(c * _number_scale(n)))
+    return tuple(out)
 
 
 def _fermion_block(g, n, odd):
@@ -327,9 +351,8 @@ def evolve(state, gates):
         return state
     m, n = state.n_modes, state.n_particles
     fermionic = state.statistics is FERMION
-    basis, rank, occ = _sector(m, n, fermionic)
-    vec = np.zeros(len(basis), dtype=complex)
-    vec[[rank[o] for o in state.occupations()]] = list(state._amps.values())
+    occ = _sector(m, n, fermionic)[2]
+    vec = _vector(state)
     for modes, value in gates:
         if len(modes) == 1:
             vec *= np.exp(1j * value * occ[:, modes[0]])
@@ -337,7 +360,8 @@ def evolve(state, gates):
         (s, t), g = modes, value
         if s > t:
             s, t, g = t, s, g[::-1, ::-1]
-        powers = None if fermionic else _symmetric_powers(g, n)
+        if not fermionic:
+            powers = _symmetric_powers(np.asarray(g, dtype=complex).tobytes(), n)
         for k, odd, idx in _pair_blocks(m, n, fermionic, s, t):
             block = _fermion_block(g, k, odd) if fermionic else powers[k]
             vec[idx] = vec[idx] @ block.T
@@ -394,22 +418,13 @@ def detection_distribution(state):
     return {occ: abs(amp) ** 2 for occ, amp in state.items()}
 
 
-def _herald_sign(occ, measured, unmeasured):
-    # permutation sign for pulling the measured creation operators to the
-    # front of the increasing-order string (fermions only)
-    swaps = 0
-    for m in measured:
-        if occ[m]:
-            swaps += occ[m] * sum(occ[j] for j in unmeasured if j < m)
-    return -1.0 if swaps % 2 else 1.0
-
-
 def herald(state, measured_modes, required_counts):
     """Condition on exact detector counts in ``measured_modes``.
 
     Returns ``(state on the remaining modes, success probability)``; the
     remaining modes keep their relative order.  Raises ZeroOutcome when the
-    projected component has probability below 1e-14.
+    projected component has probability below 1e-14.  The projection is a
+    row mask on the sector vector (see the module docstring).
     """
     measured = sorted(set(int(m) for m in measured_modes))
     required = {int(k): int(v) for k, v in required_counts.items()}
@@ -420,23 +435,26 @@ def herald(state, measured_modes, required_counts):
             raise ShapeMismatch(f"measured mode {m} out of range")
     if len(measured) >= state.n_modes:
         raise ShapeMismatch("heralding away every mode leaves no state")
-    unmeasured = [i for i in range(state.n_modes) if i not in required]
-    kept = [
-        (occ, amp)
-        for occ, amp in state.items()
-        if all(occ[m] == required[m] for m in measured)
-    ]
-    prob = sum(abs(amp) ** 2 for _, amp in kept)
+    counts = np.array([required[m] for m in measured], dtype=np.intp)
+    fermionic = state.statistics is FERMION
+    occ = _sector(state.n_modes, state.n_particles, fermionic)[2]
+    hit = np.all(occ[:, measured] == counts, axis=1)
+    kept = _vector(state)[hit]
+    prob = float(np.vdot(kept, kept).real)
     if prob < HERALD_CUTOFF:
         raise ZeroOutcome(f"herald {required} fires with probability {prob:.3e}")
-    scale = 1.0 / math.sqrt(prob)
-    fermionic = state.statistics is FERMION
-    amps = {}
-    for occ, amp in kept:
-        if fermionic:
-            amp = amp * _herald_sign(occ, measured, unmeasured)
-        amps[tuple(occ[i] for i in unmeasured)] = amp * scale
-    return FockState(state.statistics, len(unmeasured), amps), prob
+    kept /= math.sqrt(prob)
+    if fermionic:
+        # unmeasured particles below each measured mode, counted per row
+        unmeasured = occ[hit]
+        unmeasured[:, measured] = 0
+        below = np.cumsum(unmeasured, axis=1)[:, measured]
+        kept[(below @ counts) % 2 == 1] *= -1.0
+    remaining = state.n_modes - len(measured)
+    out = FockState._from_vector(
+        state.statistics, remaining, state.n_particles - int(counts.sum()), kept
+    )
+    return out, prob
 
 
 def embed(state, n_modes, positions):
@@ -458,7 +476,7 @@ def embed(state, n_modes, positions):
         for p, n in zip(positions, occ):
             full[p] = n
         amps[tuple(full)] = amp
-    return FockState(state.statistics, n_modes, amps)
+    return FockState._trusted(state.statistics, n_modes, state.n_particles, amps)
 
 
 def inner(a, b):

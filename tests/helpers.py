@@ -1,5 +1,6 @@
 """Shared test utilities: random sampling and brute-force oracles."""
 
+import cmath
 import itertools
 import math
 
@@ -36,6 +37,13 @@ def fermion_occupations(n, m):
         for j in occupied:
             occ[j] = 1
         out.append(tuple(occ))
+    return out
+
+
+def multinomial(total, occ):
+    out = math.factorial(total)
+    for n in occ:
+        out //= math.factorial(n)
     return out
 
 
@@ -178,3 +186,103 @@ def assert_states_close(a, b, atol=1e-9):
     """Phase-insensitive state comparison."""
     assert a.n_modes == b.n_modes and a.n_particles == b.n_particles
     assert abs(fo.fidelity(a, b) - 1.0) < atol
+
+
+def _herald_sign(occ, measured, unmeasured):
+    # permutation sign for pulling the measured creation operators to the
+    # front of the increasing-order string (fermions only)
+    swaps = 0
+    for m in measured:
+        if occ[m]:
+            swaps += occ[m] * sum(occ[j] for j in unmeasured if j < m)
+    return -1.0 if swaps % 2 else 1.0
+
+
+def oracle_herald(state, measured_modes, required_counts):
+    """``herald`` term by term: keep the matching terms, drop the measured
+    modes, renormalize and apply the fermion reordering sign.  Returns
+    ``(amplitudes on the remaining modes, probability)`` and raises
+    ZeroOutcome like ``herald``."""
+    measured = sorted(set(int(m) for m in measured_modes))
+    required = {int(k): int(v) for k, v in required_counts.items()}
+    unmeasured = [i for i in range(state.n_modes) if i not in required]
+    kept = [
+        (occ, amp)
+        for occ, amp in state.items()
+        if all(occ[m] == required[m] for m in measured)
+    ]
+    prob = sum(abs(amp) ** 2 for _, amp in kept)
+    if prob < fo.states.HERALD_CUTOFF:
+        raise fo.ZeroOutcome(f"herald {required} fires with probability {prob:.3e}")
+    scale = 1.0 / math.sqrt(prob)
+    amps = {}
+    for occ, amp in kept:
+        if state.statistics is fo.FERMION:
+            amp = amp * _herald_sign(occ, measured, unmeasured)
+        amps[tuple(occ[i] for i in unmeasured)] = amp * scale
+    return amps, prob
+
+
+def _try_alpha(state, support, alpha, atol):
+    """Check every coefficient on ``support`` against the product form, in
+    ascending lexicographic order; worst deviation and first miss."""
+    n = state.n_particles
+    m = state.n_modes
+    worst = 0.0
+    violation = None
+    for occ_s in boson_occupations(n, len(support)):
+        occ = [0] * m
+        for j, k in zip(support, occ_s):
+            occ[j] = k
+        occ = tuple(occ)
+        predicted = math.sqrt(multinomial(n, occ))
+        for j, k in zip(support, occ_s):
+            if k:
+                predicted *= alpha[j] ** k
+        dev = abs(state.amplitude(occ) - predicted)
+        if dev > worst:
+            worst = dev
+        if violation is None and dev >= atol:
+            violation = occ
+    return worst, violation
+
+
+def oracle_single_mode(state, tol=1e-8):
+    """``is_single_mode_type`` term by term, trying each of the N roots of
+    the reference coefficient in turn; returns a ``Classification``."""
+    n = state.n_particles
+    m = state.n_modes
+    if n == 0:
+        return fo.Classification(True, None, 0.0, None)
+    if state.statistics is fo.FERMION and n >= 2:
+        return fo.Classification(False, None, math.inf, min(state.occupations()))
+    peak = max(abs(a) for _, a in state.items())
+    atol = tol * peak
+    significant = sorted(occ for occ, amp in state.items() if abs(amp) >= atol)
+    support = [j for j in range(m) if any(occ[j] for occ in significant)]
+    tops = [state.amplitude(tuple(n if i == j else 0 for i in range(m))) for j in range(m)]
+    ref = max(support, key=lambda j: abs(tops[j]))
+    top = tops[ref]
+    if abs(top) < atol:
+        return fo.Classification(False, None, math.inf, significant[0])
+    magnitude = abs(top) ** (1.0 / n)
+    base_phase = cmath.phase(top)
+    best = (math.inf, None)
+    for k in range(n):
+        u_ref = magnitude * cmath.exp(1j * (base_phase + 2.0 * math.pi * k) / n)
+        alpha = np.zeros(m, dtype=complex)
+        alpha[ref] = u_ref
+        denom = math.sqrt(n) * u_ref ** (n - 1)
+        for j in support:
+            if j == ref:
+                continue
+            occ = [0] * m
+            occ[ref] = n - 1
+            occ[j] = 1
+            alpha[j] = state.amplitude(tuple(occ)) / denom
+        worst, violation = _try_alpha(state, support, alpha, atol)
+        if worst < atol:
+            return fo.Classification(True, alpha / np.linalg.norm(alpha), worst / peak, None)
+        if worst < best[0]:
+            best = (worst, violation)
+    return fo.Classification(False, None, best[0] / peak, best[1])

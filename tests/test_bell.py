@@ -118,6 +118,25 @@ class TestProductCondition:
 
 
 class TestChshMax:
+    def test_correlation_matrix_matches_kron(self, rng):
+        pauli = (
+            np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex),
+            np.array([[1, 0], [0, -1]], dtype=complex),
+        )
+        for _ in range(50):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            chi = fo.TwoQubitState(psi / np.linalg.norm(psi))
+            psi = chi.amplitudes
+            t = chi.correlation_matrix()
+            for i, si in enumerate(pauli):
+                for j, sj in enumerate(pauli):
+                    expected = np.vdot(psi, np.kron(si, sj) @ psi).real
+                    assert abs(t[i, j] - expected) < 1e-12
+            a, b = random_alpha(rng, 3).real, random_alpha(rng, 3).real
+            obs = np.kron(*(sum(v[k] * pauli[k] for k in range(3)) for v in (a, b)))
+            assert abs(chi.expectation(a, b) - np.vdot(psi, obs @ psi).real) < 1e-12
+
     def test_singlet(self):
         res = fo.chsh_max(fo.TwoQubitState([0, 1 / SQ2, -1 / SQ2, 0]))
         assert abs(res.chsh - CHSH_TSIRELSON) < 1e-9

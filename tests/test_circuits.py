@@ -155,6 +155,15 @@ class TestReckDecompose:
         with pytest.raises(NotUnitary):
             fo.reck_decompose(np.ones((3, 3)))
 
+    def test_mesh_matrices_are_read_only(self, rng):
+        for el in fo.reck_decompose(random_unitary(rng, 4)).elements:
+            if isinstance(el, fo.BeamSplitter):
+                assert not el.matrix.flags.writeable
+
+    def test_public_splitter_still_checked(self):
+        with pytest.raises(NotUnitary):
+            fo.BeamSplitter((0, 1), [[1, 1], [0, 1]])
+
 
 class TestStandardCircuits:
     def test_filter_zero_is_passthrough(self, rng):
@@ -178,6 +187,16 @@ class TestStandardCircuits:
         assert circuit.n_modes == 4
         assert circuit.heralds == {}
         assert circuit.output_modes == (0, 1, 2, 3)
+
+    def test_ys_circuit_is_one_immutable_object(self):
+        circuit = fo.yurke_stoler_circuit()
+        assert fo.yurke_stoler_circuit() is circuit
+        with pytest.raises(AttributeError):
+            circuit.elements = ()
+        splitters = [el for el in circuit.elements if isinstance(el, fo.BeamSplitter)]
+        for el in splitters:
+            assert not el.matrix.flags.writeable
+            np.testing.assert_array_equal(el.matrix, fo.hadamard())
 
 
 class TestCircuitFiles:

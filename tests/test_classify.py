@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockopt as fo
-from fockopt.classify import compositions, multinomial
 from fockopt.errors import InvalidParameter, NotSingleMode, PauliForbidden
-from helpers import random_alpha, random_state, random_unitary
+from helpers import (
+    boson_occupations,
+    multinomial,
+    oracle_single_mode,
+    random_alpha,
+    random_state,
+    random_unitary,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -30,6 +38,14 @@ class TestSingleModeState:
     def test_fermion_multi_particle_forbidden(self):
         with pytest.raises(PauliForbidden):
             fo.single_mode_state((1 / SQ2, 1 / SQ2), 2, fo.FERMION)
+
+    def test_zero_particles_is_vacuum(self):
+        s = fo.single_mode_state((0.6, 0.8j), 0)
+        assert dict(s.items()) == {(0, 0): 1.0}
+
+    def test_negative_particle_number_rejected(self):
+        with pytest.raises(InvalidParameter):
+            fo.single_mode_state((1.0, 0.0), -1)
 
     def test_fermion_single_particle_allowed(self):
         s = fo.single_mode_state((0.6, 0.8), 1, fo.FERMION)
@@ -162,11 +178,66 @@ class TestIsSingleModeType:
         alpha = random_alpha(rng, m)
         dist = fo.detection_distribution(fo.single_mode_state(alpha, n))
         probs = np.abs(alpha) ** 2
-        for occ in compositions(n, m):
+        for occ in boson_occupations(n, m):
             expected = multinomial(n, occ)
             for p, k in zip(probs, occ):
                 expected *= p**k
             assert abs(dist.get(occ, 0.0) - expected) < 1e-10
+
+
+def classifier_cases(rng, m, n):
+    """A random boson state, a single-mode state, the near-single-mode states
+    |a>^N + eps |b>^N for eps in {1e-2, 1e-6}, and a random fermion state."""
+    a, b = random_alpha(rng, m), random_alpha(rng, m)
+    single = fo.single_mode_state(a, n)
+    yield random_state(rng, n, m)
+    yield single
+    for eps in (1e-2, 1e-6):
+        yield fo.superpose([(1.0, single), (eps, fo.single_mode_state(b, n))])
+    yield random_state(rng, min(n, m), m, fo.FERMION)
+
+
+def classifier_matches_oracle(state):
+    """Compare ``is_single_mode_type`` with the term loop; return the verdict."""
+    got = fo.is_single_mode_type(state)
+    ref = oracle_single_mode(state)
+    assert got.single_mode == ref.single_mode
+    assert got.violation == ref.violation
+    if ref.alpha is None:
+        assert got.alpha is None
+    else:
+        assert fo.phase_distance(got.alpha, ref.alpha) < 1e-9
+    if math.isinf(ref.residual):
+        assert math.isinf(got.residual)
+    else:
+        assert abs(got.residual - ref.residual) < 1e-12
+    return got.single_mode
+
+
+class TestClassifierMatchesTermLoop:
+    def test_random_and_near_single_mode_states(self, rng):
+        verdicts = [
+            classifier_matches_oracle(state)
+            for _ in range(20)
+            for state in classifier_cases(rng, int(rng.integers(2, 6)), int(rng.integers(1, 6)))
+        ]
+        # both verdicts are exercised
+        assert 20 <= sum(verdicts) <= len(verdicts) - 20
+
+    @pytest.mark.parametrize("small", [0.005, 0.01])
+    def test_tiny_support_entry(self, small):
+        alpha = np.array([1.0, small, 0.5])
+        assert classifier_matches_oracle(fo.single_mode_state(alpha, 4))
+
+    def test_pair_and_vacuum(self):
+        assert not classifier_matches_oracle(fo.make_number_state((1, 1)))
+        assert classifier_matches_oracle(fo.make_number_state((0, 0, 0)))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(m=st.integers(2, 5), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_property(self, m, n, seed):
+        for state in classifier_cases(np.random.default_rng(seed), m, n):
+            classifier_matches_oracle(state)
 
 
 class TestTransformAlpha:

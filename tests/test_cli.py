@@ -102,6 +102,8 @@ def bad_circuit_payloads():
     }
     for label, matrix in bad_matrices():
         cases[label] = [{"type": "bs", "modes": [1, 2], "matrix": matrix}]
+    shear = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+    cases["non-unitary splitter"] = [{"type": "bs", "modes": [1, 2], "matrix": shear}]
     out = [
         pytest.param({"modes": 2, "elements": elements}, id=label)
         for label, elements in cases.items()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -21,6 +22,7 @@ from helpers import (
     embedded_gate,
     oracle_amplitude,
     oracle_evolve,
+    oracle_herald,
     random_state,
     random_unitary,
     sector_occupations,
@@ -360,6 +362,61 @@ class TestHerald:
                 p = 0.0
             total += p
         assert abs(total - 1.0) < 1e-10
+
+
+def herald_case(rng, statistics):
+    """A random state, dense or with most terms dropped, and random counts on
+    a random set of measured modes; counts run up to N + 1, so a good share
+    of the cases never fire."""
+    m = int(rng.integers(2, 7))
+    n = int(rng.integers(0, 5))
+    if statistics is fo.FERMION:
+        n = min(n, m)
+    basis = sector_occupations(n, m, statistics)
+    amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    if rng.random() < 0.5:
+        amps[rng.permutation(len(basis))[max(1, len(basis) // 3) :]] = 0.0
+    state = fo.FockState(statistics, m, dict(zip(basis, amps / np.linalg.norm(amps))))
+    measured = [int(j) for j in rng.choice(m, int(rng.integers(1, m)), replace=False)]
+    return state, measured, {j: int(rng.integers(0, n + 2)) for j in measured}
+
+
+def herald_matches_oracle(state, measured, counts):
+    """Compare ``herald`` with the term loop; True when the herald fired."""
+    try:
+        amps, p_ref = oracle_herald(state, measured, counts)
+    except ZeroOutcome:
+        with pytest.raises(ZeroOutcome):
+            fo.herald(state, measured, counts)
+        return False
+    out, prob = fo.herald(state, measured, counts)
+    assert abs(prob - p_ref) < 1e-12
+    assert out.n_modes == state.n_modes - len(measured)
+    assert out.statistics is state.statistics
+    for occ in set(amps) | set(out.occupations()):
+        assert abs(out.amplitude(occ) - amps.get(occ, 0j)) < 1e-12
+    return True
+
+
+class TestHeraldMatchesTermLoop:
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
+    def test_random_states_and_counts(self, rng, statistics):
+        fired = [herald_matches_oracle(*herald_case(rng, statistics)) for _ in range(200)]
+        # both outcomes are exercised
+        assert 20 <= sum(fired) <= 180
+
+    def test_fermion_signs_on_every_measured_set(self, rng):
+        s = random_state(rng, 3, 6, fo.FERMION)
+        for k in range(1, 6):
+            for measured in itertools.combinations(range(6), k):
+                for occ in sorted(s.occupations()):
+                    counts = {j: occ[j] for j in measured}
+                    assert herald_matches_oracle(s, measured, counts)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(statistics=st.sampled_from([fo.BOSON, fo.FERMION]), seed=st.integers(0, 2**32 - 1))
+    def test_property(self, statistics, seed):
+        herald_matches_oracle(*herald_case(np.random.default_rng(seed), statistics))
 
 
 class TestEmbedAndOverlap:
