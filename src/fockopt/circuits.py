@@ -66,10 +66,10 @@ class BeamSplitter:
 
     @classmethod
     def _trusted(cls, modes, matrix):
-        """Splitter on distinct ``modes`` with a 2x2 matrix that is unitary by
-        construction; the matrix is neither checked nor copied."""
+        """Splitter with a 2x2 matrix that is unitary by construction; the
+        modes are checked, the matrix is neither checked nor copied."""
         bs = object.__new__(cls)
-        object.__setattr__(bs, "modes", modes)
+        object.__setattr__(bs, "modes", _check_pair(modes))
         matrix.flags.writeable = False
         object.__setattr__(bs, "matrix", matrix)
         return bs
@@ -294,12 +294,7 @@ def reck_decompose(u):
 # ---------------------------------------------------------------------------
 
 _YURKE_STOLER = Circuit(
-    4,
-    [
-        BeamSplitter._trusted((0, 2), hadamard()),
-        BeamSplitter._trusted((1, 3), hadamard()),
-        Swap((2, 3)),
-    ],
+    4, [BeamSplitter((0, 2), hadamard()), BeamSplitter((1, 3), hadamard()), Swap((2, 3))]
 )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotSingleMode, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, FockState, _sector, _vector, require_unitary
+from .states import BOSON, FERMION, FockState, _sector, _terms, require_unitary
 
 DEFAULT_TOL = 1e-8
 
@@ -68,12 +68,12 @@ class Classification:
 def is_single_mode_type(state, tol=DEFAULT_TOL):
     """Decide reducibility to one mode; returns a Classification.
 
-    The test follows the coefficient structure directly, on the sector vector
-    and its occupation array.  The support is the set of modes occupied by
-    some coefficient of at least ``tol`` relative to the largest amplitude.
-    The N-th root of the largest pure N-particle coefficient on that support
-    fixes its entry of alpha, and the one-particle coefficients fix the
-    others.  The N roots differ by a factor w with w^N = 1, which scales
+    The test follows the coefficient structure directly.  The support is the
+    set of modes occupied by some coefficient of at least ``tol`` relative to
+    the largest amplitude; the test runs on the N-particle sector of those
+    modes alone.  The N-th root of the largest pure N-particle coefficient on
+    the support fixes its entry of alpha, and the one-particle coefficients
+    fix the others.  The N roots differ by a factor w with w^N = 1, which scales
     alpha by w and every N-particle product by w^N = 1, so one root serves
     for all.  Finally every coefficient on the support is compared to the
     product form within ``tol`` relative to the largest amplitude, in one
@@ -93,40 +93,48 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     if state.statistics is FERMION and n >= 2:
         first = min(state.occupations())
         return Classification(False, None, math.inf, first)
-    basis, rank, occ, sqrt_multinomial = _sector(m, n, state.statistics is FERMION)
-    vec = _vector(state)
-    mag = np.abs(vec)
+    occ, amps = _terms(state)
+    mag = np.abs(amps)
     peak = float(mag.max())
     atol = tol * peak
-    significant = np.flatnonzero(mag >= atol)
-    on_support = occ[significant].any(axis=0)
+    on_support = occ[mag >= atol].any(axis=0)
     support = np.flatnonzero(on_support)
-    # row of all N particles in mode j, for each j
-    tops = vec[occ.argmax(axis=0)]
-    ref = support[np.argmax(np.abs(tops[support]))]
+    # the sector of the support modes; terms off the support are not compared
+    basis, rank, sub, sqrt_multinomial = _sector(len(support), n, state.statistics is FERMION)
+    inside = ~occ[:, ~on_support].any(axis=1)
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[[rank[o] for o in map(tuple, occ[inside][:, support].tolist())]] = amps[inside]
+
+    def occupation(row):
+        full = [0] * m
+        for j, k in zip(support.tolist(), basis[row]):
+            full[j] = k
+        return tuple(full)
+
+    # row of all N particles in support mode j, for each j
+    tops = vec[sub.argmax(axis=0)]
+    ref = int(np.argmax(np.abs(tops)))
     top = tops[ref]
     if abs(top) < atol:
         # no pure coefficient reaches the threshold, as for the pair state
         # |1,1>; the product form is not fitted from a root of float dust
-        return Classification(False, None, math.inf, basis[significant[-1]])
+        smallest = np.flatnonzero(np.abs(vec) >= atol)[-1]
+        return Classification(False, None, math.inf, occupation(smallest))
     u_ref = abs(top) ** (1.0 / n) * cmath.exp(1j * cmath.phase(top) / n)
-    alpha = np.zeros(m, dtype=complex)
+    alpha = np.zeros(len(support), dtype=complex)
     alpha[ref] = u_ref
     denom = math.sqrt(n) * u_ref ** (n - 1)
-    for j in support:
-        if j != ref:
-            hop = [0] * m
-            hop[ref] = n - 1
-            hop[j] = 1
-            alpha[j] = vec[rank[tuple(hop)]] / denom
-    rows = np.flatnonzero(~occ[:, ~on_support].any(axis=1))
-    dev = np.abs(vec[rows] - _product_form(alpha, occ[rows], sqrt_multinomial[rows]))
+    # rows with N-1 particles in the reference mode hold one particle in each
+    # other support mode, in ascending mode order (rank order, fixed column)
+    alpha[np.arange(len(support)) != ref] = vec[sub[:, ref] == n - 1] / denom
+    dev = np.abs(vec - _product_form(alpha, sub, sqrt_multinomial))
     worst = float(dev.max())
     if worst < atol:
-        return Classification(True, alpha / np.linalg.norm(alpha), worst / peak, None)
+        full = np.zeros(m, dtype=complex)
+        full[support] = alpha / np.linalg.norm(alpha)
+        return Classification(True, full, worst / peak, None)
     # rank order is descending lexicographic: the last miss is the smallest
-    miss = rows[np.flatnonzero(dev >= atol)[-1]]
-    return Classification(False, None, worst / peak, basis[miss])
+    return Classification(False, None, worst / peak, occupation(np.flatnonzero(dev >= atol)[-1]))
 
 
 def extract_alpha(state, tol=DEFAULT_TOL):

@@ -26,12 +26,11 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
 * **Dense U.**  :func:`apply_mode_unitary` factors U with Reck's triangular
   Givens loop (:func:`reck_gates`) into at most M(M-1)/2 gates on adjacent
   modes and M phases, and runs those through the kernel.
-* **Herald.**  Fixing the counts on the measured modes keeps the descending
-  lexicographic order on the other modes, and the rows that match are every
-  occupation of the remaining particles there.  So the masked sector vector
-  is already the smaller sector's vector in its own rank order: no gather is
-  needed.  The fermion sign of pulling the measured creation operators to the
-  front is the parity of the unmeasured particles below each measured one.
+* **Herald.**  A row mask on the state's own terms, not on the sector, so
+  its cost follows the number of terms; dropping the measured columns leaves
+  the smaller state's occupations.  The fermion sign of pulling the measured
+  creation operators to the front is the parity of the unmeasured particles
+  below each measured one.
 """
 
 import cmath
@@ -266,12 +265,11 @@ def _sector(n_modes, n_particles, fermionic):
     return tuple(basis), rank, _read_only(occupations), _read_only(sqrt_multinomial)
 
 
-def _vector(state):
-    """The sector vector of ``state`` in rank order."""
-    basis, rank = _sector(state.n_modes, state.n_particles, state.statistics is FERMION)[:2]
-    vec = np.zeros(len(basis), dtype=complex)
-    vec[[rank[o] for o in state.occupations()]] = list(state._amps.values())
-    return vec
+def _terms(state):
+    """Occupations of the terms of ``state`` as one (terms, modes) array, and
+    their amplitudes in the same order."""
+    occ = np.array(list(state.occupations()), dtype=np.intp).reshape(-1, state.n_modes)
+    return occ, np.fromiter(state._amps.values(), complex, len(state._amps))
 
 
 @functools.lru_cache(maxsize=PAIR_CACHE)
@@ -351,8 +349,9 @@ def evolve(state, gates):
         return state
     m, n = state.n_modes, state.n_particles
     fermionic = state.statistics is FERMION
-    occ = _sector(m, n, fermionic)[2]
-    vec = _vector(state)
+    basis, rank, occ = _sector(m, n, fermionic)[:3]
+    vec = np.zeros(len(basis), dtype=complex)
+    vec[[rank[o] for o in state.occupations()]] = list(state._amps.values())
     for modes, value in gates:
         if len(modes) == 1:
             vec *= np.exp(1j * value * occ[:, modes[0]])
@@ -424,7 +423,7 @@ def herald(state, measured_modes, required_counts):
     Returns ``(state on the remaining modes, success probability)``; the
     remaining modes keep their relative order.  Raises ZeroOutcome when the
     projected component has probability below 1e-14.  The projection is a
-    row mask on the sector vector (see the module docstring).
+    row mask on the state's terms (see the module docstring).
     """
     measured = sorted(set(int(m) for m in measured_modes))
     required = {int(k): int(v) for k, v in required_counts.items()}
@@ -435,26 +434,28 @@ def herald(state, measured_modes, required_counts):
             raise ShapeMismatch(f"measured mode {m} out of range")
     if len(measured) >= state.n_modes:
         raise ShapeMismatch("heralding away every mode leaves no state")
+    n = state.n_particles
+    if not all(0 <= required[m] <= n for m in measured):
+        # never fires; the counts are compared as machine integers below
+        raise ZeroOutcome(f"herald {required} cannot fire on {n} particles")
     counts = np.array([required[m] for m in measured], dtype=np.intp)
-    fermionic = state.statistics is FERMION
-    occ = _sector(state.n_modes, state.n_particles, fermionic)[2]
+    occ, amps = _terms(state)
     hit = np.all(occ[:, measured] == counts, axis=1)
-    kept = _vector(state)[hit]
+    kept = amps[hit]
     prob = float(np.vdot(kept, kept).real)
     if prob < HERALD_CUTOFF:
         raise ZeroOutcome(f"herald {required} fires with probability {prob:.3e}")
     kept /= math.sqrt(prob)
-    if fermionic:
+    occ = occ[hit]
+    if state.statistics is FERMION:
         # unmeasured particles below each measured mode, counted per row
-        unmeasured = occ[hit]
-        unmeasured[:, measured] = 0
-        below = np.cumsum(unmeasured, axis=1)[:, measured]
+        below = np.cumsum(occ, axis=1)[:, measured] - np.cumsum(occ[:, measured], axis=1)
         kept[(below @ counts) % 2 == 1] *= -1.0
+    # the kept terms are a rescaled subset of pruned ones, so none is dust
+    rest = map(tuple, np.delete(occ, measured, axis=1).tolist())
+    amps = dict(zip(rest, kept.tolist()))
     remaining = state.n_modes - len(measured)
-    out = FockState._from_vector(
-        state.statistics, remaining, state.n_particles - int(counts.sum()), kept
-    )
-    return out, prob
+    return FockState._trusted(state.statistics, remaining, n - int(counts.sum()), amps), prob
 
 
 def embed(state, n_modes, positions):

@@ -164,6 +164,11 @@ class TestReckDecompose:
         with pytest.raises(NotUnitary):
             fo.BeamSplitter((0, 1), [[1, 1], [0, 1]])
 
+    def test_preparation_splitters_check_their_modes(self):
+        phi = fo.make_number_state((1, 1))
+        with pytest.raises(InvalidCircuit):
+            list(fo.two_mode_preparations(phi, (0, 1), (0, 3)))
+
 
 class TestStandardCircuits:
     def test_filter_zero_is_passthrough(self, rng):

@@ -187,13 +187,19 @@ class TestIsSingleModeType:
 
 def classifier_cases(rng, m, n):
     """A random boson state, a single-mode state, the near-single-mode states
-    |a>^N + eps |b>^N for eps in {1e-2, 1e-6}, and a random fermion state."""
+    |a>^N + eps |b>^N for eps in {1e-2, 1e-6}, the random and the single-mode
+    state between two vacuum modes, the latter also with float dust on every
+    mode, and a random fermion state."""
     a, b = random_alpha(rng, m), random_alpha(rng, m)
     single = fo.single_mode_state(a, n)
     yield random_state(rng, n, m)
     yield single
     for eps in (1e-2, 1e-6):
         yield fo.superpose([(1.0, single), (eps, fo.single_mode_state(b, n))])
+    yield fo.embed(random_state(rng, n, m), m + 2, range(1, m + 1))
+    wide = fo.embed(single, m + 2, range(1, m + 1))
+    yield wide
+    yield fo.superpose([(1.0, wide), (1e-10, random_state(rng, n, m + 2))])
     yield random_state(rng, min(n, m), m, fo.FERMION)
 
 
@@ -232,6 +238,30 @@ class TestClassifierMatchesTermLoop:
     def test_pair_and_vacuum(self):
         assert not classifier_matches_oracle(fo.make_number_state((1, 1)))
         assert classifier_matches_oracle(fo.make_number_state((0, 0, 0)))
+
+    def test_sparse_noon_of_many_modes(self, monkeypatch):
+        # 12 particles on 2 of 16 modes: only the 13 states of the support's
+        # sector are built, not the C(27, 12) states of the register
+        built = []
+        sector = fo.classify._sector
+        monkeypatch.setattr(fo.classify, "_sector", lambda *key: built.append(key) or sector(*key))
+        rest = (0,) * 14
+        noon = fo.FockState(fo.BOSON, 16, {(12, 0) + rest: 1, (0, 12) + rest: 1}, False)
+        assert not classifier_matches_oracle(noon.normalized())
+        assert fo.is_single_mode_type(noon.normalized()).violation == (0, 12) + rest
+        assert built == [(2, 12, False)] * 2
+
+    def test_sparse_single_mode_state_of_many_modes(self):
+        a, b = 0.6, 0.8j
+        rest = (0,) * 14
+        terms = {
+            (k, 12 - k) + rest: math.sqrt(math.comb(12, k)) * a**k * b ** (12 - k)
+            for k in range(13)
+        }
+        state = fo.FockState(fo.BOSON, 16, terms)
+        assert classifier_matches_oracle(state)
+        alpha = fo.is_single_mode_type(state).alpha
+        assert fo.phase_distance(alpha, [a, b] + [0] * 14) < 1e-9
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(m=st.integers(2, 5), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))

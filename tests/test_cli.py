@@ -176,6 +176,11 @@ class TestEvolve:
         code = main(["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)])
         assert code == 10
 
+    def test_herald_beyond_machine_integers_exits_10(self, tmp_path, generic):
+        circuit = {"modes": 3, "elements": [{"type": "detect", "mode": 1, "herald": 1e19}]}
+        code = main(["evolve", state_file(tmp_path, generic), write(tmp_path, "c.json", circuit)])
+        assert code == 10
+
     def test_nan_beam_splitter_exits_2(self, tmp_path, generic):
         circuit = {
             "modes": 3,

@@ -325,6 +325,24 @@ class TestHerald:
         with pytest.raises(ShapeMismatch):
             fo.herald(fo.make_number_state((1, 1)), {5}, {5: 0})
 
+    @pytest.mark.parametrize("count", [-1, 3, 2**63, 10**19])
+    def test_count_that_never_fires(self, count):
+        with pytest.raises(ZeroOutcome):
+            fo.herald(fo.make_number_state((1, 1)), {1}, {1: count})
+
+    def test_sparse_state_of_many_modes(self, monkeypatch):
+        # 12 particles on 2 of 16 modes: the 16-mode sector has C(27, 12)
+        # states, the herald must only touch the two terms
+        built = []
+        sector = fo.states._sector
+        monkeypatch.setattr(fo.states, "_sector", lambda *key: built.append(key) or sector(*key))
+        noon = fo.FockState(fo.BOSON, 16, {(12,) + (0,) * 15: 1, (0, 12) + (0,) * 14: 1j}, False)
+        out, prob = fo.herald(noon.normalized(), {1}, {1: 0})
+        assert abs(prob - 0.5) < 1e-12
+        assert abs(out.amplitude((12,) + (0,) * 14) - 1.0) < 1e-12
+        assert out.n_modes == 15
+        assert built == []
+
     @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
     def test_conditional_distribution(self, rng, statistics):
         s = random_state(rng, 3, 4, statistics)
