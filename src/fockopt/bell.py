@@ -32,7 +32,7 @@ from .circuits import (
     yurke_stoler_circuit,
 )
 from .classify import is_single_mode_type
-from .errors import InvalidFile, ShapeMismatch, ZeroOutcome
+from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
 from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald
 
 VIOLATION_MARGIN = 1e-6
@@ -50,7 +50,7 @@ _PAULI_PAIRS.flags.writeable = False
 # occupations of the four kept patterns on the (in1, in2, rail1, rail2)
 # register: Alice's qubit is (in1, rail1), Bob's is (rail2, in2), with "up"
 # meaning a particle in the first mode of the pair
-_YS_SLOTS = ((1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0))
+_YS_SLOTS = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)])
 
 ALICE_RAILS = (0, 2)
 BOB_RAILS = (3, 1)
@@ -66,7 +66,7 @@ class TwoQubitState:
         if amps.shape != (4,):
             raise ShapeMismatch("two-qubit state needs exactly four amplitudes")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("two-qubit amplitudes must be normalized")
+            raise InvalidParameter("two-qubit amplitudes must be normalized")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -140,7 +140,7 @@ def yurke_stoler_postselect(phi):
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
     four, _ = run_circuit(embed(phi, 4, (0, 1)), yurke_stoler_circuit())
-    amps = np.array([four.amplitude(occ) for occ in _YS_SLOTS])
+    amps = four._amp @ (four._occ[:, None, :] == _YS_SLOTS).all(axis=2)
     prob = float(np.sum(np.abs(amps) ** 2))
     return TwoQubitState(amps / math.sqrt(prob)), prob
 
@@ -228,8 +228,9 @@ def two_mode_coefficients(phi):
     """Coefficients b_n of a_1^dag^n a_2^dag^(N-n) / sqrt(n!(N-n)!), n=0..N."""
     if phi.n_modes != 2:
         raise ShapeMismatch("expected a two-mode state")
-    n = phi.n_particles
-    return np.array([phi.amplitude((k, n - k)) for k in range(n + 1)])
+    b = np.zeros(phi.n_particles + 1, dtype=complex)
+    b[phi._occ[:, 0]] = phi._amp
+    return b
 
 
 @dataclass

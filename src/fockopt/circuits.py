@@ -25,7 +25,6 @@ from .states import (
     _file_count,
     _file_number,
     _read_json,
-    detection_distribution,
     evolve,
     herald,
     reck_gates,
@@ -234,18 +233,21 @@ def detector_statistics(state, circuit):
     evolved = _evolve_gates(state, circuit)
     heralds = circuit.heralds
     readout = circuit.readout_modes
+    # a count above N never fires and would not fit the integer comparison
+    if any(c > evolved.n_particles for c in heralds.values()):
+        return ReadoutStatistics({}, 0.0, readout)
+    hit = np.all(evolved._occ[:, list(heralds)] == list(heralds.values()), axis=1)
+    # few terms per state: a dict tally beats np.unique's fixed cost per call
     dist = {}
     p_herald = 0.0
-    for occ, p in detection_distribution(evolved).items():
-        if any(occ[m] != c for m, c in heralds.items()):
-            continue
+    keys = map(tuple, evolved._occ[hit][:, readout].tolist())
+    for key, amp in zip(keys, evolved._amp[hit].tolist()):
+        p = abs(amp) ** 2
         p_herald += p
-        key = tuple(occ[m] for m in readout)
         dist[key] = dist.get(key, 0.0) + p
     if p_herald <= 0.0:
         return ReadoutStatistics({}, 0.0, readout)
-    dist = {k: v / p_herald for k, v in dist.items()}
-    return ReadoutStatistics(dist, p_herald, readout)
+    return ReadoutStatistics({k: v / p_herald for k, v in dist.items()}, p_herald, readout)
 
 
 def circuit_to_unitary(circuit):

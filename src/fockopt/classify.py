@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NotSingleMode, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, FockState, _sector, _terms, require_unitary
+from .states import BOSON, FERMION, ZERO_NORM, FockState, _sector, require_unitary
 
 DEFAULT_TOL = 1e-8
 
@@ -37,11 +37,11 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     if statistics is FERMION and n >= 2:
         raise PauliForbidden("no multi-particle fermion state fits in one mode")
     norm = np.linalg.norm(alpha)
-    if norm < 1e-12:
+    if norm < ZERO_NORM:
         raise ShapeMismatch("alpha vector must be nonzero")
     alpha = alpha / norm
     m = alpha.shape[0]
-    _, _, occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
+    _, occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
     amps = _product_form(alpha, occ, sqrt_multinomial)
     return FockState._from_vector(statistics, m, n, amps)
 
@@ -93,23 +93,22 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     if state.statistics is FERMION and n >= 2:
         first = min(state.occupations())
         return Classification(False, None, math.inf, first)
-    occ, amps = _terms(state)
+    occ, amps = state._occ, state._amp
     mag = np.abs(amps)
     peak = float(mag.max())
     atol = tol * peak
     on_support = occ[mag >= atol].any(axis=0)
     support = np.flatnonzero(on_support)
     # the sector of the support modes; terms off the support are not compared
-    basis, rank, sub, sqrt_multinomial = _sector(len(support), n, state.statistics is FERMION)
+    rank, sub, sqrt_multinomial = _sector(len(support), n, state.statistics is FERMION)
     inside = ~occ[:, ~on_support].any(axis=1)
-    vec = np.zeros(len(basis), dtype=complex)
+    vec = np.zeros(len(sub), dtype=complex)
     vec[[rank[o] for o in map(tuple, occ[inside][:, support].tolist())]] = amps[inside]
 
     def occupation(row):
-        full = [0] * m
-        for j, k in zip(support.tolist(), basis[row]):
-            full[j] = k
-        return tuple(full)
+        full = np.zeros(m, dtype=np.intp)
+        full[support] = sub[row]
+        return tuple(full.tolist())
 
     # row of all N particles in support mode j, for each j
     tops = vec[sub.argmax(axis=0)]
@@ -141,14 +140,14 @@ def extract_alpha(state, tol=DEFAULT_TOL):
     """Amplitude vector of a single-mode-type state, unique up to phase.
 
     Raises NotSingleMode when the coefficients do not fit the product form
-    (the exception carries the Classification), and ValueError for the
+    (the exception carries the Classification), and InvalidParameter for the
     vacuum, where the vector is undefined.
     """
     result = is_single_mode_type(state, tol)
     if not result.single_mode:
         raise NotSingleMode(result)
     if result.alpha is None:
-        raise ValueError("the vacuum has no amplitude-vector representation")
+        raise InvalidParameter("the vacuum has no amplitude-vector representation")
     return result.alpha
 
 

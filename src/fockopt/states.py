@@ -1,8 +1,8 @@
 """Fock states of identical particles and their linear-optical evolution.
 
 A state lives in the fixed-N sector of the occupation-number representation.
-At the API boundary, :class:`FockState` holds it as a sparse map from
-occupation tuples to complex amplitudes.  Evolution runs on one dense complex
+:class:`FockState` holds only its terms, as arrays, since a state can be
+sparse in a sector too large to list.  Evolution runs on one dense complex
 vector over the whole sector instead, one gate at a time (the strong
 simulation of SLOS, Heurtel et al., arXiv:2206.10549):
 
@@ -56,6 +56,8 @@ from .errors import (
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 HERALD_CUTOFF = 1e-14
+# a norm below this is treated as the zero vector
+ZERO_NORM = 1e-12
 # amplitudes below this fraction of the largest one are dropped as float dust
 PRUNE_REL = 1e-14
 # Givens rotations of entries below this are skipped by the Reck factorization
@@ -76,14 +78,15 @@ FERMION = Statistics.FERMION
 
 
 class FockState:
-    """Definite-N state over M modes with sparse complex amplitudes.
+    """Definite-N state over M modes: a read-only (terms, modes) array of
+    distinct occupations ``_occ`` and their amplitudes ``_amp``.
 
     Fermion amplitudes refer to creation operators applied in increasing mode
     order; all observable quantities are independent of that convention.
     Instances are immutable; every operation returns a new state.
     """
 
-    __slots__ = ("statistics", "n_modes", "n_particles", "_amps")
+    __slots__ = ("statistics", "n_modes", "n_particles", "_occ", "_amp")
 
     def __init__(self, statistics, n_modes, amplitudes, normalized=True):
         if not isinstance(statistics, Statistics):
@@ -113,36 +116,40 @@ class FockState:
                 raise InvalidParameter(f"amplitude of {occ} is not finite: {amp!r}")
             if amp != 0:
                 amps[occ] = amps.get(occ, 0j) + amp
-        if amps:
-            floor = PRUNE_REL * max(map(abs, amps.values()))
-            amps = {occ: a for occ, a in amps.items() if abs(a) > floor}
-        self._store(statistics, n_modes, n_particles, amps, normalized)
+        try:
+            occ = np.array(list(amps), dtype=np.intp)
+        except OverflowError as exc:
+            raise InvalidOccupation("occupation numbers exceed a machine integer") from exc
+        amp = np.fromiter(amps.values(), complex, len(amps))
+        mag = np.abs(amp)
+        keep = mag > PRUNE_REL * mag.max(initial=0.0)
+        self._store(statistics, n_modes, n_particles, occ[keep], amp[keep], normalized)
 
     @classmethod
-    def _trusted(cls, statistics, n_modes, n_particles, amps):
-        """Unit-norm state from valid, pruned amplitudes; terms are not rechecked."""
+    def _trusted(cls, statistics, n_modes, n_particles, occ, amp):
+        """Unit-norm state from valid, pruned term arrays; nothing is rechecked."""
         state = object.__new__(cls)
-        state._store(statistics, n_modes, n_particles, amps, True)
+        state._store(statistics, n_modes, n_particles, occ, amp, True)
         return state
 
     @classmethod
     def _from_vector(cls, statistics, n_modes, n_particles, vec):
         """State from a sector vector in rank order (see the module docstring)."""
-        basis = _sector(n_modes, n_particles, statistics is FERMION)[0]
+        occ = _sector(n_modes, n_particles, statistics is FERMION)[1]
         mag = np.abs(vec)
-        keep = np.flatnonzero(mag > PRUNE_REL * mag.max())
-        amps = dict(zip([basis[i] for i in keep], vec[keep].tolist()))
-        return cls._trusted(statistics, n_modes, n_particles, amps)
+        keep = mag > PRUNE_REL * mag.max()
+        return cls._trusted(statistics, n_modes, n_particles, occ[keep], vec[keep])
 
-    def _store(self, statistics, n_modes, n_particles, amps, normalized):
-        if not amps:
+    def _store(self, statistics, n_modes, n_particles, occ, amp, normalized):
+        if not len(amp):
             raise ZeroState("state has no nonzero amplitude")
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "n_particles", n_particles)
-        object.__setattr__(self, "_amps", amps)
+        object.__setattr__(self, "_occ", _read_only(occ))
+        object.__setattr__(self, "_amp", _read_only(amp))
         if normalized and abs(self.norm - 1.0) > NORM_TOL:
-            raise ValueError(
+            raise InvalidParameter(
                 f"state norm {self.norm!r} deviates from 1 beyond {NORM_TOL}"
             )
 
@@ -152,32 +159,35 @@ class FockState:
     @property
     def norm(self):
         # hypot scales internally, so huge amplitudes do not overflow
-        return math.hypot(*map(abs, self._amps.values()))
+        return math.hypot(*map(abs, self._amp.tolist()))
 
     def amplitude(self, occ):
-        return self._amps.get(tuple(occ), 0j)
+        occ = tuple(occ)
+        if len(occ) != self.n_modes:
+            return 0j
+        hit = np.flatnonzero((self._occ == occ).all(axis=1))
+        return self._amp[hit[0]].item() if hit.size else 0j
 
     def items(self):
-        return self._amps.items()
+        """The terms as a list of ``(occupation tuple, amplitude)`` pairs."""
+        return list(zip(map(tuple, self._occ.tolist()), self._amp.tolist()))
 
     def occupations(self):
-        return self._amps.keys()
+        """The occupation tuples of the terms, as a set."""
+        return set(map(tuple, self._occ.tolist()))
 
     def normalized(self):
         """Return the unit-norm version of this state."""
         n = self.norm
-        if n < 1e-12:
+        if n < ZERO_NORM:
             raise ZeroState("cannot normalize a numerically zero state")
-        return FockState(
-            self.statistics,
-            self.n_modes,
-            {occ: a / n for occ, a in self._amps.items()},
+        # rescaling keeps every term distinct and above the pruning floor
+        return FockState._trusted(
+            self.statistics, self.n_modes, self.n_particles, self._occ, self._amp / n
         )
 
     def __repr__(self):
-        terms = ", ".join(
-            f"{occ}: {amp:.4g}" for occ, amp in sorted(self._amps.items())
-        )
+        terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.items()))
         return (
             f"FockState({self.statistics.value}, N={self.n_particles}, "
             f"M={self.n_modes}, {{{terms}}})"
@@ -194,7 +204,7 @@ def superpose(terms):
     """Amplitude-wise combination ``sum_k c_k |psi_k>``, renormalized.
 
     All terms must share statistics, particle number and mode count.
-    Raises ZeroState when the combination cancels below norm 1e-12.
+    Raises ZeroState when the combination cancels below norm ``ZERO_NORM``.
     """
     terms = list(terms)
     if not terms:
@@ -210,12 +220,7 @@ def superpose(terms):
             raise ShapeMismatch("superposition terms must share statistics, N and M")
         for occ, amp in state.items():
             amps[occ] = amps.get(occ, 0j) + complex(coeff) * amp
-    norm = math.hypot(*map(abs, amps.values()))
-    if norm < 1e-12:
-        raise ZeroState("superposition cancelled to the zero vector")
-    return FockState(
-        first.statistics, first.n_modes, {o: a / norm for o, a in amps.items()}
-    )
+    return FockState(first.statistics, first.n_modes, amps, normalized=False).normalized()
 
 
 def require_unitary(u, tol=UNITARY_TOL):
@@ -243,8 +248,8 @@ def _read_only(a):
 
 @functools.lru_cache(maxsize=SECTOR_CACHE)
 def _sector(n_modes, n_particles, fermionic):
-    """Basis of one sector in rank order, its rank map, its occupation array
-    and sqrt(N! / prod_j n_j!) per basis state."""
+    """Rank map of one sector's basis, its occupation array in rank order and
+    sqrt(N! / prod_j n_j!) per basis state."""
     if fermionic:
         picks = itertools.combinations(range(n_modes), n_particles)
     else:
@@ -262,14 +267,7 @@ def _sector(n_modes, n_particles, fermionic):
     sqrt_multinomial = np.sqrt(
         [float(top // math.prod(map(math.factorial, occ))) for occ in basis]
     )
-    return tuple(basis), rank, _read_only(occupations), _read_only(sqrt_multinomial)
-
-
-def _terms(state):
-    """Occupations of the terms of ``state`` as one (terms, modes) array, and
-    their amplitudes in the same order."""
-    occ = np.array(list(state.occupations()), dtype=np.intp).reshape(-1, state.n_modes)
-    return occ, np.fromiter(state._amps.values(), complex, len(state._amps))
+    return rank, _read_only(occupations), _read_only(sqrt_multinomial)
 
 
 @functools.lru_cache(maxsize=PAIR_CACHE)
@@ -281,10 +279,10 @@ def _pair_blocks(n_modes, n_particles, fermionic, s, t):
     r of ``idx`` holds the ranks of one occupation of the other modes, ordered
     by n_s ascending.
     """
-    basis = _sector(n_modes, n_particles, fermionic)[0]
+    occupations = _sector(n_modes, n_particles, fermionic)[1]
     cap = 1 if fermionic else n_particles
     groups = {}
-    for r, occ in enumerate(basis):
+    for r, occ in enumerate(map(tuple, occupations.tolist())):
         n = occ[s] + occ[t]
         if n == 0:
             continue
@@ -349,9 +347,9 @@ def evolve(state, gates):
         return state
     m, n = state.n_modes, state.n_particles
     fermionic = state.statistics is FERMION
-    basis, rank, occ = _sector(m, n, fermionic)[:3]
-    vec = np.zeros(len(basis), dtype=complex)
-    vec[[rank[o] for o in state.occupations()]] = list(state._amps.values())
+    rank, occ = _sector(m, n, fermionic)[:2]
+    vec = np.zeros(len(occ), dtype=complex)
+    vec[[rank[o] for o in map(tuple, state._occ.tolist())]] = state._amp
     for modes, value in gates:
         if len(modes) == 1:
             vec *= np.exp(1j * value * occ[:, modes[0]])
@@ -439,23 +437,21 @@ def herald(state, measured_modes, required_counts):
         # never fires; the counts are compared as machine integers below
         raise ZeroOutcome(f"herald {required} cannot fire on {n} particles")
     counts = np.array([required[m] for m in measured], dtype=np.intp)
-    occ, amps = _terms(state)
-    hit = np.all(occ[:, measured] == counts, axis=1)
-    kept = amps[hit]
+    hit = np.all(state._occ[:, measured] == counts, axis=1)
+    kept = state._amp[hit]
     prob = float(np.vdot(kept, kept).real)
     if prob < HERALD_CUTOFF:
         raise ZeroOutcome(f"herald {required} fires with probability {prob:.3e}")
     kept /= math.sqrt(prob)
-    occ = occ[hit]
+    occ = state._occ[hit]
     if state.statistics is FERMION:
         # unmeasured particles below each measured mode, counted per row
         below = np.cumsum(occ, axis=1)[:, measured] - np.cumsum(occ[:, measured], axis=1)
         kept[(below @ counts) % 2 == 1] *= -1.0
     # the kept terms are a rescaled subset of pruned ones, so none is dust
-    rest = map(tuple, np.delete(occ, measured, axis=1).tolist())
-    amps = dict(zip(rest, kept.tolist()))
+    rest = np.delete(occ, measured, axis=1)
     remaining = state.n_modes - len(measured)
-    return FockState._trusted(state.statistics, remaining, n - int(counts.sum()), amps), prob
+    return FockState._trusted(state.statistics, remaining, n - int(counts.sum()), rest, kept), prob
 
 
 def embed(state, n_modes, positions):
@@ -471,13 +467,9 @@ def embed(state, n_modes, positions):
         raise ShapeMismatch("positions must be strictly increasing")
     if positions and (positions[0] < 0 or positions[-1] >= n_modes):
         raise ShapeMismatch("positions out of range")
-    amps = {}
-    for occ, amp in state.items():
-        full = [0] * n_modes
-        for p, n in zip(positions, occ):
-            full[p] = n
-        amps[tuple(full)] = amp
-    return FockState._trusted(state.statistics, n_modes, state.n_particles, amps)
+    occ = np.zeros((len(state._occ), n_modes), dtype=np.intp)
+    occ[:, positions] = state._occ
+    return FockState._trusted(state.statistics, n_modes, state.n_particles, occ, state._amp)
 
 
 def inner(a, b):
@@ -488,7 +480,8 @@ def inner(a, b):
         or a.n_particles != b.n_particles
     ):
         raise ShapeMismatch("inner product needs matching statistics, N and M")
-    return sum(amp.conjugate() * b.amplitude(occ) for occ, amp in a.items())
+    amps = dict(b.items())
+    return sum(amp.conjugate() * amps.get(occ, 0j) for occ, amp in a.items())
 
 
 def fidelity(a, b):

@@ -177,6 +177,26 @@ def lhv_count_law(spec, circuit):
     return {k: v / p_herald for k, v in dist.items()}, p_herald
 
 
+def oracle_detector_statistics(state, circuit):
+    """``detector_statistics`` term by term over the evolved state: the
+    heralds filter the terms and the readout counts key the tally.  Returns
+    ``(distribution, herald probability)``."""
+    evolved = fo.circuits._evolve_gates(state, circuit)
+    heralds = circuit.heralds
+    dist = {}
+    p_herald = 0.0
+    for occ, amp in evolved.items():
+        if any(occ[m] != c for m, c in heralds.items()):
+            continue
+        p = abs(amp) ** 2
+        p_herald += p
+        key = tuple(occ[m] for m in circuit.readout_modes)
+        dist[key] = dist.get(key, 0.0) + p
+    if p_herald <= 0.0:
+        return {}, 0.0
+    return {k: v / p_herald for k, v in dist.items()}, p_herald
+
+
 def state_from_occupation_map(amps, statistics=fo.BOSON):
     m = len(next(iter(amps)))
     return fo.FockState(statistics, m, amps)

@@ -5,7 +5,7 @@ import pytest
 
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
-from fockopt.errors import ShapeMismatch, ZeroOutcome
+from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
 from helpers import random_alpha, random_state, random_unitary, two_mode_stages
 
 SQ2 = math.sqrt(2.0)
@@ -108,6 +108,10 @@ class TestProductCondition:
 
     def test_basis_product(self):
         assert fo.product_condition(fo.TwoQubitState([1, 0, 0, 0]))
+
+    def test_unnormalized_amplitudes_rejected(self):
+        with pytest.raises(InvalidParameter):
+            fo.TwoQubitState([1, 1, 0, 0])
 
     def test_single_mode_relation(self, rng):
         # beta^2 = 2*alpha*gamma makes the post-selected state factorize

@@ -5,7 +5,13 @@ import pytest
 
 import fockopt as fo
 from fockopt.errors import InvalidCircuit, InvalidParameter, NotUnitary, ZeroOutcome
-from helpers import assert_states_close, random_state, random_unitary, two_mode_stages
+from helpers import (
+    assert_states_close,
+    oracle_detector_statistics,
+    random_state,
+    random_unitary,
+    two_mode_stages,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -86,6 +92,58 @@ class TestRunCircuit:
                     p = 0.0
                 total += p
         assert abs(total - 1.0) < 1e-10
+
+
+def statistics_case(rng, statistics, kind):
+    """A random state and a random mesh with detectors for one kind of
+    readout: ``plain`` (readouts and undetected modes, no herald), ``mixed``
+    (heralds of 0..N+1 too), ``never`` (one herald that cannot fire) or
+    ``embedded`` (a mixed case whose state went through ``embed``)."""
+    m = int(rng.integers(2, 7))
+    n = int(rng.integers(0, 4))
+    if statistics is fo.FERMION:
+        n = min(n, m)
+    if kind == "embedded":
+        k = int(rng.integers(1, m + 1))
+        n = min(n, k) if statistics is fo.FERMION else n
+        positions = sorted(int(p) for p in rng.choice(m, k, replace=False))
+        state = fo.embed(random_state(rng, n, k, statistics), m, positions)
+    else:
+        state = random_state(rng, n, m, statistics)
+    detectors = []
+    for j in range(m):
+        r = rng.random()
+        if kind in ("mixed", "embedded") and r < 0.3:
+            detectors.append(fo.Detector(j, int(rng.integers(0, n + 2))))
+        elif r < 0.7:
+            detectors.append(fo.Detector(j))
+    if kind == "never":
+        detectors = [d for d in detectors if d.mode != 0]
+        detectors.append(fo.Detector(0, 2 if statistics is fo.FERMION and n >= 2 else n + 1))
+    return state, fo.reck_decompose(random_unitary(rng, m)).extended(detectors)
+
+
+class TestDetectorStatisticsMatchesTermLoop:
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
+    @pytest.mark.parametrize("kind", ["plain", "mixed", "never", "embedded"])
+    def test_random_states(self, rng, statistics, kind):
+        fired = 0
+        for _ in range(40):
+            state, circuit = statistics_case(rng, statistics, kind)
+            dist, p_herald = oracle_detector_statistics(state, circuit)
+            result = fo.detector_statistics(state, circuit)
+            assert set(result.distribution) == set(dist)
+            for key, p in dist.items():
+                assert abs(result.distribution[key] - p) < 1e-12
+            assert abs(result.herald_probability - p_herald) < 1e-12
+            assert result.readout_modes == circuit.readout_modes
+            fired += p_herald > 0.0
+        if kind == "plain":
+            assert fired == 40
+        elif kind == "never":
+            assert fired == 0
+        else:
+            assert 0 < fired < 40
 
 
 class TestCircuitToUnitary:

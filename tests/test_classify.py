@@ -102,7 +102,7 @@ class TestExtractAlpha:
         vac = fo.FockState(fo.BOSON, 3, {(0, 0, 0): 1.0})
         verdict = fo.is_single_mode_type(vac)
         assert verdict.single_mode and verdict.alpha is None
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             fo.extract_alpha(vac)
 
 

@@ -38,6 +38,37 @@ class TestFockState:
         with pytest.raises(InvalidParameter):
             fo.FockState(fo.BOSON, 2, {(1, 0): amp, (0, 1): 1.0}, normalized=normalized)
 
+    def test_unnormalized_amplitudes_rejected(self):
+        with pytest.raises(InvalidParameter):
+            fo.FockState(fo.BOSON, 2, {(1, 0): 2.0})
+
+    def test_occupation_beyond_machine_integer_rejected(self):
+        # occupations are stored as machine integers
+        with pytest.raises(InvalidOccupation):
+            fo.FockState(fo.BOSON, 2, {(2**63, 0): 1.0})
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
+    def test_read_api_matches_input(self, rng, statistics):
+        basis = sector_occupations(2, 4, statistics)
+        amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        amps[: len(basis) // 2] = 0.0
+        terms = {occ: a for occ, a in zip(basis, amps / np.linalg.norm(amps)) if a}
+        s = fo.FockState(statistics, 4, terms)
+        assert len(s.items()) == len(terms)
+        assert dict(s.items()) == terms
+        assert s.occupations() == set(terms)
+        for occ in basis:
+            assert s.amplitude(occ) == terms.get(occ, 0j)
+
+    def test_terms_are_read_only(self, rng):
+        s = random_state(rng, 2, 3, fo.FERMION)
+        heralded, _ = fo.herald(s, {0}, {0: 1})
+        wide = fo.embed(s, 5, (0, 2, 4))
+        for state in (s, heralded, wide):
+            for terms in (state._occ, state._amp):
+                with pytest.raises(ValueError, match="read-only"):
+                    terms[0] = 0
+
 
 class TestMakeNumberState:
     def test_boson_basis_state(self):
