@@ -74,7 +74,6 @@ from .states import (
     FockState,
     Statistics,
     apply_mode_unitary,
-    detection_distribution,
     embed,
     fidelity,
     herald,

@@ -65,8 +65,9 @@ class TwoQubitState:
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise ShapeMismatch("two-qubit state needs exactly four amplitudes")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise InvalidParameter("two-qubit amplitudes must be normalized")
+        # written so that a NaN norm fails it too
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
+            raise InvalidParameter("two-qubit amplitudes must be finite and normalized")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -164,7 +165,7 @@ def chsh_max(chi):
     c1, c2 = v[:, order[0]], v[:, order[1]]
     total = lam1 + lam2
     if total < 1e-18:
-        raise ValueError("correlation matrix vanishes; no projective optimum")
+        raise InvalidParameter("correlation matrix vanishes; no projective optimum")
     cos_t = math.sqrt(lam1 / total)
     sin_t = math.sqrt(lam2 / total)
     b1 = cos_t * c1 + sin_t * c2
@@ -183,7 +184,7 @@ def chsh_max(chi):
         - chi.expectation(a2, b2)
     )
     if abs(direct - value) > 1e-9:
-        raise AssertionError(
+        raise InvalidParameter(
             f"settings reproduce {direct!r} instead of the criterion value {value!r}"
         )
     return BellTestResult(

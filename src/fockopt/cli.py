@@ -23,14 +23,15 @@ from .circuits import (
     _matrix_from_json,
     _matrix_to_json,
     circuit_to_dict,
+    detector_statistics,
     load_circuit,
     reck_decompose,
     run_circuit,
 )
 from .classify import DEFAULT_TOL, is_single_mode_type
-from .errors import FockoptError, InvalidFile, ZeroOutcome
+from .errors import FockoptError, InvalidFile, InvalidParameter, ZeroOutcome
 from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
-from .states import _read_json, embed, load_state, state_to_dict
+from .states import HERALD_CUTOFF, _read_json, embed, load_state, state_to_dict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -96,11 +97,39 @@ def _cmd_classify(args):
     return EXIT_OK if verdict.single_mode else EXIT_NEGATIVE
 
 
+def _evolve_readout(args, state, circuit):
+    """Herald probability and readout distribution of a circuit with readouts."""
+    if args.output:
+        raise InvalidParameter("--output needs a circuit whose detectors all carry heralds")
+    stats = detector_statistics(state, circuit)
+    if stats.herald_probability < HERALD_CUTOFF:
+        print(f"herald never fires: probability {stats.herald_probability:.3e}", file=sys.stderr)
+        return EXIT_NEGATIVE
+    modes = [m + 1 for m in stats.readout_modes]
+    outcomes = sorted(stats.distribution.items())
+    if args.format == "json":
+        _print_json(
+            {
+                "probability": stats.herald_probability,
+                "readout_modes": modes,
+                "distribution": [{"outcome": list(k), "probability": p} for k, p in outcomes],
+            }
+        )
+    else:
+        print(f"herald probability: {_fmt(stats.herald_probability)}")
+        print(f"readout modes: {' '.join(map(str, modes))}")
+        for outcome, p in outcomes:
+            print(f"  {outcome}: {_fmt(p)}")
+    return EXIT_OK
+
+
 def _cmd_evolve(args):
     state = load_state(args.state)
     circuit = load_circuit(args.circuit)
     if state.n_modes < circuit.n_modes:
         state = embed(state, circuit.n_modes, range(state.n_modes))
+    if circuit.readout_modes:
+        return _evolve_readout(args, state, circuit)
     try:
         out, prob = run_circuit(state, circuit)
     except ZeroOutcome as exc:
@@ -229,7 +258,9 @@ def build_parser():
     p = sub.add_parser("evolve", help="run a circuit file on a state file")
     p.add_argument("state")
     p.add_argument("circuit")
-    p.add_argument("--output", help="write the heralded output state here")
+    p.add_argument(
+        "--output", help="write the heralded output state here (circuits without readouts)"
+    )
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_evolve)
 

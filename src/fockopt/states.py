@@ -410,11 +410,6 @@ def apply_mode_unitary(state, u):
     return evolve(state, reck_gates(u))
 
 
-def detection_distribution(state):
-    """Probability of each occupation pattern under number-resolving detection."""
-    return {occ: abs(amp) ** 2 for occ, amp in state.items()}
-
-
 def herald(state, measured_modes, required_counts):
     """Condition on exact detector counts in ``measured_modes``.
 

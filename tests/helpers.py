@@ -197,6 +197,11 @@ def oracle_detector_statistics(state, circuit):
     return {k: v / p_herald for k, v in dist.items()}, p_herald
 
 
+def detection_distribution(state):
+    """Probability of each occupation pattern under number-resolving detection."""
+    return {occ: abs(amp) ** 2 for occ, amp in state.items()}
+
+
 def state_from_occupation_map(amps, statistics=fo.BOSON):
     m = len(next(iter(amps)))
     return fo.FockState(statistics, m, amps)

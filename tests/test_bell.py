@@ -113,6 +113,11 @@ class TestProductCondition:
         with pytest.raises(InvalidParameter):
             fo.TwoQubitState([1, 1, 0, 0])
 
+    def test_non_finite_amplitudes_rejected(self):
+        # a NaN norm passes a plain "deviation > tol" check
+        with pytest.raises(InvalidParameter):
+            fo.TwoQubitState([math.nan, 0, 0, 0])
+
     def test_single_mode_relation(self, rng):
         # beta^2 = 2*alpha*gamma makes the post-selected state factorize
         u1, u2 = random_alpha(rng, 2)
@@ -159,6 +164,17 @@ class TestChshMax:
         chi = fo.TwoQubitState([0.8, 0, 0, 0.6])
         res = fo.chsh_max(chi)
         assert abs(res.chsh - 2.0 * math.sqrt(1.0 + 0.96**2)) < 1e-9
+
+    def test_vanishing_correlation_raises_fockopt_error(self, monkeypatch):
+        # no normalized pure state has T = 0; the check guards the division
+        monkeypatch.setattr(fo.TwoQubitState, "correlation_matrix", lambda self: np.zeros((3, 3)))
+        with pytest.raises(InvalidParameter, match="vanishes"):
+            fo.chsh_max(fo.TwoQubitState([1, 0, 0, 0]))
+
+    def test_settings_self_check_raises_fockopt_error(self, monkeypatch):
+        monkeypatch.setattr(fo.TwoQubitState, "expectation", lambda self, a, b: 0.0)
+        with pytest.raises(InvalidParameter, match="settings reproduce"):
+            fo.chsh_max(fo.TwoQubitState([0, 1 / SQ2, -1 / SQ2, 0]))
 
     def test_settings_reproduce_value(self, rng):
         # rebuild Bloch vectors from the returned bases and evaluate directly

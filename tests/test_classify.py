@@ -9,6 +9,7 @@ import fockopt as fo
 from fockopt.errors import InvalidParameter, NotSingleMode, PauliForbidden
 from helpers import (
     boson_occupations,
+    detection_distribution,
     multinomial,
     oracle_single_mode,
     random_alpha,
@@ -176,7 +177,7 @@ class TestIsSingleModeType:
     def test_multinomial_detection_statistics(self, rng):
         m, n = 3, 4
         alpha = random_alpha(rng, m)
-        dist = fo.detection_distribution(fo.single_mode_state(alpha, n))
+        dist = detection_distribution(fo.single_mode_state(alpha, n))
         probs = np.abs(alpha) ** 2
         for occ in boson_occupations(n, m):
             expected = multinomial(n, occ)

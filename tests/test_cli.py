@@ -7,6 +7,9 @@ the benchmark's single-mode state with a tiny amplitude entry.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,9 @@ import fockopt as fo
 from fockopt.cli import main
 from helpers import random_alpha, random_state, random_unitary
 
-FAULTY_SINGLE = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "faulty_single.json"
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "bench" / "inputs"
+FAULTY_SINGLE = INPUTS / "faulty_single.json"
 SHOTS = "2000"
 
 
@@ -171,6 +176,46 @@ class TestEvolve:
         out = fo.state_from_dict(payload["state"])
         assert abs(fo.fidelity(out, expected) - 1.0) < 1e-12
 
+    def test_readout_circuit_json_exits_0(self, tmp_path, capsys, generic, mesh):
+        circuit = mesh.extended([fo.Detector(0, 1), fo.Detector(2), fo.Detector(1)])
+        code = main(
+            ["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit), "--format", "json"]
+        )
+        assert code == 0
+        payload = printed_json(capsys)
+        stats = fo.detector_statistics(generic, circuit)
+        assert abs(payload["probability"] - stats.herald_probability) < 1e-12
+        assert payload["readout_modes"] == [3, 2]
+        dist = {tuple(row["outcome"]): row["probability"] for row in payload["distribution"]}
+        assert dist.keys() == stats.distribution.keys()
+        assert all(abs(dist[k] - p) < 1e-12 for k, p in stats.distribution.items())
+
+    def test_readout_circuit_table_exits_0(self, tmp_path, capsys, generic, mesh):
+        circuit = mesh.extended([fo.Detector(0, 1), fo.Detector(1), fo.Detector(2)])
+        code = main(["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        stats = fo.detector_statistics(generic, circuit)
+        assert lines[0] == f"herald probability: {stats.herald_probability:.12g}"
+        assert lines[1] == "readout modes: 2 3"
+        assert lines[2:] == [f"  {k}: {p:.12g}" for k, p in sorted(stats.distribution.items())]
+
+    def test_committed_readout_circuit_exits_0(self, capsys):
+        code = main(["evolve", str(INPUTS / "generic.json"), str(INPUTS / "readout_circuit.json")])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("herald probability: ")
+
+    def test_readout_herald_never_fires_exits_10(self, tmp_path, generic):
+        circuit = fo.Circuit(3, [fo.Detector(0, 4), fo.Detector(1)])
+        assert main(["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)]) == 10
+
+    def test_readout_circuit_with_output_exits_2(self, tmp_path, generic):
+        # a readout leaves no output state to write
+        circuit = fo.Circuit(3, [fo.Detector(1)])
+        argv = ["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)]
+        assert main(argv + ["--output", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+
     def test_herald_never_fires_exits_10(self, tmp_path, generic):
         circuit = fo.Circuit(3, [fo.Detector(0, 4)])
         code = main(["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)])
@@ -263,6 +308,29 @@ class TestLhvCompare:
         assert code == 10
         payload = printed_json(capsys)
         assert payload["accepted"] == 0 and payload["passed"] is False
+
+    def test_runs_without_loading_scipy(self, tmp_path, single, mesh):
+        # only a fresh process shows this: in-process tests load scipy first
+        argv = ["lhv-compare", state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
+        argv += ["--shots", SHOTS, "--seed", "3"]
+        script = (
+            "import sys\n"
+            "from fockopt.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print('scipy loaded:', 'scipy' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "PASS" in run.stdout
+        assert run.stdout.splitlines()[-1] == "scipy loaded: False"
 
     def test_not_single_mode_exits_11(self, tmp_path, generic, mesh):
         assert self.lhv(state_file(tmp_path, generic), circuit_file(tmp_path, readout(mesh))) == 11

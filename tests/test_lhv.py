@@ -6,8 +6,8 @@ import pytest
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import DegenerateAmplitude, InvalidCircuit, InvalidParameter, ShapeMismatch
-from fockopt.lhv import BLOCK, _chi_square_p, _run_block, _splits
-from helpers import lhv_count_law, random_alpha, random_unitary
+from fockopt.lhv import BLOCK, _chi2_sf, _chi_square_p, _run_block, _splits
+from helpers import detection_distribution, lhv_count_law, random_alpha, random_unitary
 
 SQ2 = math.sqrt(2.0)
 
@@ -112,7 +112,7 @@ class TestRunExperiment:
         spec = fo.EpistemicSpec(alpha, 2)
         circuit = readout_circuit(fo.Circuit(3))
         run = fo.run_lhv_experiment(spec, circuit, 30000, seed=9)
-        dist = fo.detection_distribution(spec.quantum_state())
+        dist = detection_distribution(spec.quantum_state())
         for occ, p in dist.items():
             sigma = math.sqrt(p * (1 - p) / run.accepted) + 1e-9
             assert abs(run.frequencies().get(occ, 0.0) - p) < 4 * sigma
@@ -315,3 +315,24 @@ class TestChiSquareHelper:
                 total,
             )
             assert abs(p - stats.chisquare(counts, probs * total).pvalue) < 1e-12
+
+    @pytest.mark.parametrize("dof", [*range(1, 81), 99, 100, 245, 714, 1500, 2000])
+    def test_closed_form_tail_matches_chdtrc(self, rng, dof):
+        from scipy.special import chdtrc
+
+        # the bulk and both tails: dof + k standard deviations, random draws
+        # out to the far right tail, and the edge values of the domain
+        stats = [dof + k * math.sqrt(2.0 * dof) for k in range(7)]
+        stats += list(rng.uniform(0.0, 4.0 * dof + 200.0, size=20))
+        stats += [0.0, 1e-300, 1e6, math.inf]
+        for stat in stats:
+            p, ref = _chi2_sf(dof, stat), float(chdtrc(dof, stat))
+            assert abs(p - ref) <= 1e-12, (dof, stat, p, ref)
+            if ref > 1e-300:
+                assert abs(p - ref) <= 1e-10 * ref, (dof, stat, p, ref)
+
+    def test_closed_form_tail_edges(self):
+        assert _chi2_sf(1, 0.0) == 1.0
+        assert _chi2_sf(4, math.inf) == 0.0
+        # a NaN statistic fails the test rather than passing it
+        assert _chi2_sf(3, math.nan) == 0.0

@@ -17,32 +17,46 @@ def test_no_bare_assert():
     assert not found, f"assert statements in the library: {found}"
 
 
-def _value_error_raises(node, function=None):
-    """(function, line) of each ``raise ValueError`` below ``node``."""
+def _flagged_raises(node, function=None):
+    """(function, line, name) of each ``raise ValueError`` or ``raise AssertionError``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _value_error_raises(child, child.name)
+            yield from _flagged_raises(child, child.name)
             continue
         if isinstance(child, ast.Raise) and child.exc is not None:
             exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-            if isinstance(exc, ast.Name) and exc.id == "ValueError":
-                yield function, child.lineno
-        yield from _value_error_raises(child, function)
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
+                yield function, child.lineno, exc.id
+        yield from _flagged_raises(child, function)
 
 
 def test_library_errors_are_fockopt_errors():
-    # the CLI maps FockoptError to its exit codes; a bare ValueError escapes
-    # as exit 1.  The two file-number readers raise ValueError on purpose:
-    # the state, circuit and unitary readers turn it into InvalidFile.
-    # chsh_max's check guards an invariant no normalized TwoQubitState
-    # breaks (a pure state has |T|^2 >= 1) and is left to the error table.
-    allowed = {"_file_number", "_file_count", "chsh_max"}
+    # the CLI maps FockoptError to its exit codes; a ValueError or an
+    # AssertionError escapes as exit 1.  The two file-number readers raise
+    # ValueError on purpose: the state, circuit and unitary readers turn it
+    # into InvalidFile.
+    allowed = {("_file_number", "ValueError"), ("_file_count", "ValueError")}
     found = [
-        f"{path.name}:{line} in {function}"
+        f"{path.name}:{line} {name} in {function}"
         for path in sorted(SOURCE.glob("*.py"))
-        for function, line in _value_error_raises(
+        for function, line, name in _flagged_raises(
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         )
-        if function not in allowed
+        if (function, name) not in allowed
     ]
-    assert not found, f"ValueError raised by the library: {found}"
+    assert not found, f"non-FockoptError raised by the library: {found}"
+
+
+def test_library_does_not_import_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests as an oracle
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        )
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert not found, f"scipy imported by the library: {found}"

@@ -19,6 +19,7 @@ from fockopt.errors import (
 )
 from helpers import (
     assert_states_close,
+    detection_distribution,
     embedded_gate,
     oracle_amplitude,
     oracle_evolve,
@@ -199,8 +200,8 @@ class TestApplyModeUnitary:
         for i, j in enumerate(perm):
             p[i, j] = 1.0
         out = fo.apply_mode_unitary(s, p)
-        dist = fo.detection_distribution(s)
-        dist_p = fo.detection_distribution(out)
+        dist = detection_distribution(s)
+        dist_p = detection_distribution(out)
         for occ, prob in dist.items():
             relabeled = [0] * 4
             for i, j in enumerate(perm):
@@ -313,25 +314,25 @@ class TestSectorKernel:
 
 class TestDetectionDistribution:
     def test_basis_state(self):
-        assert fo.detection_distribution(fo.make_number_state((1, 1))) == {(1, 1): 1.0}
+        assert detection_distribution(fo.make_number_state((1, 1))) == {(1, 1): 1.0}
 
     def test_hadamard_binomial(self):
         out = fo.apply_mode_unitary(fo.make_number_state((2, 0)), fo.hadamard())
-        dist = fo.detection_distribution(out)
+        dist = detection_distribution(out)
         assert abs(dist[(2, 0)] - 0.25) < 1e-12
         assert abs(dist[(1, 1)] - 0.5) < 1e-12
         assert abs(dist[(0, 2)] - 0.25) < 1e-12
 
     def test_hom_distribution(self):
         out = fo.apply_mode_unitary(fo.make_number_state((1, 1)), fo.hadamard())
-        dist = fo.detection_distribution(out)
+        dist = detection_distribution(out)
         assert abs(dist[(2, 0)] - 0.5) < 1e-12
         assert abs(dist[(0, 2)] - 0.5) < 1e-12
         assert (1, 1) not in dist
 
     def test_probabilities_sum_to_one(self, rng):
         s = random_state(rng, 3, 4)
-        assert abs(sum(fo.detection_distribution(s).values()) - 1.0) < 1e-10
+        assert abs(sum(detection_distribution(s).values()) - 1.0) < 1e-10
 
 
 class TestHerald:
@@ -377,9 +378,9 @@ class TestHerald:
     @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
     def test_conditional_distribution(self, rng, statistics):
         s = random_state(rng, 3, 4, statistics)
-        dist = fo.detection_distribution(s)
+        dist = detection_distribution(s)
         out, prob = fo.herald(s, {1, 3}, {1: 1, 3: 0})
-        conditional = fo.detection_distribution(out)
+        conditional = detection_distribution(out)
         for occ, p in dist.items():
             if occ[1] == 1 and occ[3] == 0:
                 key = (occ[0], occ[2])
