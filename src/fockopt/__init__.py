@@ -13,9 +13,7 @@ from .bell import (
     bell_test,
     chsh_max,
     dual_rail_measurement_circuit,
-    filter_condition_residuals,
     find_witness,
-    product_condition,
     replay_witness,
     two_mode_preparations,
     witness_from_dict,
@@ -41,11 +39,9 @@ from .circuits import (
 )
 from .classify import (
     Classification,
-    extract_alpha,
     is_single_mode_type,
     phase_distance,
     single_mode_state,
-    transform_alpha,
 )
 from .errors import (
     DegenerateAmplitude,
@@ -54,7 +50,6 @@ from .errors import (
     InvalidFile,
     InvalidOccupation,
     InvalidParameter,
-    NotSingleMode,
     NotUnitary,
     PauliForbidden,
     ShapeMismatch,

@@ -9,8 +9,9 @@ For states that are not reducible to a single mode, :func:`find_witness`
 assembles an explicit violating experiment.  Herald prefixes reduce the state
 to two modes, and :func:`two_mode_preparations` supplies the final stage: the
 heralded two-mode filters, then the quantum-erasure filter for NOON-like
-states.  :func:`bell_test` runs one such preparation through the splitter
-stage and the CHSH optimum; it is the only runner of the construction.
+states.  Whether a filter yields a violation is decided by running it:
+:func:`bell_test` runs one such preparation through the splitter stage and
+the CHSH optimum; it is the only runner of the construction.
 """
 
 import math
@@ -38,7 +39,12 @@ from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald
 VIOLATION_MARGIN = 1e-6
 # middle coefficients below this fraction of the largest one count as absent
 NOON_REL_TOL = 1e-9
-CHSH_MAX_VALUE = 2.0 * math.sqrt(2.0)
+# eigenvalues of T^T T this small count as zero in the CHSH optimum
+EIGEN_FLOOR = 1e-18
+# largest gap allowed between the CHSH optimum and its settings' direct value
+SETTINGS_CHECK_TOL = 1e-9
+# a measurement basis this close to the identity needs no beam splitter
+IDENTITY_BASIS_TOL = 1e-14
 
 _PAULI = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
@@ -57,7 +63,7 @@ BOB_RAILS = (3, 1)
 
 
 class TwoQubitState:
-    """Amplitudes (e, f, g, h) on the basis (uu, ud, du, dd)."""
+    """Amplitudes on the basis (uu, ud, du, dd)."""
 
     __slots__ = ("amplitudes",)
 
@@ -74,22 +80,6 @@ class TwoQubitState:
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoQubitState is immutable")
-
-    @property
-    def e(self):
-        return self.amplitudes[0]
-
-    @property
-    def f(self):
-        return self.amplitudes[1]
-
-    @property
-    def g(self):
-        return self.amplitudes[2]
-
-    @property
-    def h(self):
-        return self.amplitudes[3]
 
     def correlation_matrix(self):
         """3x3 matrix of Pauli-Pauli expectation values."""
@@ -146,11 +136,6 @@ def yurke_stoler_postselect(phi):
     return TwoQubitState(amps / math.sqrt(prob)), prob
 
 
-def product_condition(chi, tol=1e-9):
-    """True iff the two-qubit state factorizes: e*h == f*g within ``tol``."""
-    return abs(chi.e * chi.h - chi.f * chi.g) < tol
-
-
 def chsh_max(chi):
     """Exact CHSH maximum 2*sqrt(l1+l2) over projective settings.
 
@@ -164,14 +149,14 @@ def chsh_max(chi):
     lam1, lam2 = max(w[order[0]], 0.0), max(w[order[1]], 0.0)
     c1, c2 = v[:, order[0]], v[:, order[1]]
     total = lam1 + lam2
-    if total < 1e-18:
+    if total < EIGEN_FLOOR:
         raise InvalidParameter("correlation matrix vanishes; no projective optimum")
     cos_t = math.sqrt(lam1 / total)
     sin_t = math.sqrt(lam2 / total)
     b1 = cos_t * c1 + sin_t * c2
     b2 = cos_t * c1 - sin_t * c2
-    a1 = t @ c1 / math.sqrt(lam1) if lam1 > 1e-18 else np.array([0.0, 0.0, 1.0])
-    if lam2 > 1e-18:
+    a1 = t @ c1 / math.sqrt(lam1) if lam1 > EIGEN_FLOOR else np.array([0.0, 0.0, 1.0])
+    if lam2 > EIGEN_FLOOR:
         a2 = t @ c2 / math.sqrt(lam2)
     else:
         # degenerate direction contributes E(a2,b1) - E(a2,b2) = 0 exactly
@@ -183,7 +168,7 @@ def chsh_max(chi):
         + chi.expectation(a2, b1)
         - chi.expectation(a2, b2)
     )
-    if abs(direct - value) > 1e-9:
+    if abs(direct - value) > SETTINGS_CHECK_TOL:
         raise InvalidParameter(
             f"settings reproduce {direct!r} instead of the criterion value {value!r}"
         )
@@ -215,7 +200,7 @@ def dual_rail_measurement_circuit(basis, modes, n_modes=None):
     if n_modes is None:
         n_modes = max(modes) + 1
     gate = basis.conj()
-    if np.max(np.abs(gate - np.eye(2))) < 1e-14:
+    if np.max(np.abs(gate - np.eye(2))) < IDENTITY_BASIS_TOL:
         return Circuit(n_modes, [])
     # the splitter checks unitarity; a non-finite basis is never the identity
     return Circuit(n_modes, [BeamSplitter(tuple(modes), gate)])
@@ -225,64 +210,15 @@ def dual_rail_measurement_circuit(basis, modes, n_modes=None):
 # two-mode many-particle filters
 # ---------------------------------------------------------------------------
 
-def two_mode_coefficients(phi):
-    """Coefficients b_n of a_1^dag^n a_2^dag^(N-n) / sqrt(n!(N-n)!), n=0..N."""
+def _noon_like(phi):
+    """True iff every middle coefficient of the two-mode state, on |n, N-n>
+    with 0 < n < N, vanishes relative to the largest one, so that only the
+    coefficients of |N, 0> and |0, N> can survive."""
     if phi.n_modes != 2:
         raise ShapeMismatch("expected a two-mode state")
-    b = np.zeros(phi.n_particles + 1, dtype=complex)
-    b[phi._occ[:, 0]] = phi._amp
-    return b
-
-
-@dataclass
-class FilterResiduals:
-    """Deviations from the recurrence the filter tests impose.
-
-    ``residuals[s]`` is |b_{s+1}^2 - b_s b_{s+2} sqrt((s+2)/(s+1))
-    sqrt((N-s)/(N-s-1))|.  When every middle coefficient vanishes the
-    recurrence is blind, and ``noon_residual`` = |b_0 * b_N| reports the
-    remaining obstruction (nonzero exactly for proper NOON states).
-    """
-
-    residuals: list
-    noon_applicable: bool
-    noon_residual: float
-
-    @property
-    def max_residual(self):
-        worst = max(self.residuals) if self.residuals else 0.0
-        if self.noon_applicable:
-            worst = max(worst, self.noon_residual)
-        return worst
-
-
-def _noon_like(phi):
-    """True iff every middle coefficient of the two-mode state vanishes
-    relative to the largest one, so that only b_0 and b_N can survive."""
-    beta = two_mode_coefficients(phi)
-    peak = np.max(np.abs(beta))
-    return phi.n_particles >= 2 and bool(np.all(np.abs(beta[1:-1]) < NOON_REL_TOL * peak))
-
-
-def filter_condition_residuals(phi):
-    """Evaluate the two-mode product-form constraints coefficient-wise."""
-    beta = two_mode_coefficients(phi)
-    n = phi.n_particles
-    if n < 2:
-        return FilterResiduals([], False, 0.0)
-    res = [
-        abs(
-            beta[s + 1] ** 2
-            - beta[s]
-            * beta[s + 2]
-            * math.sqrt((s + 2) / (s + 1))
-            * math.sqrt((n - s) / (n - s - 1))
-        )
-        for s in range(n - 1)
-    ]
-    noon_applicable = _noon_like(phi)
-    noon_residual = float(abs(beta[0] * beta[-1])) if noon_applicable else 0.0
-    return FilterResiduals(res, noon_applicable, noon_residual)
+    mag = np.abs(phi._amp)
+    middle = phi._occ.min(axis=1) > 0
+    return phi.n_particles >= 2 and bool(np.all(mag[middle] < NOON_REL_TOL * mag.max()))
 
 
 def two_mode_preparations(phi, live, ancillas):
@@ -331,16 +267,13 @@ class WitnessExperiment:
     ``circuit`` is the event-ready preparation: fed with the input state (and
     vacuum on any extra modes) it heralds a two-particle state on its two
     output modes.  That state enters the standard splitter stage, and the
-    stored settings achieve ``result.chsh``.  ``parties`` names the dual-rail
-    modes of the splitter-stage register.
+    stored settings achieve ``result.chsh``.  Alice holds the dual-rail
+    modes ``ALICE_RAILS`` of the splitter-stage register and Bob holds
+    ``BOB_RAILS``.
     """
 
     circuit: Circuit
     result: BellTestResult
-
-    @property
-    def parties(self):
-        return {"alice": ALICE_RAILS, "bob": BOB_RAILS}
 
     @property
     def heralds(self):

@@ -8,7 +8,6 @@ to the end and applies them as one joint herald.
 """
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from .states import (
     _file_count,
     _file_number,
     _read_json,
+    _write_json,
     evolve,
     herald,
     reck_gates,
@@ -407,6 +407,4 @@ def load_circuit(path):
 
 
 def save_circuit(circuit, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_dict(circuit), fh, indent=1)
-        fh.write("\n")
+    _write_json(circuit_to_dict(circuit), path)

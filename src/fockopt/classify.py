@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NotSingleMode, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, ZERO_NORM, FockState, _sector, require_unitary
+from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
+from .states import BOSON, FERMION, ZERO_NORM, FockState, _sector
 
 DEFAULT_TOL = 1e-8
+# an overlap below this has no phase worth aligning to
+OVERLAP_FLOOR = 1e-300
 
 
 def _product_form(alpha, occ, sqrt_multinomial):
@@ -60,9 +62,6 @@ class Classification:
     alpha: np.ndarray | None
     residual: float
     violation: tuple | None
-
-    def __bool__(self):
-        return self.single_mode
 
 
 def is_single_mode_type(state, tol=DEFAULT_TOL):
@@ -136,32 +135,6 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     return Classification(False, None, worst / peak, occupation(np.flatnonzero(dev >= atol)[-1]))
 
 
-def extract_alpha(state, tol=DEFAULT_TOL):
-    """Amplitude vector of a single-mode-type state, unique up to phase.
-
-    Raises NotSingleMode when the coefficients do not fit the product form
-    (the exception carries the Classification), and InvalidParameter for the
-    vacuum, where the vector is undefined.
-    """
-    result = is_single_mode_type(state, tol)
-    if not result.single_mode:
-        raise NotSingleMode(result)
-    if result.alpha is None:
-        raise InvalidParameter("the vacuum has no amplitude-vector representation")
-    return result.alpha
-
-
-def transform_alpha(alpha, u):
-    """Row-vector action of a mode unitary: alpha -> alpha @ U."""
-    alpha = np.asarray(alpha, dtype=complex)
-    u = require_unitary(u)
-    if alpha.shape != (u.shape[0],):
-        raise ShapeMismatch(
-            f"alpha has {alpha.shape[0]} entries, unitary is {u.shape[0]}x{u.shape[1]}"
-        )
-    return alpha @ u
-
-
 def phase_distance(a, b):
     """Distance between unit vectors modulo a global phase.
 
@@ -171,5 +144,5 @@ def phase_distance(a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     overlap = np.vdot(a, b)
-    phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 1e-300 else 1.0
+    phase = overlap.conjugate() / abs(overlap) if abs(overlap) > OVERLAP_FLOOR else 1.0
     return float(np.linalg.norm(a - phase * b))

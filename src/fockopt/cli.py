@@ -27,11 +27,20 @@ from .circuits import (
     load_circuit,
     reck_decompose,
     run_circuit,
+    save_circuit,
 )
 from .classify import DEFAULT_TOL, is_single_mode_type
 from .errors import FockoptError, InvalidFile, InvalidParameter, ZeroOutcome
 from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
-from .states import HERALD_CUTOFF, _read_json, embed, load_state, state_to_dict
+from .states import (
+    HERALD_CUTOFF,
+    _read_json,
+    _write_json,
+    embed,
+    load_state,
+    save_state,
+    state_to_dict,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -136,8 +145,6 @@ def _cmd_evolve(args):
         print(f"herald never fires: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.output:
-        from .states import save_state
-
         save_state(out, args.output)
     if args.format == "json":
         _print_json({"probability": prob, "state": state_to_dict(out)})
@@ -182,9 +189,7 @@ def _cmd_witness(args):
         return EXIT_NEGATIVE
     payload = witness_to_dict(experiment)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _write_json(payload, args.output)
     if args.format == "json" or not args.output:
         _print_json(payload)
     else:
@@ -225,14 +230,11 @@ def _cmd_lhv_compare(args):
 def _cmd_decompose(args):
     u = _load_unitary(args.unitary)
     circuit = reck_decompose(u)
-    payload = circuit_to_dict(circuit)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        save_circuit(circuit, args.output)
         print(f"circuit written to {args.output}")
     else:
-        _print_json(payload)
+        _print_json(circuit_to_dict(circuit))
     return EXIT_OK
 
 

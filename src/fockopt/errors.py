@@ -37,13 +37,6 @@ class PauliForbidden(FockoptError):
     """Requested a multi-particle single-mode fermion state."""
 
 
-class NotSingleMode(FockoptError):
-    """State is not reducible to a single mode.
-
-    Carries the classification diagnostic as ``args[0]`` when available.
-    """
-
-
 class DegenerateAmplitude(FockoptError):
     """Hidden-variable beam splitter hit vanishing amplitudes with particles present."""
 

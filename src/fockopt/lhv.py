@@ -34,6 +34,8 @@ DEFAULT_SEED = 20240901
 BLOCK = 4096
 # a pair whose weight is below this carries no particles and gets no split
 EMPTY_PAIR = 1e-30
+# largest deviation of |alpha| from 1 that a preparation accepts
+SPEC_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class EpistemicSpec:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=complex)
         # written so that a NaN norm fails it too
-        if not abs(np.linalg.norm(alpha) - 1.0) <= 1e-9:
+        if not abs(np.linalg.norm(alpha) - 1.0) <= SPEC_NORM_TOL:
             raise ShapeMismatch("epistemic amplitude vector must be finite and normalized")
         alpha = alpha.copy()
         alpha.flags.writeable = False
@@ -121,11 +123,6 @@ class LhvRunResult:
     @property
     def herald_rate(self):
         return self.accepted / self.shots if self.shots else 0.0
-
-    def frequencies(self):
-        if not self.accepted:
-            return {}
-        return {k: v / self.accepted for k, v in self.counts.items()}
 
 
 def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
@@ -305,20 +302,13 @@ def _chi_square_p(observed, expected_probs, total):
     return _chi2_sf(len(obs) - 1, stat)
 
 
-def _condition(dist, readout_modes, groups):
-    """Restrict a readout distribution to outcomes matching group-sum rules."""
+def _postselection(readout_modes, groups):
+    """Predicate on readout outcomes: each ``(modes, required)`` group of
+    readout modes holds exactly ``required`` particles in total."""
     index = {m: i for i, m in enumerate(readout_modes)}
-    kept = {}
-    for outcome, p in dist.items():
-        ok = True
-        for modes, required in groups:
-            if sum(outcome[index[m]] for m in modes) != required:
-                ok = False
-                break
-        if ok:
-            kept[outcome] = p
-    total = sum(kept.values())
-    return ({k: v / total for k, v in kept.items()}, total)
+    return lambda outcome: all(
+        sum(outcome[index[m]] for m in modes) == required for modes, required in groups
+    )
 
 
 def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None):
@@ -337,18 +327,14 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
     qstats = detector_statistics(spec.quantum_state(), circuit)
     qdist = qstats.distribution
     run = run_lhv_experiment(spec, circuit, shots, seed)
-    lhv_counts = dict(run.counts)
+    lhv_counts = run.counts
     accepted = run.accepted
     if postselect:
-        qdist, _ = _condition(qdist, qstats.readout_modes, postselect)
-        index = {m: i for i, m in enumerate(run.readout_modes)}
-        lhv_counts = {
-            k: v
-            for k, v in lhv_counts.items()
-            if all(
-                sum(k[index[m]] for m in modes) == req for modes, req in postselect
-            )
-        }
+        keep = _postselection(run.readout_modes, postselect)
+        qdist = {k: p for k, p in qdist.items() if keep(k)}
+        total = sum(qdist.values())
+        qdist = {k: p / total for k, p in qdist.items()}
+        lhv_counts = {k: v for k, v in lhv_counts.items() if keep(k)}
         accepted = sum(lhv_counts.values())
     freqs = {k: v / accepted for k, v in lhv_counts.items()} if accepted else {}
     outcomes = sorted(set(qdist) | set(freqs))

@@ -62,6 +62,10 @@ ZERO_NORM = 1e-12
 PRUNE_REL = 1e-14
 # Givens rotations of entries below this are skipped by the Reck factorization
 RECK_TOL = 1e-13
+# diagonal phases of the Reck factorization below this are left out
+RECK_PHASE_TOL = 1e-12
+# a state file whose norm deviates from 1 by more than this warns on renormalizing
+FILE_NORM_TOL = 1e-6
 # cached sectors and two-mode index sets; a fixed bound keeps memory flat when
 # many shapes pass through
 SECTOR_CACHE = 64
@@ -262,12 +266,20 @@ def _sector(n_modes, n_particles, fermionic):
         basis.append(tuple(occ))
     rank = {occ: r for r, occ in enumerate(basis)}
     occupations = np.array(basis, dtype=np.intp).reshape(len(basis), n_modes)
-    # exact integer multinomials, each rounded once to float
     top = math.factorial(n_particles)
-    sqrt_multinomial = np.sqrt(
-        [float(top // math.prod(map(math.factorial, occ))) for occ in basis]
-    )
-    return rank, _read_only(occupations), _read_only(sqrt_multinomial)
+    multinomials = _floats(top // math.prod(map(math.factorial, occ)) for occ in basis)
+    return rank, _read_only(occupations), _read_only(np.sqrt(multinomials))
+
+
+def _floats(exact):
+    """Exact integers, each rounded once to float; InvalidParameter when one
+    exceeds the float range."""
+    try:
+        return [float(k) for k in exact]
+    except OverflowError as exc:
+        raise InvalidParameter(
+            f"too many particles: a factorial term exceeds the float range ({exc})"
+        ) from exc
 
 
 @functools.lru_cache(maxsize=PAIR_CACHE)
@@ -277,29 +289,32 @@ def _pair_blocks(n_modes, n_particles, fermionic, s, t):
     Returns ``(n, odd, idx)`` for each n = n_s + n_t > 0 and, for fermions,
     each parity ``odd`` of the occupied modes strictly between s and t.  Row
     r of ``idx`` holds the ranks of one occupation of the other modes, ordered
-    by n_s ascending.
+    by n_s ascending; rows come in descending order of that occupation, the
+    order in which they first appear in rank order.  Each row holds every n_s
+    from max(0, n - cap) to min(n, cap), so one sort lays the blocks out.
     """
     occupations = _sector(n_modes, n_particles, fermionic)[1]
+    ranks = np.flatnonzero(occupations[:, s] + occupations[:, t])
+    occ = occupations[ranks]
+    n = occ[:, s] + occ[:, t]
+    odd = occ[:, s + 1 : t].sum(axis=1) % 2 if fermionic else np.zeros_like(n)
+    rest = np.delete(occ, (s, t), axis=1)
+    # by n, odd, then the other modes descending, then n_s (last key first)
+    order = np.lexsort((occ[:, s], *(-rest[:, ::-1]).T, odd, n))
+    ranks, n, odd = ranks[order], n[order], odd[order]
+    _, starts = np.unique(2 * n + odd, return_index=True)
     cap = 1 if fermionic else n_particles
-    groups = {}
-    for r, occ in enumerate(map(tuple, occupations.tolist())):
-        n = occ[s] + occ[t]
-        if n == 0:
-            continue
-        odd = fermionic and sum(occ[s + 1 : t]) % 2 == 1
-        lo = max(0, n - cap)
-        rest = occ[:s] + occ[s + 1 : t] + occ[t + 1 :]
-        row = groups.setdefault((n, odd), {}).setdefault(rest, [0] * (min(n, cap) - lo + 1))
-        row[occ[s] - lo] = r
-    return tuple(
-        (n, odd, _read_only(np.array(list(rows.values()), dtype=np.intp)))
-        for (n, odd), rows in groups.items()
-    )
+    out = []
+    for start, idx in zip(starts.tolist(), np.split(ranks, starts[1:])):
+        k = int(n[start])
+        width = min(k, cap) - max(0, k - cap) + 1
+        out.append((k, bool(odd[start]), _read_only(idx.reshape(-1, width))))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=SECTOR_CACHE)
 def _number_scale(n):
-    f = np.sqrt([math.factorial(k) * math.factorial(n - k) for k in range(n + 1)])
+    f = np.sqrt(_floats(math.factorial(k) * math.factorial(n - k) for k in range(n + 1)))
     return _read_only(f[:, None] / f[None, :])
 
 
@@ -389,7 +404,7 @@ def reck_gates(u):
             gates.append(((row - 1, row), r.conj().T))
     for mode in range(m):
         phi = cmath.phase(a[mode, mode])
-        if abs(phi) > 1e-12:
+        if abs(phi) > RECK_PHASE_TOL:
             gates.append(((mode,), phi))
     return gates
 
@@ -415,8 +430,8 @@ def herald(state, measured_modes, required_counts):
 
     Returns ``(state on the remaining modes, success probability)``; the
     remaining modes keep their relative order.  Raises ZeroOutcome when the
-    projected component has probability below 1e-14.  The projection is a
-    row mask on the state's terms (see the module docstring).
+    projected component has probability below ``HERALD_CUTOFF``.  The
+    projection is a row mask on the state's terms (see the module docstring).
     """
     measured = sorted(set(int(m) for m in measured_modes))
     required = {int(k): int(v) for k, v in required_counts.items()}
@@ -531,7 +546,7 @@ def state_from_dict(data):
         raw = FockState(statistics, n_modes, amps, normalized=False)
     except (InvalidOccupation, ShapeMismatch, ZeroState) as exc:
         raise InvalidFile(f"invalid state content: {exc}") from exc
-    if abs(raw.norm - 1.0) > 1e-6:
+    if abs(raw.norm - 1.0) > FILE_NORM_TOL:
         warnings.warn(
             f"state file norm {raw.norm:.9g} deviates from 1; renormalizing",
             stacklevel=2,
@@ -556,7 +571,12 @@ def load_state(path):
     return state_from_dict(_read_json(path))
 
 
-def save_state(state, path):
+def _write_json(payload, path):
+    """Write ``payload`` to ``path`` as JSON indented by one, newline-terminated."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
+        json.dump(payload, fh, indent=1)
         fh.write("\n")
+
+
+def save_state(state, path):
+    _write_json(state_to_dict(state), path)

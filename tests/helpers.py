@@ -202,6 +202,11 @@ def detection_distribution(state):
     return {occ: abs(amp) ** 2 for occ, amp in state.items()}
 
 
+def is_product(chi, tol=1e-9):
+    """True iff the two-qubit state factorizes: its 2x2 amplitude matrix is singular."""
+    return abs(np.linalg.det(chi.amplitudes.reshape(2, 2))) < tol
+
+
 def state_from_occupation_map(amps, statistics=fo.BOSON):
     m = len(next(iter(amps)))
     return fo.FockState(statistics, m, amps)
@@ -311,3 +316,24 @@ def oracle_single_mode(state, tol=1e-8):
         if worst < best[0]:
             best = (worst, violation)
     return fo.Classification(False, None, best[0] / peak, best[1])
+
+
+def oracle_pair_blocks(n_modes, n_particles, fermionic, s, t):
+    """``states._pair_blocks`` by a walk over the sector: each rank joins the
+    row of its (n, odd, other-mode occupation) key at column n_s - lo."""
+    occupations = fo.states._sector(n_modes, n_particles, fermionic)[1]
+    cap = 1 if fermionic else n_particles
+    groups = {}
+    for r, occ in enumerate(map(tuple, occupations.tolist())):
+        n = occ[s] + occ[t]
+        if n == 0:
+            continue
+        odd = fermionic and sum(occ[s + 1 : t]) % 2 == 1
+        lo = max(0, n - cap)
+        rest = occ[:s] + occ[s + 1 : t] + occ[t + 1 :]
+        row = groups.setdefault((n, odd), {}).setdefault(rest, [0] * (min(n, cap) - lo + 1))
+        row[occ[s] - lo] = r
+    return tuple(
+        (n, odd, np.array(list(rows.values()), dtype=np.intp))
+        for (n, odd), rows in groups.items()
+    )

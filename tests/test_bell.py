@@ -6,7 +6,7 @@ import pytest
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
-from helpers import random_alpha, random_state, random_unitary, two_mode_stages
+from helpers import is_product, random_alpha, random_state, random_unitary, two_mode_stages
 
 SQ2 = math.sqrt(2.0)
 CHSH_TSIRELSON = 2.0 * SQ2
@@ -76,7 +76,7 @@ class TestYurkeStolerPostselect:
         phi = two_mode_state([0.5, 1 / SQ2, 0.5])
         chi, prob = fo.yurke_stoler_postselect(phi)
         assert abs(prob - 0.5) < 1e-12
-        assert fo.product_condition(chi)
+        assert is_product(chi)
 
     def test_general_amplitude_map(self, rng):
         # chi = (alpha/sqrt2, beta/2, beta/2, gamma/sqrt2), renormalized
@@ -104,10 +104,10 @@ class TestYurkeStolerPostselect:
 class TestProductCondition:
     def test_triplet_entangled(self):
         chi = fo.TwoQubitState([0, 1 / SQ2, 1 / SQ2, 0])
-        assert not fo.product_condition(chi)
+        assert not is_product(chi)
 
     def test_basis_product(self):
-        assert fo.product_condition(fo.TwoQubitState([1, 0, 0, 0]))
+        assert is_product(fo.TwoQubitState([1, 0, 0, 0]))
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -123,7 +123,7 @@ class TestProductCondition:
         u1, u2 = random_alpha(rng, 2)
         alpha, beta, gamma = u1**2, SQ2 * u1 * u2, u2**2
         chi, _ = fo.yurke_stoler_postselect(two_mode_state([gamma, beta, alpha]))
-        assert fo.product_condition(chi)
+        assert is_product(chi)
 
 
 class TestChshMax:
@@ -211,12 +211,12 @@ class TestChshMax:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             chi = fo.TwoQubitState(v / np.linalg.norm(v))
             res = fo.chsh_max(chi)
-            assert fo.product_condition(chi) == (res.chsh <= 2.0 + 1e-9)
+            assert is_product(chi) == (res.chsh <= 2.0 + 1e-9)
         for _ in range(5):
             q1 = random_alpha(rng, 2)
             q2 = random_alpha(rng, 2)
             chi = fo.TwoQubitState(np.kron(q1, q2))
-            assert fo.product_condition(chi)
+            assert is_product(chi)
             assert fo.chsh_max(chi).chsh <= 2.0 + 1e-9
 
 
@@ -242,39 +242,6 @@ class TestDualRailMeasurement:
             p_plus = abs(np.vdot(basis[:, 0], q)) ** 2
             assert abs(stats.distribution.get((1, 0), 0.0) - p_plus) < 1e-9
             assert abs(stats.distribution.get((0, 1), 0.0) - (1 - p_plus)) < 1e-9
-
-
-class TestFilterConditions:
-    def test_single_mode_states_satisfy_recurrence(self, rng):
-        for n in (2, 3, 4, 5):
-            phi = fo.single_mode_state(random_alpha(rng, 2), n)
-            residuals = fo.filter_condition_residuals(phi)
-            assert max(residuals.residuals) < 1e-10
-            assert not (residuals.noon_applicable and residuals.noon_residual > 1e-10)
-
-    def test_noon_clause(self):
-        noon = two_mode_state([1 / SQ2, 0, 0, 1 / SQ2])
-        residuals = fo.filter_condition_residuals(noon)
-        assert residuals.noon_applicable
-        assert abs(residuals.noon_residual - 0.5) < 1e-12
-
-    def test_pair_state_residual_is_one(self):
-        residuals = fo.filter_condition_residuals(fo.make_number_state((1, 1)))
-        assert abs(residuals.residuals[0] - 1.0) < 1e-12
-
-    def test_generic_failures_have_large_residual(self, rng):
-        found = 0
-        while found < 20:
-            n = int(rng.integers(2, 6))
-            beta = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            beta /= np.linalg.norm(beta)
-            if np.min(np.abs(beta)) < 0.01:
-                continue
-            phi = two_mode_state(beta)
-            if fo.is_single_mode_type(phi).single_mode:
-                continue
-            found += 1
-            assert fo.filter_condition_residuals(phi).max_residual >= 1e-3
 
 
 class TestRunFilteredYS:

@@ -126,7 +126,7 @@ class TestClassify:
         assert code == 0
         payload = printed_json(capsys)
         alpha = np.array([complex(re, im) for re, im in payload["alpha"]])
-        assert fo.phase_distance(alpha, fo.extract_alpha(single)) < 1e-9
+        assert fo.phase_distance(alpha, fo.is_single_mode_type(single).alpha) < 1e-9
 
     def test_generic_exits_10(self, tmp_path, generic):
         assert main(["classify", state_file(tmp_path, generic)]) == 10
@@ -226,6 +226,21 @@ class TestEvolve:
         code = main(["evolve", state_file(tmp_path, generic), write(tmp_path, "c.json", circuit)])
         assert code == 10
 
+    def test_many_bosons_exit_0(self, tmp_path, capsys):
+        state = fo.make_number_state((21, 0))
+        splitter = fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())])
+        code = main(
+            ["evolve", state_file(tmp_path, state), circuit_file(tmp_path, splitter), "--format", "json"]
+        )
+        assert code == 0
+        out = fo.state_from_dict(printed_json(capsys)["state"])
+        assert abs(out.amplitude((10, 11)) - math.sqrt(math.comb(21, 10)) / 2**10.5) < 1e-12
+
+    def test_factorials_beyond_float_range_exit_2(self, tmp_path):
+        state = fo.make_number_state((171, 0))
+        splitter = fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())])
+        assert main(["evolve", state_file(tmp_path, state), circuit_file(tmp_path, splitter)]) == 2
+
     def test_nan_beam_splitter_exits_2(self, tmp_path, generic):
         circuit = {
             "modes": 3,
@@ -281,6 +296,9 @@ class TestWitness:
 
     def test_tiny_support_entry_exits_10(self):
         assert main(["witness", str(FAULTY_SINGLE)]) == 10
+
+    def test_many_bosons_in_one_mode_exit_10(self, tmp_path):
+        assert main(["witness", state_file(tmp_path, fo.make_number_state((21, 0)))]) == 10
 
     def test_malformed_state_exits_2(self, tmp_path):
         payload = {"statistics": "boson", "modes": 2, "terms": [{"occ": [1.7, 1], "re": 1.0}]}

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "fockopt"
@@ -60,3 +61,74 @@ def test_library_does_not_import_scipy():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
     ]
     assert not found, f"scipy imported by the library: {found}"
+
+
+def _functions(tree):
+    return (
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+
+
+def test_tolerances_are_named_constants():
+    # a tolerance written inline is one nobody can find or tune; module-level
+    # constants name them, so small float literals stay out of function bodies
+    found = sorted(
+        {
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for path in sorted(SOURCE.glob("*.py"))
+            for function in _functions(ast.parse(path.read_text(encoding="utf-8")))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and 0.0 < node.value < 1e-5
+        }
+    )
+    assert not found, f"small float literals inside functions: {found}"
+
+
+def _references(tree):
+    """Identifiers a tree refers to: names, attribute names and string constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _definitions(tree):
+    """(name, defining statement) of each top-level name of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_top_level_name_is_used():
+    # a library name that nothing refers to, outside its own definition and
+    # the package's re-exports, is dead code
+    root = SOURCE.parents[1]
+    files = [
+        path
+        for folder in ("src", "tests", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    uses = Counter(name for tree in trees.values() for name in _references(tree))
+    found = [
+        f"{path.name}: {name}"
+        for path in files
+        if path.parent == SOURCE
+        for name, node in _definitions(trees[path])
+        if uses[name] == Counter(_references(node))[name]
+    ]
+    assert not found, f"top-level names nothing refers to: {found}"

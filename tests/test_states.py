@@ -24,6 +24,7 @@ from helpers import (
     oracle_amplitude,
     oracle_evolve,
     oracle_herald,
+    oracle_pair_blocks,
     random_state,
     random_unitary,
     sector_occupations,
@@ -120,6 +121,20 @@ class TestApplyModeUnitary:
         assert abs(out.amplitude((2, 0)) - 0.5) < 1e-12
         assert abs(out.amplitude((1, 1)) - 1 / SQ2) < 1e-12
         assert abs(out.amplitude((0, 2)) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("n", [21, 30, 100])
+    def test_hadamard_on_many_bosons(self, n):
+        # past N = 20, k!(N-k)! no longer fits a machine integer
+        out = fo.apply_mode_unitary(fo.make_number_state((n, 0)), fo.hadamard())
+        for k in range(n + 1):
+            expected = math.sqrt(math.comb(n, k)) / 2 ** (n / 2)
+            assert abs(out.amplitude((k, n - k)) - expected) < 1e-12
+
+    def test_factorials_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidParameter):
+            fo.apply_mode_unitary(fo.make_number_state((171, 0)), fo.hadamard())
+        with pytest.raises(InvalidParameter):
+            fo.single_mode_state([1, 1], 1100)
 
     def test_identity(self, rng):
         s = random_state(rng, 3, 3)
@@ -310,6 +325,22 @@ class TestSectorKernel:
         seq = fo.apply_mode_unitary(fo.apply_mode_unitary(s, u), v)
         assert_matches_oracle(seq, s, u @ v)
         assert_matches_oracle(fo.apply_mode_unitary(s, u @ v), s, u @ v)
+
+    @pytest.mark.parametrize("fermionic", [False, True])
+    def test_pair_blocks_match_sector_walk(self, fermionic):
+        for m in range(2, 7):
+            for n in range(m + 1 if fermionic else 5):
+                for s, t in itertools.combinations(range(m), 2):
+                    blocks = {
+                        (k, odd): idx
+                        for k, odd, idx in fo.states._pair_blocks(m, n, fermionic, s, t)
+                    }
+                    walk = {
+                        (k, odd): idx for k, odd, idx in oracle_pair_blocks(m, n, fermionic, s, t)
+                    }
+                    assert blocks.keys() == walk.keys()
+                    for key, idx in blocks.items():
+                        assert set(map(tuple, idx.tolist())) == set(map(tuple, walk[key].tolist()))
 
 
 class TestDetectionDistribution:
