@@ -5,13 +5,14 @@ two-particle two-mode state into a pair of dual-rail qubits once runs with one
 particle per rail pair are kept.  CHSH is then maximized exactly through the
 two-qubit correlation-matrix criterion.
 
-For states that are not reducible to a single mode, :func:`find_witness`
-assembles an explicit violating experiment.  Herald prefixes reduce the state
-to two modes, and :func:`two_mode_preparations` supplies the final stage: the
-heralded two-mode filters, then the quantum-erasure filter for NOON-like
-states.  Whether a filter yields a violation is decided by running it:
-:func:`bell_test` runs one such preparation through the splitter stage and
-the CHSH optimum; it is the only runner of the construction.
+The classifier decides which states have no witness: those reducible to a
+single mode.  For every other state :func:`find_witness` assembles an
+explicit violating experiment.  Herald prefixes reduce the state to two
+modes, and :func:`two_mode_preparations` supplies the final stage: the
+heralded two-mode filters, then the quantum-erasure filter.  Whether a filter
+yields a violation is decided by running it: :func:`bell_test` runs one such
+preparation through the splitter stage and the CHSH optimum; it is the only
+runner of the construction.
 """
 
 import math
@@ -34,11 +35,9 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
-from .states import FERMION, NORM_TOL, apply_mode_unitary, embed, herald
+from .states import FERMION, NORM_TOL, _file_number, embed, evolve, herald
 
 VIOLATION_MARGIN = 1e-6
-# middle coefficients below this fraction of the largest one count as absent
-NOON_REL_TOL = 1e-9
 # eigenvalues of T^T T this small count as zero in the CHSH optimum
 EIGEN_FLOOR = 1e-18
 # largest gap allowed between the CHSH optimum and its settings' direct value
@@ -118,7 +117,10 @@ class BellTestResult:
     settings_a: tuple
     settings_b: tuple
     success_probability: float
-    violated: bool
+
+    @property
+    def violated(self):
+        return self.chsh > 2.0 + VIOLATION_MARGIN
 
 
 def yurke_stoler_postselect(phi):
@@ -177,7 +179,6 @@ def chsh_max(chi):
         settings_a=(bloch_basis(a1), bloch_basis(a2)),
         settings_b=(bloch_basis(b1), bloch_basis(b2)),
         success_probability=1.0,
-        violated=value > 2.0 + VIOLATION_MARGIN,
     )
 
 
@@ -210,36 +211,23 @@ def dual_rail_measurement_circuit(basis, modes, n_modes=None):
 # two-mode many-particle filters
 # ---------------------------------------------------------------------------
 
-def _noon_like(phi):
-    """True iff every middle coefficient of the two-mode state, on |n, N-n>
-    with 0 < n < N, vanishes relative to the largest one, so that only the
-    coefficients of |N, 0> and |0, N> can survive."""
-    if phi.n_modes != 2:
-        raise ShapeMismatch("expected a two-mode state")
-    mag = np.abs(phi._amp)
-    middle = phi._occ.min(axis=1) > 0
-    return phi.n_particles >= 2 and bool(np.all(mag[middle] < NOON_REL_TOL * mag.max()))
-
-
-def two_mode_preparations(phi, live, ancillas):
-    """Event-ready stages that leave two of the N particles of ``phi`` on ``live``.
+def two_mode_preparations(n, live, ancillas):
+    """Event-ready stages that leave two of ``n`` particles on ``live``.
 
     Every stage splits the two ``live`` modes onto the two empty ``ancillas``
     with Hadamards and heralds N-2 particles there.  Filter stage ``s`` (for
     s = 0..N-2, in this order) heralds ``s`` on the first ancilla and N-2-s on
-    the second.  For NOON-like states, whose middle coefficients vanish and
-    leave every filter blind, one erasure stage follows: a Hadamard across the
-    ancillas before heralding (N-2, 0) erases which-mode information.  Stages
-    are tuples of circuit elements, to be appended to a herald prefix.
+    the second.  One erasure stage follows, for NOON-like states above all,
+    which every filter misses: a Hadamard across the ancillas before heralding
+    (N-2, 0) erases which-mode information (for N = 2 it repeats filter 0).
+    Stages are tuples of circuit elements, to be appended to a herald prefix.
     """
-    n = phi.n_particles
     a, b = ancillas
     h = hadamard()
     split = (BeamSplitter._trusted((live[0], a), h), BeamSplitter._trusted((live[1], b), h))
     for s in range(n - 1):
         yield split + (Detector(a, s), Detector(b, n - 2 - s))
-    if _noon_like(phi):
-        yield split + (BeamSplitter._trusted((a, b), h), Detector(a, n - 2), Detector(b, 0))
+    yield split + (BeamSplitter._trusted((a, b), h), Detector(a, n - 2), Detector(b, 0))
 
 
 def bell_test(state, preparation):
@@ -287,44 +275,36 @@ def _embedded_input(state, circuit):
 
 
 def _boson_candidates(phi, live, prefix, total_modes):
-    """Preparation candidates for a boson state on ``len(live)`` modes.
+    """Preparation candidates for a NOT-SINGLE-MODE boson state, so N >= 2,
+    on ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
 
-    Enumeration order: ancilla filters with ascending ``s`` (then erasure)
-    at two modes; otherwise the zero-count herald on all but the first two
+    Enumeration order: ancilla filters with ascending ``s``, then erasure, at
+    two modes; otherwise the zero-count herald on all but the first two
     modes, the per-count heralds after rotating the surviving two-mode
     component away from mode 1, and finally the empty-mode reduction.
     """
     n = phi.n_particles
-    if n < 2 or len(live) < 2:
-        return
     if len(live) == 2:
-        for stage in two_mode_preparations(phi, live, (total_modes, total_modes + 1)):
+        for stage in two_mode_preparations(n, live, (total_modes, total_modes + 1)):
             yield prefix + stage
         return
     rest_local = list(range(2, len(live)))
-    rest = [live[i] for i in rest_local]
     try:
         chi, _ = herald(phi, rest_local, {i: 0 for i in rest_local})
-    except ZeroOutcome:
-        chi = None
-    zero_dets = tuple(Detector(m, 0) for m in rest)
-    if chi is not None:
         verdict = is_single_mode_type(chi)
+    except ZeroOutcome:
+        verdict = None
+    rotated, prefix_b = phi, prefix
+    if verdict is not None:
         if not verdict.single_mode:
+            zero_dets = tuple(Detector(live[i], 0) for i in rest_local)
             yield from _boson_candidates(chi, live[:2], prefix + zero_dets, total_modes)
             return
         u1, u2 = verdict.alpha
         rot = np.array([[u2.conjugate(), -u1.conjugate()], [u1, u2]]).conj().T
-    else:
-        rot = None
-    if rot is None:
-        rotated = phi
-        prefix_b = prefix
-    else:
-        full = np.eye(len(live), dtype=complex)
-        full[:2, :2] = rot
-        rotated = apply_mode_unitary(phi, full)
-        prefix_b = prefix + (BeamSplitter((live[0], live[1]), rot),)
+        splitter = BeamSplitter((live[0], live[1]), rot)
+        rotated = evolve(phi, [((0, 1), splitter.matrix)])
+        prefix_b = prefix + (splitter,)
     for k in range(n):
         try:
             branch, _ = herald(rotated, {1}, {1: k})
@@ -349,18 +329,18 @@ def _boson_candidates(phi, live, prefix, total_modes):
         )
 
 
-def _fermion_candidates(phi, n_modes):
+def _fermion_candidates(phi):
     """Herald every companion mode of the first occupied pair of a term."""
     for occ in sorted(phi.occupations()):
         pair = [j for j, c in enumerate(occ) if c][:2]
-        others = [j for j in range(n_modes) if j not in pair]
+        others = [j for j in range(phi.n_modes) if j not in pair]
         yield tuple(Detector(j, occ[j]) for j in others)
 
 
 def _candidate_circuits(state):
     m = state.n_modes
     if state.statistics is FERMION:
-        for elements in _fermion_candidates(state, m):
+        for elements in _fermion_candidates(state):
             yield Circuit(m, elements)
         return
     # every boson candidate ends in a two-mode stage on the ancillas (m, m+1)
@@ -371,11 +351,12 @@ def _candidate_circuits(state):
 def find_witness(state):
     """Search the constructive experiment family for a CHSH violation.
 
-    Returns a :class:`WitnessExperiment` for every state that is not of the
-    single-mode type and None after exhausting the family otherwise.
-    Candidates are tried in a fixed order, so the result is deterministic.
+    A state of single-mode type has no witness: the classifier's verdict
+    returns None before any candidate runs.  Otherwise candidates are tried
+    in a fixed order, so the result is deterministic; None means that none
+    violates by more than ``VIOLATION_MARGIN``.
     """
-    if state.n_particles < 2 or state.n_modes < 2:
+    if is_single_mode_type(state).single_mode:
         return None
     for prep in _candidate_circuits(state):
         try:
@@ -410,18 +391,14 @@ def witness_from_dict(data):
         circuit = circuit_from_dict(data["circuit"])
         settings_a = tuple(_matrix_from_json(b) for b in data["settings"]["party_A"])
         settings_b = tuple(_matrix_from_json(b) for b in data["settings"]["party_B"])
-        chsh = float(data["chsh"])
-        prob = float(data.get("success_probability", math.nan))
+        chsh = _file_number(data["chsh"])
+        prob = _file_number(data["success_probability"])
     except InvalidFile:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFile(f"malformed witness description: {exc}") from exc
     result = BellTestResult(
-        chsh=chsh,
-        settings_a=settings_a,
-        settings_b=settings_b,
-        success_probability=prob,
-        violated=chsh > 2.0 + VIOLATION_MARGIN,
+        chsh=chsh, settings_a=settings_a, settings_b=settings_b, success_probability=prob
     )
     return WitnessExperiment(circuit=circuit, result=result)
 
@@ -429,27 +406,25 @@ def witness_from_dict(data):
 def replay_witness(state, experiment):
     """Re-run a witness through circuits alone and return the CHSH value.
 
-    The preparation circuit, the splitter stage, and one measurement circuit
-    per setting are executed on the state; correlators come from the joint
-    detector statistics conditioned on one particle per rail pair.
+    The preparation circuit and the splitter stage are executed on the state
+    once, then one measurement circuit per setting pair; correlators come from
+    the joint detector statistics conditioned on one particle per rail pair.
     """
     prepared, _ = run_circuit(_embedded_input(state, experiment.circuit), experiment.circuit)
+    split, _ = run_circuit(embed(prepared, 4, (0, 1)), yurke_stoler_circuit())
     res = experiment.result
     correlators = np.empty((2, 2))
-    four = embed(prepared, 4, (0, 1))
     stages_a = [dual_rail_measurement_circuit(b, ALICE_RAILS, 4).elements for b in res.settings_a]
     stages_b = [dual_rail_measurement_circuit(b, BOB_RAILS, 4).elements for b in res.settings_b]
     readout = tuple(Detector(m) for m in range(4))
     for i, stage_a in enumerate(stages_a):
         for j, stage_b in enumerate(stages_b):
-            circuit = yurke_stoler_circuit().extended(stage_a + stage_b + readout)
-            stats = detector_statistics(four, circuit)
-            num = 0.0
-            den = 0.0
+            stats = detector_statistics(split, Circuit(4, stage_a + stage_b + readout))
+            num = den = 0.0
+            # the readout covers modes 0..3 in order: counts are indexed by mode
             for counts, p in stats.distribution.items():
-                reading = dict(zip(stats.readout_modes, counts))
-                n_a = (reading[ALICE_RAILS[0]], reading[ALICE_RAILS[1]])
-                n_b = (reading[BOB_RAILS[0]], reading[BOB_RAILS[1]])
+                n_a = (counts[ALICE_RAILS[0]], counts[ALICE_RAILS[1]])
+                n_b = (counts[BOB_RAILS[0]], counts[BOB_RAILS[1]])
                 if sorted(n_a) != [0, 1] or sorted(n_b) != [0, 1]:
                     continue
                 sign = (1.0 if n_a[0] else -1.0) * (1.0 if n_b[0] else -1.0)

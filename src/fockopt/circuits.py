@@ -23,6 +23,7 @@ from .errors import (
 from .states import (
     _file_count,
     _file_number,
+    _integer,
     _read_json,
     _write_json,
     evolve,
@@ -41,7 +42,7 @@ def hadamard():
 
 
 def _check_pair(modes):
-    s, t = (int(modes[0]), int(modes[1]))
+    s, t = (_integer(modes[0], "mode"), _integer(modes[1], "mode"))
     if s == t:
         raise InvalidCircuit("two-mode element needs distinct modes")
     return s, t
@@ -83,7 +84,7 @@ class PhaseShifter:
         phi = float(self.phi)
         if not math.isfinite(phi):
             raise InvalidParameter(f"phase must be finite, got {phi!r}")
-        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "mode", _integer(self.mode, "mode"))
         object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
 
@@ -107,9 +108,9 @@ class Detector:
     herald: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", int(self.mode))
+        object.__setattr__(self, "mode", _integer(self.mode, "mode"))
         if self.herald is not None:
-            h = int(self.herald)
+            h = _integer(self.herald, "herald count")
             if h < 0:
                 raise InvalidParameter("herald count must be >= 0")
             object.__setattr__(self, "herald", h)
@@ -140,7 +141,7 @@ class Circuit:
     __slots__ = ("n_modes", "elements")
 
     def __init__(self, n_modes, elements=()):
-        n_modes = int(n_modes)
+        n_modes = _integer(n_modes, "mode count")
         if n_modes < 1:
             raise InvalidCircuit("circuit needs at least one mode")
         elements = tuple(elements)
@@ -291,7 +292,7 @@ def reck_decompose(u):
 #
 # Mode layout convention: the two signal modes come first, ancilla rails are
 # appended after them.  The splitter stage lives here; the heralded filter and
-# erasure stages that feed it are built per state by
+# erasure stages that feed it are built per particle number by
 # ``fockopt.bell.two_mode_preparations``.
 # ---------------------------------------------------------------------------
 

@@ -185,7 +185,14 @@ def _cmd_witness(args):
     state = load_state(args.state)
     experiment = find_witness(state)
     if experiment is None:
-        print("NO-VIOLATION-FOUND (state is of single-mode type)")
+        verdict = is_single_mode_type(state)
+        if verdict.single_mode:
+            print("NO-VIOLATION-FOUND (state is of single-mode type)")
+        else:
+            print(
+                f"NO-VIOLATION-FOUND (state is NOT-SINGLE-MODE, residual "
+                f"{_fmt(verdict.residual)}, but no candidate of the fixed family violates)"
+            )
         return EXIT_NEGATIVE
     payload = witness_to_dict(experiment)
     if args.output:

@@ -95,13 +95,14 @@ class FockState:
     def __init__(self, statistics, n_modes, amplitudes, normalized=True):
         if not isinstance(statistics, Statistics):
             statistics = Statistics(statistics)
+        n_modes = _integer(n_modes, "mode count")
         if n_modes < 1:
             raise ShapeMismatch("a state needs at least one mode")
         amps = {}
         n_particles = None
         fermionic = statistics is FERMION
         for occ, amp in amplitudes.items():
-            occ = tuple(map(int, occ))
+            occ = tuple(_integer(k, "occupation number") for k in occ)
             if len(occ) != n_modes:
                 raise ShapeMismatch(f"occupation {occ} does not have {n_modes} entries")
             if min(occ) < 0:
@@ -200,7 +201,7 @@ class FockState:
 
 def make_number_state(counts, statistics=BOSON):
     """Basis state with the given occupation numbers and amplitude one."""
-    counts = tuple(int(n) for n in counts)
+    counts = tuple(counts)
     return FockState(statistics, len(counts), {counts: 1.0})
 
 
@@ -227,7 +228,21 @@ def superpose(terms):
     return FockState(first.statistics, first.n_modes, amps, normalized=False).normalized()
 
 
-def require_unitary(u, tol=UNITARY_TOL):
+def _integer(value, what):
+    """``value`` as an int: ints, numpy integers and integral floats pass;
+    anything else, bools included, is InvalidParameter rather than truncated."""
+    if type(value) is int:
+        return value
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}") from exc
+    if isinstance(value, (bool, np.bool_)) or k != value:
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    return k
+
+
+def require_unitary(u):
     """Validate ``u`` as a square unitary matrix; return it as complex ndarray."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -235,7 +250,7 @@ def require_unitary(u, tol=UNITARY_TOL):
     if not np.all(np.isfinite(u)):
         raise NotUnitary("matrix has non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > tol:
+    if dev > UNITARY_TOL:
         raise NotUnitary(f"matrix deviates from unitarity by {dev:.3e}")
     return u
 
@@ -524,10 +539,7 @@ def _file_number(value):
 
 
 def _file_count(value):
-    value = _file_number(value)
-    if value != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    return _integer(_file_number(value), "count")
 
 
 def state_from_dict(data):
@@ -540,7 +552,7 @@ def state_from_dict(data):
             amps[occ] = amps.get(occ, 0j) + complex(
                 _file_number(term["re"]), _file_number(term.get("im", 0.0))
             )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidParameter) as exc:
         raise InvalidFile(f"malformed state description: {exc}") from exc
     try:
         raw = FockState(statistics, n_modes, amps, normalized=False)

@@ -62,8 +62,9 @@ def random_state(rng, n, m, statistics=fo.BOSON):
 
 def two_mode_stages(phi):
     """The witness search's two-mode stages for ``phi`` as circuits on modes
-    (0, 1) with ancillas (2, 3): filters s = 0..N-2, then any erasure stage."""
-    return [fo.Circuit(4, stage) for stage in fo.two_mode_preparations(phi, (0, 1), (2, 3))]
+    (0, 1) with ancillas (2, 3): filters s = 0..N-2, then the erasure stage."""
+    stages = fo.two_mode_preparations(phi.n_particles, (0, 1), (2, 3))
+    return [fo.Circuit(4, stage) for stage in stages]
 
 
 def _perm_sign(perm):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockopt as fo
-from fockopt.bell import ALICE_RAILS, BOB_RAILS
+from fockopt import bell
+from fockopt.bell import ALICE_RAILS, BOB_RAILS, VIOLATION_MARGIN
 from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
 from helpers import is_product, random_alpha, random_state, random_unitary, two_mode_stages
 
@@ -323,16 +326,22 @@ class TestRunErasureYS:
             ).normalized()
             assert abs(fo.fidelity(prepared, reference) - 1.0) < 1e-9
 
-    def test_middle_coefficients_rejected(self):
-        # a state with middle coefficients gets the N-1 filter stages only
-        phi = two_mode_state([0.5, 0.5, 0.5, 0.5])
-        stages = two_mode_stages(phi)
-        assert len(stages) == 2
-        assert all(
-            not (isinstance(el, fo.BeamSplitter) and el.modes == (2, 3))
-            for circuit in stages
-            for el in circuit.elements
-        )
+    def test_filters_then_one_erasure_stage(self, rng):
+        # every two-mode state, with or without middle coefficients, gets the
+        # N-1 filter stages and then exactly one erasure stage
+        states = [two_mode_state([0.5, 0.5, 0.5, 0.5]), two_mode_state([0.6, 0, 0, 0, 0.8])]
+        states += [random_state(rng, n, 2) for n in range(2, 7)]
+        for phi in states:
+            n = phi.n_particles
+            stages = [circuit.elements for circuit in two_mode_stages(phi)]
+            assert len(stages) == n
+            for s, elements in enumerate(stages[:-1]):
+                assert elements[2:] == (fo.Detector(2, s), fo.Detector(3, n - 2 - s))
+            *_, erase, det_a, det_b = stages[-1]
+            assert erase.modes == (2, 3)
+            np.testing.assert_array_equal(erase.matrix, fo.hadamard())
+            assert (det_a, det_b) == (fo.Detector(2, n - 2), fo.Detector(3, 0))
+            assert len(stages[-1]) == 5
 
     def test_find_witness_runs_the_same_stage(self):
         noon = two_mode_state([0.6, 0, 0, 0, 0.8])
@@ -383,6 +392,38 @@ class TestFindWitness:
         state = fo.single_mode_state(random_alpha(rng, 4), 3)
         assert fo.find_witness(state) is None
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            fo.make_number_state((80, 0)),
+            fo.single_mode_state(random_alpha(np.random.default_rng(6), 4), 6),
+        ],
+        ids=["N80-in-one-mode", "random-M4-N6"],
+    )
+    def test_single_mode_states_run_no_candidate(self, monkeypatch, state):
+        # the classifier's verdict alone answers; no candidate is run
+        def refuse(*args):
+            raise AssertionError("a candidate ran for a single-mode state")
+
+        monkeypatch.setattr(bell, "bell_test", refuse)
+        assert fo.find_witness(state) is None
+
+    def test_noon_image_found_by_erasure(self):
+        # the image of a N00N state (N = 8) under a random 4-mode unitary:
+        # only the erasure stage, no longer reserved for exact NOON states,
+        # sees its violation
+        rng = np.random.default_rng(293)
+        u = random_unitary(rng, 4)
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        state = fo.superpose(
+            [(1, fo.single_mode_state(u[0], 8)), (phase, fo.single_mode_state(u[1], 8))]
+        )
+        wit = fo.find_witness(state)
+        assert wit is not None and wit.result.violated
+        *_, erase, _, _ = wit.circuit.elements
+        assert isinstance(erase, fo.BeamSplitter) and erase.modes == (4, 5)
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
+
     def test_single_particle_no_witness(self, rng):
         assert fo.find_witness(random_state(rng, 1, 3)) is None
 
@@ -414,6 +455,14 @@ class TestFindWitness:
         assert repr(w1.circuit) == repr(w2.circuit)
         assert w1.result.chsh == w2.result.chsh
 
+    @pytest.mark.parametrize("field", ["chsh", "success_probability"])
+    @pytest.mark.parametrize("value", ["inf", "2.5", True, "nan", math.inf, math.nan, None, [2.5]])
+    def test_file_numbers_checked(self, rng, field, value):
+        data = fo.witness_to_dict(fo.find_witness(random_state(rng, 2, 3)))
+        data[field] = value
+        with pytest.raises(fo.InvalidFile):
+            fo.witness_from_dict(data)
+
     def test_serialization_round_trip(self, rng):
         state = random_state(rng, 2, 3)
         wit = fo.find_witness(state)
@@ -425,3 +474,31 @@ class TestFindWitness:
             "alice": [m + 1 for m in ALICE_RAILS],
             "bob": [m + 1 for m in BOB_RAILS],
         }
+
+
+@st.composite
+def small_states(draw):
+    """A small boson or fermion state: random, or of single-mode type."""
+    fermion = draw(st.booleans())
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, m if fermion else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    statistics = fo.FERMION if fermion else fo.BOSON
+    if draw(st.booleans()) and (n == 1 or not fermion):
+        return fo.single_mode_state(random_alpha(rng, m), n, statistics)
+    return random_state(rng, n, m, statistics)
+
+
+class TestWitnessProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(state=small_states())
+    def test_verdict_gates_and_witness_replays(self, state):
+        wit = fo.find_witness(state)
+        if fo.is_single_mode_type(state).single_mode:
+            assert wit is None
+            return
+        if wit is None:
+            return
+        assert wit.result.chsh > 2.0 + VIOLATION_MARGIN
+        assert 0.0 < wit.result.success_probability <= 1.0
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9

@@ -225,7 +225,7 @@ class TestReckDecompose:
     def test_preparation_splitters_check_their_modes(self):
         phi = fo.make_number_state((1, 1))
         with pytest.raises(InvalidCircuit):
-            list(fo.two_mode_preparations(phi, (0, 1), (0, 3)))
+            list(fo.two_mode_preparations(phi.n_particles, (0, 1), (0, 3)))
 
 
 class TestStandardCircuits:
@@ -260,6 +260,48 @@ class TestStandardCircuits:
         for el in splitters:
             assert not el.matrix.flags.writeable
             np.testing.assert_array_equal(el.matrix, fo.hadamard())
+
+
+class TestElementIntegers:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fo.Detector(0, 1.7),
+            lambda: fo.Detector(0, True),
+            lambda: fo.Detector(0.5),
+            lambda: fo.Detector("0"),
+            lambda: fo.BeamSplitter((0.5, 1.2)),
+            lambda: fo.BeamSplitter((0, True)),
+            lambda: fo.Swap((0, 1.5)),
+            lambda: fo.PhaseShifter(1.2, 0.3),
+            lambda: fo.Circuit(2.7, []),
+            lambda: fo.Circuit(True, []),
+            lambda: fo.Circuit(math.nan, []),
+        ],
+    )
+    def test_non_integral_values_rejected(self, build):
+        # each of these used to be truncated to a valid element
+        with pytest.raises(InvalidParameter):
+            build()
+
+    def test_integral_numbers_accepted(self):
+        circuit = fo.Circuit(
+            np.int64(3),
+            [
+                fo.BeamSplitter((np.int32(0), 1.0)),
+                fo.PhaseShifter(np.uint8(1), 0.3),
+                fo.Swap((2.0, np.int64(1))),
+                fo.Detector(np.int64(2), 1.0),
+            ],
+        )
+        assert circuit.n_modes == 3 and type(circuit.n_modes) is int
+        assert [fo.circuits.element_modes(el) for el in circuit.elements] == [
+            (0, 1),
+            (1,),
+            (2, 1),
+            (2,),
+        ]
+        assert circuit.heralds == {2: 1} and type(circuit.heralds[2]) is int
 
 
 class TestCircuitFiles:

@@ -1,8 +1,9 @@
 """The command line, called in-process: every subcommand and exit code.
 
 Exit codes: 0 success, 10 negative result, 11 failed precondition, 2 malformed
-input.  Files are written under ``tmp_path``; the one committed input used is
-the benchmark's single-mode state with a tiny amplitude entry.
+input.  Files are written under ``tmp_path``; the committed inputs used are
+the benchmark's single-mode state with a tiny amplitude entry and, mutated,
+every benchmark input in the exit-code fuzz.
 """
 
 import json
@@ -10,10 +11,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fockopt as fo
 from fockopt.cli import main
@@ -297,6 +301,26 @@ class TestWitness:
     def test_tiny_support_entry_exits_10(self):
         assert main(["witness", str(FAULTY_SINGLE)]) == 10
 
+    def test_single_mode_verdict_printed(self, tmp_path, capsys, single):
+        assert main(["witness", state_file(tmp_path, single)]) == 10
+        assert capsys.readouterr().out == "NO-VIOLATION-FOUND (state is of single-mode type)\n"
+
+    def test_missed_state_is_not_called_single_mode(self, tmp_path, capsys):
+        # not of single-mode type, yet no candidate of the fixed family violates
+        state = fo.superpose(
+            [
+                (1, fo.single_mode_state([0.4, -0.7, -0.7], 2)),
+                (1, fo.single_mode_state([-0.2, 0.3, -1.4], 2)),
+            ]
+        )
+        path = state_file(tmp_path, state)
+        assert main(["witness", path]) == 10
+        out = capsys.readouterr().out
+        assert "single-mode type" not in out
+        assert out.startswith("NO-VIOLATION-FOUND (state is NOT-SINGLE-MODE, residual 0.3177")
+        assert "no candidate of the fixed family violates" in out
+        assert main(["classify", path]) == 10
+
     def test_many_bosons_in_one_mode_exit_10(self, tmp_path):
         assert main(["witness", state_file(tmp_path, fo.make_number_state((21, 0)))]) == 10
 
@@ -394,3 +418,64 @@ class TestDecompose:
     )
     def test_bad_matrix_exits_2(self, tmp_path, matrix):
         assert main(["decompose", write(tmp_path, "u.json", {"matrix": matrix})]) == 2
+
+
+FUZZ_INPUTS = ("single", "generic", "pair", "herald_circuit", "readout_circuit", "unitary")
+FUZZ_VALUES = (math.nan, 1.9, True, "x", [1], 1e308)
+
+
+def json_paths(node, path=()):
+    """Key and index paths to every value below the document root."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The benchmark inputs with one value dropped or replaced."""
+    docs = {name: json.loads((INPUTS / f"{name}.json").read_text()) for name in FUZZ_INPUTS}
+    name = draw(st.sampled_from(FUZZ_INPUTS))
+    *parents, key = draw(st.sampled_from(list(json_paths(docs[name]))))
+    parent = docs[name]
+    for step in parents:
+        parent = parent[step]
+    value = draw(st.sampled_from(("drop",) + FUZZ_VALUES))
+    if value == "drop":
+        del parent[key]
+    else:
+        parent[key] = value
+    return docs
+
+
+class TestExitCodeFuzz:
+    @settings(
+        derandomize=True,
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(docs=mutated_inputs())
+    def test_mutated_inputs_never_exit_1(self, tmp_path, docs):
+        path = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+        out = str(tmp_path / "out.json")
+        invocations = [
+            ["classify", path["single"]],
+            ["classify", path["generic"], "--format", "json"],
+            ["evolve", path["generic"], path["herald_circuit"], "--output", out],
+            ["evolve", path["single"], path["readout_circuit"], "--format", "json"],
+            ["ys-test", path["pair"]],
+            ["witness", path["generic"], "--output", out],
+            ["lhv-compare", path["single"], path["readout_circuit"], "--shots", "200",
+             "--seed", "1"],
+            ["decompose", path["unitary"], "--output", out],
+        ]
+        with warnings.catch_warnings():
+            # a state file off unit norm warns on renormalizing
+            warnings.simplefilter("ignore")
+            for argv in invocations:
+                assert main(argv) in (0, 2, 10, 11), argv

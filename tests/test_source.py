@@ -33,10 +33,10 @@ def _flagged_raises(node, function=None):
 
 def test_library_errors_are_fockopt_errors():
     # the CLI maps FockoptError to its exit codes; a ValueError or an
-    # AssertionError escapes as exit 1.  The two file-number readers raise
+    # AssertionError escapes as exit 1.  The file-number reader raises
     # ValueError on purpose: the state, circuit and unitary readers turn it
     # into InvalidFile.
-    allowed = {("_file_number", "ValueError"), ("_file_count", "ValueError")}
+    allowed = {("_file_number", "ValueError")}
     found = [
         f"{path.name}:{line} {name} in {function}"
         for path in sorted(SOURCE.glob("*.py"))

@@ -49,6 +49,23 @@ class TestFockState:
         with pytest.raises(InvalidOccupation):
             fo.FockState(fo.BOSON, 2, {(2**63, 0): 1.0})
 
+    @pytest.mark.parametrize("occ", [(1.9, 0.2), (True, 1), ("1", 1), (1 + 0j, 1)])
+    def test_non_integral_occupation_rejected(self, occ):
+        # int() would truncate these; the constructor refuses them instead
+        with pytest.raises(InvalidParameter):
+            fo.FockState(fo.BOSON, 2, {occ: 1.0})
+
+    @pytest.mark.parametrize("n_modes", [2.5, True, "2"])
+    def test_non_integral_mode_count_rejected(self, n_modes):
+        with pytest.raises(InvalidParameter):
+            fo.FockState(fo.BOSON, n_modes, {(1, 1): 1.0})
+
+    def test_integral_numbers_accepted(self):
+        s = fo.FockState(fo.BOSON, np.int64(2), {(np.int32(1), 1.0): 1.0})
+        assert s.n_modes == 2 and type(s.n_modes) is int
+        assert s.items() == [((1, 1), 1 + 0j)]
+        assert fo.make_number_state(np.array([2, 0])).occupations() == {(2, 0)}
+
     @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
     def test_read_api_matches_input(self, rng, statistics):
         basis = sector_occupations(2, 4, statistics)
