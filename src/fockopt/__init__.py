@@ -12,7 +12,6 @@ from .bell import (
     WitnessExperiment,
     bell_test,
     chsh_max,
-    dual_rail_measurement_circuit,
     find_witness,
     replay_witness,
     two_mode_preparations,

@@ -2,8 +2,8 @@
 
 The splitter stage of :func:`fockopt.circuits.yurke_stoler_circuit` turns a
 two-particle two-mode state into a pair of dual-rail qubits once runs with one
-particle per rail pair are kept.  CHSH is then maximized exactly through the
-two-qubit correlation-matrix criterion.
+particle per rail pair are kept.  CHSH is then maximized exactly from the two
+top singular values of the two-qubit correlation matrix (Horodecki criterion).
 
 The classifier decides which states have no witness: those reducible to a
 single mode.  For every other state :func:`find_witness` assembles an
@@ -38,12 +38,11 @@ from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
 from .states import FERMION, NORM_TOL, _file_number, embed, evolve, herald
 
 VIOLATION_MARGIN = 1e-6
-# eigenvalues of T^T T this small count as zero in the CHSH optimum
+# a correlation matrix whose s0^2 + s1^2 (top two singular values) is this
+# small counts as zero: no projective optimum exists
 EIGEN_FLOOR = 1e-18
 # largest gap allowed between the CHSH optimum and its settings' direct value
 SETTINGS_CHECK_TOL = 1e-9
-# a measurement basis this close to the identity needs no beam splitter
-IDENTITY_BASIS_TOL = 1e-14
 
 _PAULI = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
@@ -52,13 +51,13 @@ _PAULI = np.array(
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(3, 3, 4, 4)
 _PAULI_PAIRS.flags.writeable = False
 
-# occupations of the four kept patterns on the (in1, in2, rail1, rail2)
-# register: Alice's qubit is (in1, rail1), Bob's is (rail2, in2), with "up"
-# meaning a particle in the first mode of the pair
-_YS_SLOTS = np.array([(1, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 0)])
-
 ALICE_RAILS = (0, 2)
 BOB_RAILS = (3, 1)
+
+# occupations of the four kept patterns (uu, ud, du, dd) on the (in1, in2,
+# rail1, rail2) register: Alice's qubit is (in1, rail1), Bob's is (rail2,
+# in2), with "up" meaning a particle in the first mode of the pair
+_YS_SLOTS = np.array([np.bincount((a, b), minlength=4) for a in ALICE_RAILS for b in BOB_RAILS])
 
 
 class TwoQubitState:
@@ -139,30 +138,22 @@ def yurke_stoler_postselect(phi):
 
 
 def chsh_max(chi):
-    """Exact CHSH maximum 2*sqrt(l1+l2) over projective settings.
+    """Exact CHSH maximum 2*sqrt(s0^2 + s1^2) over projective settings.
 
-    l1 >= l2 are the top eigenvalues of T^T T for the correlation matrix T;
-    the optimal directions are rebuilt from the matching eigenvectors and the
-    returned value is re-verified against direct expectation values.
+    s0 >= s1 are the top singular values of the correlation matrix T.  Alice
+    measures along the matching left singular vectors; Bob along
+    cos(theta)*v0 +- sin(theta)*v1 of the right ones, with tan(theta) = s1/s0.
+    The returned value is re-verified against direct expectation values.
     """
     t = chi.correlation_matrix()
-    w, v = np.linalg.eigh(t.T @ t)
-    order = np.argsort(w)[::-1]
-    lam1, lam2 = max(w[order[0]], 0.0), max(w[order[1]], 0.0)
-    c1, c2 = v[:, order[0]], v[:, order[1]]
-    total = lam1 + lam2
+    u, s, vt = np.linalg.svd(t)
+    total = s[0] ** 2 + s[1] ** 2
     if total < EIGEN_FLOOR:
         raise InvalidParameter("correlation matrix vanishes; no projective optimum")
-    cos_t = math.sqrt(lam1 / total)
-    sin_t = math.sqrt(lam2 / total)
-    b1 = cos_t * c1 + sin_t * c2
-    b2 = cos_t * c1 - sin_t * c2
-    a1 = t @ c1 / math.sqrt(lam1) if lam1 > EIGEN_FLOOR else np.array([0.0, 0.0, 1.0])
-    if lam2 > EIGEN_FLOOR:
-        a2 = t @ c2 / math.sqrt(lam2)
-    else:
-        # degenerate direction contributes E(a2,b1) - E(a2,b2) = 0 exactly
-        a2 = _any_unit_orthogonal(a1)
+    theta = math.atan2(s[1], s[0])
+    a1, a2 = u[:, 0], u[:, 1]
+    b1 = math.cos(theta) * vt[0] + math.sin(theta) * vt[1]
+    b2 = math.cos(theta) * vt[0] - math.sin(theta) * vt[1]
     value = 2.0 * math.sqrt(total)
     direct = (
         chi.expectation(a1, b1)
@@ -180,31 +171,6 @@ def chsh_max(chi):
         settings_b=(bloch_basis(b1), bloch_basis(b2)),
         success_probability=1.0,
     )
-
-
-def _any_unit_orthogonal(v):
-    probe = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    out = probe - np.dot(probe, v) * v
-    return out / np.linalg.norm(out)
-
-
-def dual_rail_measurement_circuit(basis, modes, n_modes=None):
-    """Map the projective ``basis`` onto the detector basis of a rail pair.
-
-    After this circuit, a particle in ``modes[0]`` means the first basis
-    outcome.  The identity basis yields an empty circuit; any other basis is
-    one beam splitter carrying the conjugated basis matrix.
-    """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (2, 2):
-        raise ShapeMismatch("measurement basis must be 2x2")
-    if n_modes is None:
-        n_modes = max(modes) + 1
-    gate = basis.conj()
-    if np.max(np.abs(gate - np.eye(2))) < IDENTITY_BASIS_TOL:
-        return Circuit(n_modes, [])
-    # the splitter checks unitarity; a non-finite basis is never the identity
-    return Circuit(n_modes, [BeamSplitter(tuple(modes), gate)])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +256,7 @@ def _boson_candidates(phi, live, prefix, total_modes):
         return
     rest_local = list(range(2, len(live)))
     try:
-        chi, _ = herald(phi, rest_local, {i: 0 for i in rest_local})
+        chi, _ = herald(phi, {i: 0 for i in rest_local})
         verdict = is_single_mode_type(chi)
     except ZeroOutcome:
         verdict = None
@@ -307,7 +273,7 @@ def _boson_candidates(phi, live, prefix, total_modes):
         prefix_b = prefix + (splitter,)
     for k in range(n):
         try:
-            branch, _ = herald(rotated, {1}, {1: k})
+            branch, _ = herald(rotated, {1: k})
         except ZeroOutcome:
             continue
         if not is_single_mode_type(branch).single_mode:
@@ -320,7 +286,7 @@ def _boson_candidates(phi, live, prefix, total_modes):
     # all per-count branches reduced to a single mode, which forces the
     # rotated state off mode 1 entirely; drop that mode and continue
     try:
-        residual, _ = herald(rotated, {0}, {0: 0})
+        residual, _ = herald(rotated, {0: 0})
     except ZeroOutcome:
         return
     if not is_single_mode_type(residual).single_mode:
@@ -407,15 +373,18 @@ def replay_witness(state, experiment):
     """Re-run a witness through circuits alone and return the CHSH value.
 
     The preparation circuit and the splitter stage are executed on the state
-    once, then one measurement circuit per setting pair; correlators come from
-    the joint detector statistics conditioned on one particle per rail pair.
+    once.  Each setting then becomes one beam splitter on its party's rail
+    pair, carrying the conjugated basis matrix; correlators come from the
+    joint detector statistics conditioned on one particle per rail pair.
     """
     prepared, _ = run_circuit(_embedded_input(state, experiment.circuit), experiment.circuit)
     split, _ = run_circuit(embed(prepared, 4, (0, 1)), yurke_stoler_circuit())
     res = experiment.result
     correlators = np.empty((2, 2))
-    stages_a = [dual_rail_measurement_circuit(b, ALICE_RAILS, 4).elements for b in res.settings_a]
-    stages_b = [dual_rail_measurement_circuit(b, BOB_RAILS, 4).elements for b in res.settings_b]
+    # after the splitter, a particle on the pair's first rail means the
+    # basis's first outcome
+    stages_a = [(BeamSplitter(ALICE_RAILS, b.conj()),) for b in res.settings_a]
+    stages_b = [(BeamSplitter(BOB_RAILS, b.conj()),) for b in res.settings_b]
     readout = tuple(Detector(m) for m in range(4))
     for i, stage_a in enumerate(stages_a):
         for j, stage_b in enumerate(stages_b):

@@ -213,7 +213,7 @@ def run_circuit(state, circuit):
     heralds = circuit.heralds
     if not heralds:
         return evolved, 1.0
-    return herald(evolved, set(heralds), heralds)
+    return herald(evolved, heralds)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, ZERO_NORM, FockState, _sector
+from .states import BOSON, FERMION, ZERO_NORM, FockState, _integer, _sector
 
 DEFAULT_TOL = 1e-8
 # an overlap below this has no phase worth aligning to
@@ -33,7 +33,7 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     ``alpha`` is normalized internally.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    n = int(n_particles)
+    n = _integer(n_particles, "particle number")
     if n < 0:
         raise InvalidParameter(f"particle number must be >= 0, got {n}")
     if statistics is FERMION and n >= 2:

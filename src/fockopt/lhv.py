@@ -28,6 +28,7 @@ import numpy as np
 from .circuits import _kernel_gates, detector_statistics
 from .classify import single_mode_state
 from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
+from .states import _integer
 
 DEFAULT_SEED = 20240901
 # shots per random stream; part of the reproducibility contract (see above)
@@ -57,7 +58,7 @@ class EpistemicSpec:
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "n_particles", int(self.n_particles))
+        object.__setattr__(self, "n_particles", _integer(self.n_particles, "particle number"))
 
     @property
     def n_modes(self):
@@ -89,7 +90,7 @@ def _splits(alpha, circuit):
 
 def _run_block(spec, circuit, splits, seed, block, size):
     """Readout tallies and accepted count of ``size`` shots of block ``block``."""
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     probs = np.abs(spec.alpha) ** 2
     counts = rng.multinomial(spec.n_particles, probs / probs.sum(), size=size)
@@ -139,7 +140,8 @@ def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
-    shots = int(shots)
+    shots = _integer(shots, "shot count")
+    seed = _integer(seed, "seed")
     splits = _splits(spec.alpha, circuit)
     counts = {}
     accepted = 0
@@ -318,6 +320,7 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
     to the readout counts of both sides (quantum by conditioning, LHV by
     rejection), covering post-selection rules that are not per-mode heralds.
     """
+    shots, seed = _integer(shots, "shot count"), _integer(seed, "seed")
     if shots < 1:
         raise InvalidParameter(f"a comparison needs at least one shot, got {shots}")
     if spec.n_modes != circuit.n_modes:
@@ -357,5 +360,5 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
         accepted=accepted,
         quantum_herald=qstats.herald_probability,
         lhv_herald=run.herald_rate,
-        seed=int(seed),
+        seed=seed,
     )

@@ -440,18 +440,20 @@ def apply_mode_unitary(state, u):
     return evolve(state, reck_gates(u))
 
 
-def herald(state, measured_modes, required_counts):
-    """Condition on exact detector counts in ``measured_modes``.
+def herald(state, required_counts):
+    """Condition on exact detector counts: ``required_counts`` maps each
+    measured mode to its count.
 
     Returns ``(state on the remaining modes, success probability)``; the
     remaining modes keep their relative order.  Raises ZeroOutcome when the
     projected component has probability below ``HERALD_CUTOFF``.  The
     projection is a row mask on the state's terms (see the module docstring).
     """
-    measured = sorted(set(int(m) for m in measured_modes))
-    required = {int(k): int(v) for k, v in required_counts.items()}
-    if set(required) != set(measured):
-        raise ShapeMismatch("required_counts must cover exactly the measured modes")
+    required = {
+        _integer(k, "measured mode"): _integer(v, "herald count")
+        for k, v in required_counts.items()
+    }
+    measured = sorted(required)
     for m in measured:
         if not 0 <= m < state.n_modes:
             raise ShapeMismatch(f"measured mode {m} out of range")
@@ -485,7 +487,8 @@ def embed(state, n_modes, positions):
     ``positions`` maps each existing mode to its new index and must be
     strictly increasing so fermion ordering is preserved.
     """
-    positions = [int(p) for p in positions]
+    n_modes = _integer(n_modes, "mode count")
+    positions = [_integer(p, "position") for p in positions]
     if len(positions) != state.n_modes:
         raise ShapeMismatch("one position per existing mode required")
     if any(b <= a for a, b in zip(positions, positions[1:])):

@@ -229,13 +229,12 @@ def _herald_sign(occ, measured, unmeasured):
     return -1.0 if swaps % 2 else 1.0
 
 
-def oracle_herald(state, measured_modes, required_counts):
+def oracle_herald(state, required):
     """``herald`` term by term: keep the matching terms, drop the measured
     modes, renormalize and apply the fermion reordering sign.  Returns
     ``(amplitudes on the remaining modes, probability)`` and raises
     ZeroOutcome like ``herald``."""
-    measured = sorted(set(int(m) for m in measured_modes))
-    required = {int(k): int(v) for k, v in required_counts.items()}
+    measured = sorted(required)
     unmeasured = [i for i in range(state.n_modes) if i not in required]
     kept = [
         (occ, amp)

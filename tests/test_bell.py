@@ -22,6 +22,15 @@ def two_mode_state(beta, statistics=fo.BOSON):
     return fo.FockState(statistics, 2, amps)
 
 
+def bloch_vector(basis):
+    """Bloch vector of the first outcome state of a measurement basis."""
+    plus = basis[:, 0]
+    sx = 2 * (plus[0].conjugate() * plus[1]).real
+    sy = 2 * (plus[0].conjugate() * plus[1]).imag
+    sz = abs(plus[0]) ** 2 - abs(plus[1]) ** 2
+    return np.array([sx, sy, sz])
+
+
 def filtered_test(phi, s):
     """Filter stage ``s`` through the splitter stage and the CHSH optimum."""
     return fo.bell_test(phi, two_mode_stages(phi)[s])
@@ -184,16 +193,8 @@ class TestChshMax:
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         chi = fo.TwoQubitState(v / np.linalg.norm(v))
         res = fo.chsh_max(chi)
-
-        def bloch_of(basis):
-            plus = basis[:, 0]
-            sx = 2 * (plus[0].conjugate() * plus[1]).real
-            sy = 2 * (plus[0].conjugate() * plus[1]).imag
-            sz = abs(plus[0]) ** 2 - abs(plus[1]) ** 2
-            return np.array([sx, sy, sz])
-
-        a1, a2 = (bloch_of(b) for b in res.settings_a)
-        b1, b2 = (bloch_of(b) for b in res.settings_b)
+        a1, a2 = (bloch_vector(b) for b in res.settings_a)
+        b1, b2 = (bloch_vector(b) for b in res.settings_b)
         direct = (
             chi.expectation(a1, b1)
             + chi.expectation(a1, b2)
@@ -201,6 +202,46 @@ class TestChshMax:
             - chi.expectation(a2, b2)
         )
         assert abs(direct - res.chsh) < 1e-9
+
+    @staticmethod
+    def degenerate_states():
+        """Two-qubit states whose correlation matrix has repeated or zero
+        singular values: products, the four Bell states, |uu> and a
+        phase-rotated Bell state."""
+        yield fo.TwoQubitState([1, 0, 0, 0])
+        yield fo.TwoQubitState(np.kron([0.6, 0.8j], [1 / SQ2, -1 / SQ2]))
+        yield fo.TwoQubitState(np.kron([1, 0], [0.28, 0.96]))
+        yield fo.TwoQubitState([0, 1 / SQ2, -1 / SQ2, 0])
+        yield fo.TwoQubitState([0, 1 / SQ2, 1 / SQ2, 0])
+        yield fo.TwoQubitState([1 / SQ2, 0, 0, 1 / SQ2])
+        yield fo.TwoQubitState([1 / SQ2, 0, 0, -1 / SQ2])
+        yield fo.TwoQubitState([0, 1 / SQ2, np.exp(0.7j) / SQ2, 0])
+
+    def test_value_matches_eigenvalue_oracle(self, rng):
+        # Horodecki: 2*sqrt(l1 + l2) from the top eigenvalues of T^T T
+        states = list(self.degenerate_states())
+        for _ in range(200):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            states.append(fo.TwoQubitState(v / np.linalg.norm(v)))
+        for chi in states:
+            t = chi.correlation_matrix()
+            lam = np.linalg.eigvalsh(t.T @ t)
+            expected = 2.0 * math.sqrt(max(lam[2] + lam[1], 0.0))
+            assert abs(fo.chsh_max(chi).chsh - expected) < 1e-12
+
+    def test_rank_one_settings_are_unit_bases(self, rng):
+        # a product state has rank-1 T: the second singular direction is
+        # fixed by nothing but orthogonality, and must still be a unit vector
+        products = [chi for chi in self.degenerate_states() if is_product(chi)]
+        for _ in range(20):
+            products.append(fo.TwoQubitState(np.kron(random_alpha(rng, 2), random_alpha(rng, 2))))
+        for chi in products:
+            assert np.linalg.matrix_rank(chi.correlation_matrix(), tol=1e-9) == 1
+            res = fo.chsh_max(chi)
+            for basis in res.settings_a + res.settings_b:
+                assert basis.shape == (2, 2)
+                assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-12
+                assert abs(np.linalg.norm(bloch_vector(basis)) - 1.0) < 1e-12
 
     def test_bounds_random(self, rng):
         for _ in range(20):
@@ -224,22 +265,15 @@ class TestChshMax:
 
 
 class TestDualRailMeasurement:
-    def test_computational_basis_is_identity(self):
-        circuit = fo.dual_rail_measurement_circuit(np.eye(2), (0, 1))
-        assert circuit.elements == ()
-
-    def test_x_basis_is_hadamard(self):
-        circuit = fo.dual_rail_measurement_circuit(fo.hadamard(), (0, 1))
-        assert len(circuit.elements) == 1
-        np.testing.assert_allclose(circuit.elements[0].matrix, fo.hadamard(), atol=1e-12)
-
     def test_statistics_match_born_rule(self, rng):
+        # the measurement stage of replay_witness: one splitter carrying the
+        # conjugated basis maps its first outcome onto the pair's first rail
         for _ in range(10):
             basis = random_unitary(rng, 2)
             q = random_alpha(rng, 2)
             qubit = fo.FockState(fo.BOSON, 2, {(1, 0): q[0], (0, 1): q[1]})
-            circuit = fo.dual_rail_measurement_circuit(basis, (0, 1)).extended(
-                [fo.Detector(0), fo.Detector(1)]
+            circuit = fo.Circuit(
+                2, [fo.BeamSplitter((0, 1), basis.conj()), fo.Detector(0), fo.Detector(1)]
             )
             stats = fo.detector_statistics(qubit, circuit)
             p_plus = abs(np.vdot(basis[:, 0], q)) ** 2

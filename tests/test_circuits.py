@@ -65,7 +65,7 @@ class TestRunCircuit:
         mesh = fo.reck_decompose(u)
         circuit = mesh.extended([fo.Detector(3, 1)])
         out_a, p_a = fo.run_circuit(s, circuit)
-        out_b, p_b = fo.herald(fo.apply_mode_unitary(s, u), {3}, {3: 1})
+        out_b, p_b = fo.herald(fo.apply_mode_unitary(s, u), {3: 1})
         assert abs(p_a - p_b) < 1e-10
         assert abs(fo.fidelity(out_a, out_b) - 1.0) < 1e-10
 

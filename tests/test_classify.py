@@ -48,6 +48,12 @@ class TestSingleModeState:
         with pytest.raises(InvalidParameter):
             fo.single_mode_state((1.0, 0.0), -1)
 
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_non_integral_particle_number_rejected(self, n):
+        # truncating 2.7 would silently give N = 2
+        with pytest.raises(InvalidParameter):
+            fo.single_mode_state((1.0, 1.0), n)
+
     def test_fermion_single_particle_allowed(self):
         s = fo.single_mode_state((0.6, 0.8), 1, fo.FERMION)
         assert abs(s.amplitude((0, 1)) - 0.8) < 1e-12

@@ -130,6 +130,28 @@ class TestRunExperiment:
         with pytest.raises(ShapeMismatch):
             fo.EpistemicSpec(np.array([bad, 1.0]), 2)
 
+    @pytest.mark.parametrize("n", [2.7, True])
+    def test_non_integral_particle_number_rejected(self, n):
+        # truncating 2.7 would silently give N = 2
+        with pytest.raises(InvalidParameter):
+            fo.EpistemicSpec(np.array([1.0, 0.0]), n)
+
+    @pytest.mark.parametrize("shots, seed", [(10.5, 1), ("10", 1), (10, 1.5), (10, "1"), (10, None)])
+    def test_non_integral_shots_or_seed_rejected(self, shots, seed):
+        spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 2)
+        circuit = readout_circuit(fo.Circuit(2))
+        with pytest.raises(InvalidParameter):
+            fo.run_lhv_experiment(spec, circuit, shots, seed)
+        with pytest.raises(InvalidParameter):
+            fo.compare_lhv_quantum(spec, circuit, shots, seed)
+
+    def test_integral_float_shots_and_seed_accepted(self):
+        spec = fo.EpistemicSpec(np.array([1 / SQ2, 1 / SQ2]), 2.0)
+        circuit = readout_circuit(fo.Circuit(2))
+        run = fo.run_lhv_experiment(spec, circuit, 100.0, seed=np.int64(5))
+        assert run.counts == fo.run_lhv_experiment(spec, circuit, 100, seed=5).counts
+        assert fo.compare_lhv_quantum(spec, circuit, 100, seed=5.0).seed == 5
+
     def test_mode_count_mismatch(self, rng):
         spec = fo.EpistemicSpec(random_alpha(rng, 3), 2)
         with pytest.raises(ShapeMismatch):
@@ -184,7 +206,8 @@ class TestInvariants:
 class TestExactLaw:
     def test_count_law_equals_quantum(self, rng):
         # the paper's locality claim, exactly: the engine's count law is the
-        # quantum readout law of every reducible state through any mesh
+        # quantum readout law of every reducible state through any mesh, and
+        # at every step of it (each gate prefix, read out on all modes)
         worst = 0.0
         for case in range(40):
             m = int(rng.integers(2, 6))
@@ -206,14 +229,20 @@ class TestExactLaw:
             heralded = rng.choice(m, size=int(rng.integers(0, m)), replace=False).tolist()
             detectors = [fo.Detector(j, int(rng.integers(0, 2))) for j in heralded]
             detectors += [fo.Detector(j) for j in range(m) if j not in heralded]
-            circuit = fo.Circuit(m, gates + detectors)
+            readout = [fo.Detector(j) for j in range(m)]
+            circuits = [fo.Circuit(m, gates + detectors)]
+            circuits += [fo.Circuit(m, gates[:k] + readout) for k in range(len(gates) + 1)]
             spec = fo.EpistemicSpec(alpha, n)
-            law, p_herald = lhv_count_law(spec, circuit)
-            quantum = fo.detector_statistics(spec.quantum_state(), circuit)
-            worst = max(worst, abs(p_herald - quantum.herald_probability))
-            for outcome in set(law) | set(quantum.distribution):
-                gap = abs(law.get(outcome, 0.0) - quantum.distribution.get(outcome, 0.0))
-                worst = max(worst, gap)
+            for circuit in circuits:
+                law, p_herald = lhv_count_law(spec, circuit)
+                quantum = fo.detector_statistics(spec.quantum_state(), circuit)
+                # both laws are normalized, so the total-variation distance
+                # bounds the gap of every single outcome
+                tv = 0.5 * sum(
+                    abs(law.get(outcome, 0.0) - quantum.distribution.get(outcome, 0.0))
+                    for outcome in set(law) | set(quantum.distribution)
+                )
+                worst = max(worst, abs(p_herald - quantum.herald_probability), tv)
         assert worst < 1e-12
 
 

@@ -18,17 +18,20 @@ def test_no_bare_assert():
     assert not found, f"assert statements in the library: {found}"
 
 
-def _flagged_raises(node, function=None):
-    """(function, line, name) of each ``raise ValueError`` or ``raise AssertionError``."""
-    for child in ast.iter_child_nodes(node):
+def _function_nodes(tree, function=None):
+    """(name of the enclosing function, node) of every node in ``tree``;
+    the name is None at module level."""
+    for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _flagged_raises(child, child.name)
+            yield from _function_nodes(child, child.name)
             continue
-        if isinstance(child, ast.Raise) and child.exc is not None:
-            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
-                yield function, child.lineno, exc.id
-        yield from _flagged_raises(child, function)
+        yield function, child
+        yield from _function_nodes(child, function)
+
+
+def _parsed_sources():
+    for path in sorted(SOURCE.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def test_library_errors_are_fockopt_errors():
@@ -37,14 +40,18 @@ def test_library_errors_are_fockopt_errors():
     # ValueError on purpose: the state, circuit and unitary readers turn it
     # into InvalidFile.
     allowed = {("_file_number", "ValueError")}
-    found = [
-        f"{path.name}:{line} {name} in {function}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for function, line, name in _flagged_raises(
-            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        )
-        if (function, name) not in allowed
-    ]
+    found = []
+    for path, tree in _parsed_sources():
+        for function, node in _function_nodes(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (
+                isinstance(exc, ast.Name)
+                and exc.id in ("ValueError", "AssertionError")
+                and (function, exc.id) not in allowed
+            ):
+                found.append(f"{path.name}:{node.lineno} {exc.id} in {function}")
     assert not found, f"non-FockoptError raised by the library: {found}"
 
 
@@ -132,3 +139,23 @@ def test_every_top_level_name_is_used():
         if uses[name] == Counter(_references(node))[name]
     ]
     assert not found, f"top-level names nothing refers to: {found}"
+
+
+def test_integers_are_checked_not_truncated():
+    # int(2.7) is 2: a count, mode, seed or particle number passed in by a
+    # caller goes through states._integer, which rejects non-integral values.
+    # cli._resolve_seed parses an environment string and maps its ValueError.
+    allowed = {("states.py", "_integer"), ("cli.py", "_resolve_seed")}
+    found = [
+        f"{path.name}:{node.lineno} in {function}"
+        for path, tree in _parsed_sources()
+        for function, node in _function_nodes(tree)
+        if function is not None
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and len(node.args) == 1
+        and isinstance(node.args[0], (ast.Name, ast.Attribute))
+        and (path.name, function) not in allowed
+    ]
+    assert not found, f"int() truncations in the library: {found}"

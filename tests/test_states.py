@@ -81,7 +81,7 @@ class TestFockState:
 
     def test_terms_are_read_only(self, rng):
         s = random_state(rng, 2, 3, fo.FERMION)
-        heralded, _ = fo.herald(s, {0}, {0: 1})
+        heralded, _ = fo.herald(s, {0: 1})
         wide = fo.embed(s, 5, (0, 2, 4))
         for state in (s, heralded, wide):
             for terms in (state._occ, state._amp):
@@ -388,27 +388,27 @@ class TestHerald:
         noon = fo.superpose(
             [(1, fo.make_number_state((2, 0))), (1, fo.make_number_state((0, 2)))]
         )
-        out, prob = fo.herald(noon, {1}, {1: 0})
+        out, prob = fo.herald(noon, {1: 0})
         assert abs(prob - 0.5) < 1e-12
         assert abs(out.amplitude((2,))) - 1.0 < 1e-12
 
     def test_deterministic_herald(self):
-        out, prob = fo.herald(fo.make_number_state((1, 1)), {1}, {1: 1})
+        out, prob = fo.herald(fo.make_number_state((1, 1)), {1: 1})
         assert abs(prob - 1.0) < 1e-12
         assert abs(out.amplitude((1,)) - 1.0) < 1e-12
 
     def test_impossible_herald(self):
         with pytest.raises(ZeroOutcome):
-            fo.herald(fo.make_number_state((1, 1)), {1}, {1: 2})
+            fo.herald(fo.make_number_state((1, 1)), {1: 2})
 
     def test_out_of_range(self):
         with pytest.raises(ShapeMismatch):
-            fo.herald(fo.make_number_state((1, 1)), {5}, {5: 0})
+            fo.herald(fo.make_number_state((1, 1)), {5: 0})
 
     @pytest.mark.parametrize("count", [-1, 3, 2**63, 10**19])
     def test_count_that_never_fires(self, count):
         with pytest.raises(ZeroOutcome):
-            fo.herald(fo.make_number_state((1, 1)), {1}, {1: count})
+            fo.herald(fo.make_number_state((1, 1)), {1: count})
 
     def test_sparse_state_of_many_modes(self, monkeypatch):
         # 12 particles on 2 of 16 modes: the 16-mode sector has C(27, 12)
@@ -417,7 +417,7 @@ class TestHerald:
         sector = fo.states._sector
         monkeypatch.setattr(fo.states, "_sector", lambda *key: built.append(key) or sector(*key))
         noon = fo.FockState(fo.BOSON, 16, {(12,) + (0,) * 15: 1, (0, 12) + (0,) * 14: 1j}, False)
-        out, prob = fo.herald(noon.normalized(), {1}, {1: 0})
+        out, prob = fo.herald(noon.normalized(), {1: 0})
         assert abs(prob - 0.5) < 1e-12
         assert abs(out.amplitude((12,) + (0,) * 14) - 1.0) < 1e-12
         assert out.n_modes == 15
@@ -427,7 +427,7 @@ class TestHerald:
     def test_conditional_distribution(self, rng, statistics):
         s = random_state(rng, 3, 4, statistics)
         dist = detection_distribution(s)
-        out, prob = fo.herald(s, {1, 3}, {1: 1, 3: 0})
+        out, prob = fo.herald(s, {1: 1, 3: 0})
         conditional = detection_distribution(out)
         for occ, p in dist.items():
             if occ[1] == 1 and occ[3] == 0:
@@ -440,22 +440,33 @@ class TestHerald:
         # this pins the reordering sign of the reduced amplitudes
         s = random_state(rng, 2, 3, fo.FERMION)
         u2 = random_unitary(rng, 2)
-        heralded, p1 = fo.herald(s, {1}, {1: 1})
+        heralded, p1 = fo.herald(s, {1: 1})
         route_a = fo.apply_mode_unitary(heralded, u2)
         full = np.eye(3, dtype=complex)
         full[np.ix_([0, 2], [0, 2])] = u2
         evolved = fo.apply_mode_unitary(s, full)
-        route_b, p2 = fo.herald(evolved, {1}, {1: 1})
+        route_b, p2 = fo.herald(evolved, {1: 1})
         assert abs(p1 - p2) < 1e-12
         for occ in route_a.occupations() | route_b.occupations():
             assert abs(route_a.amplitude(occ) - route_b.amplitude(occ)) < 1e-10
+
+    @pytest.mark.parametrize("counts", [{1.5: 1}, {1: 0.5}, {True: 1}, {1: "1"}])
+    def test_non_integral_mode_or_count_rejected(self, counts):
+        # truncating {1.5: 1} would silently herald mode 1
+        with pytest.raises(InvalidParameter):
+            fo.herald(fo.make_number_state((1, 1, 0)), counts)
+
+    def test_integral_float_and_numpy_keys_accepted(self):
+        out, prob = fo.herald(fo.make_number_state((1, 1, 0)), {1.0: 1, np.int64(2): 0})
+        assert abs(prob - 1.0) < 1e-12
+        assert dict(out.items()) == {(1,): 1.0}
 
     def test_herald_probabilities_complete(self, rng):
         s = random_state(rng, 3, 3)
         total = 0.0
         for k in range(4):
             try:
-                _, p = fo.herald(s, {2}, {2: k})
+                _, p = fo.herald(s, {2: k})
             except ZeroOutcome:
                 p = 0.0
             total += p
@@ -476,20 +487,20 @@ def herald_case(rng, statistics):
         amps[rng.permutation(len(basis))[max(1, len(basis) // 3) :]] = 0.0
     state = fo.FockState(statistics, m, dict(zip(basis, amps / np.linalg.norm(amps))))
     measured = [int(j) for j in rng.choice(m, int(rng.integers(1, m)), replace=False)]
-    return state, measured, {j: int(rng.integers(0, n + 2)) for j in measured}
+    return state, {j: int(rng.integers(0, n + 2)) for j in measured}
 
 
-def herald_matches_oracle(state, measured, counts):
+def herald_matches_oracle(state, counts):
     """Compare ``herald`` with the term loop; True when the herald fired."""
     try:
-        amps, p_ref = oracle_herald(state, measured, counts)
+        amps, p_ref = oracle_herald(state, counts)
     except ZeroOutcome:
         with pytest.raises(ZeroOutcome):
-            fo.herald(state, measured, counts)
+            fo.herald(state, counts)
         return False
-    out, prob = fo.herald(state, measured, counts)
+    out, prob = fo.herald(state, counts)
     assert abs(prob - p_ref) < 1e-12
-    assert out.n_modes == state.n_modes - len(measured)
+    assert out.n_modes == state.n_modes - len(counts)
     assert out.statistics is state.statistics
     for occ in set(amps) | set(out.occupations()):
         assert abs(out.amplitude(occ) - amps.get(occ, 0j)) < 1e-12
@@ -509,7 +520,7 @@ class TestHeraldMatchesTermLoop:
             for measured in itertools.combinations(range(6), k):
                 for occ in sorted(s.occupations()):
                     counts = {j: occ[j] for j in measured}
-                    assert herald_matches_oracle(s, measured, counts)
+                    assert herald_matches_oracle(s, counts)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(statistics=st.sampled_from([fo.BOSON, fo.FERMION]), seed=st.integers(0, 2**32 - 1))
@@ -521,9 +532,20 @@ class TestEmbedAndOverlap:
     def test_embed_roundtrip(self, rng):
         s = random_state(rng, 2, 2)
         wide = fo.embed(s, 4, (0, 2))
-        back, prob = fo.herald(wide, {1, 3}, {1: 0, 3: 0})
+        back, prob = fo.herald(wide, {1: 0, 3: 0})
         assert abs(prob - 1.0) < 1e-12
         assert_states_close(back, s)
+
+    @pytest.mark.parametrize("n_modes, positions", [(3, [0, 1.7]), (3.5, [0, 1]), ("3", [0, 1])])
+    def test_non_integral_embedding_rejected(self, n_modes, positions):
+        # truncating [0, 1.7] would silently place mode 1 at 1
+        with pytest.raises(InvalidParameter):
+            fo.embed(fo.make_number_state((1, 0)), n_modes, positions)
+
+    def test_integral_float_embedding_accepted(self):
+        wide = fo.embed(fo.make_number_state((1, 0)), 3.0, [0.0, np.int64(2)])
+        assert wide.n_modes == 3
+        assert dict(wide.items()) == {(1, 0, 0): 1.0}
 
     def test_fidelity_phase_insensitive(self, rng):
         s = random_state(rng, 2, 3)
