@@ -2,9 +2,33 @@
 
 A circuit is an ordered list of elements; the first element acts first.  Mode
 indices are 0-based in memory and 1-based in the JSON file format.  Detectors
-terminate their mode: no later element may touch it.  Their projective action
-commutes with gates on the surviving modes, so execution defers all detections
-to the end and applies them as one joint herald.
+terminate their mode: no later element may touch it.
+
+Execution evolves only what the circuit reaches, in the spirit of SLOS
+(Heurtel et al., arXiv:2206.10549): compute only the part of the sector that
+the output depends on.  One plan, :func:`_execute`, serves both
+:func:`run_circuit` and :func:`detector_statistics`:
+
+* **Herald early.**  A heralded detector on a mode that no gate touches is
+  applied to the input terms before any gate; a detection commutes with gates
+  on other modes.
+* **Drop idle modes.**  A mode that is empty in every remaining term and that
+  no gate touches stays out of the evolved register.  It comes back as
+  vacuum: an output mode through ``embed``, a readout as a count of 0.
+* **Evolve, then herald late.**  The gates, re-indexed onto the kept modes,
+  run through the sector kernel of :mod:`fockopt.states`; the heralds on
+  touched modes then mask the evolved rows.  Both masks are the row mask and
+  sign rule of :func:`~fockopt.states.herald`, with no cutoff.  The amplitudes
+  are never renormalized on the way, so their squared norm is the joint
+  herald probability p_early * p_late.
+* **Fermion sign.**  No gate needs a parity change: the early-heralded
+  creation operators stand in front of the string, and a gate, a bilinear in
+  the other modes, commutes past them.  Heralding early and then late orders
+  the measured operators early block first, where one joint herald orders
+  them by mode.  The two differ by the global sign (-1)^(sum c_l c_e) over
+  late-heralded modes l below early-heralded modes e, with c the herald
+  counts; the plan applies that sign, so amplitudes keep the convention of
+  one joint herald.
 """
 
 import cmath
@@ -19,15 +43,20 @@ from .errors import (
     InvalidParameter,
     NotUnitary,
     ShapeMismatch,
+    ZeroOutcome,
 )
 from .states import (
+    FERMION,
+    HERALD_CUTOFF,
+    FockState,
+    _evolve_terms,
     _file_count,
     _file_number,
     _integer,
+    _project,
     _read_json,
     _write_json,
-    evolve,
-    herald,
+    embed,
     reck_gates,
     require_unitary,
 )
@@ -188,20 +217,61 @@ class Circuit:
         return f"Circuit(n_modes={self.n_modes}, elements={list(self.elements)})"
 
 
-def _evolve_gates(state, circuit):
+def _execute(state, circuit):
+    """Run ``circuit`` on ``state`` over the modes it reaches (see the module
+    docstring).
+
+    Returns ``(survivors, occ, amp)``: the undetected modes that the kernel
+    kept, ascending, and the terms on them that pass every herald.  The
+    amplitudes are not renormalized, so their squared norm is the joint herald
+    probability.  Returns None when a herald count exceeds N.
+    """
     if state.n_modes != circuit.n_modes:
         raise ShapeMismatch(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
         )
-    return evolve(state, _kernel_gates(circuit.elements))
+    heralds = circuit.heralds
+    n = state.n_particles
+    # a count above N never fires and would not fit the integer comparison
+    if any(c > n for c in heralds.values()):
+        return None
+    fermionic = state.statistics is FERMION
+    gates = _kernel_gates(circuit.elements)
+    touched = {m for modes, _ in gates for m in modes}
+    early = sorted(m for m in heralds if m not in touched)
+    late = sorted(m for m in heralds if m in touched)
+    occ, amp = _project(
+        state._occ, state._amp, early, [heralds[m] for m in early], fermionic
+    )
+    left = [m for m in range(state.n_modes) if m not in early]
+    busy = occ.any(axis=0).tolist()
+    keep = [i for i, m in enumerate(left) if busy[i] or m in touched]
+    kept = [left[i] for i in keep]
+    if len(kept) < state.n_modes:
+        # re-index the terms and the gates onto the kept modes
+        occ = occ.take(keep, axis=1)
+        local = {m: i for i, m in enumerate(kept)}
+        gates = [(tuple(local[m] for m in modes), value) for modes, value in gates]
+    # with no term left the early counts may even sum past N: nothing to evolve
+    if len(amp):
+        n_kept = n - sum(heralds[m] for m in early)
+        occ, amp = _evolve_terms(fermionic, len(kept), n_kept, occ, amp, gates)
+    occ, amp = _project(
+        occ, amp, [kept.index(m) for m in late], [heralds[m] for m in late], fermionic
+    )
+    if fermionic and sum(heralds[e] * heralds[l] for e in early for l in late if l < e) % 2:
+        amp = -amp
+    return [m for m in kept if m not in heralds], occ, amp
 
 
 def run_circuit(state, circuit):
     """Execute the circuit and return ``(state on output modes, probability)``.
 
-    Every detector must carry a herald count; conditioning happens jointly at
-    the end, which is equivalent to in-place detection because no gate acts on
-    a detected mode afterwards.
+    Every detector must carry a herald count.  The probability is that of the
+    joint herald; ZeroOutcome is raised when it is below ``HERALD_CUTOFF``.
+    Heralds on modes no gate touches are applied before the gates, the others
+    after them, and output modes the kernel left out come back as vacuum
+    (see the module docstring).
     """
     for det in circuit.detectors:
         if det.herald is None:
@@ -209,11 +279,30 @@ def run_circuit(state, circuit):
                 "run_circuit needs heralded detectors; use detector_statistics "
                 "for readout detectors"
             )
-    evolved = _evolve_gates(state, circuit)
+    outputs = circuit.output_modes
+    if not outputs:
+        raise ShapeMismatch("heralding away every mode leaves no state")
     heralds = circuit.heralds
-    if not heralds:
-        return evolved, 1.0
-    return herald(evolved, heralds)
+    reached = _execute(state, circuit)
+    if reached is None:
+        raise ZeroOutcome(f"herald {heralds} cannot fire on {state.n_particles} particles")
+    survivors, occ, amp = reached
+    prob = 1.0
+    if heralds:
+        prob = float(np.vdot(amp, amp).real)
+        if prob < HERALD_CUTOFF:
+            raise ZeroOutcome(f"herald {heralds} fires with probability {prob:.3e}")
+        amp = amp / math.sqrt(prob)
+    out = FockState._trusted(
+        state.statistics,
+        len(survivors),
+        state.n_particles - sum(heralds.values()),
+        occ,
+        amp,
+    )
+    if len(survivors) < len(outputs):
+        out = embed(out, len(outputs), [outputs.index(m) for m in survivors])
+    return out, prob
 
 
 @dataclass
@@ -229,21 +318,23 @@ def detector_statistics(state, circuit):
     """Distribution of readout-detector counts, conditioned on the heralds.
 
     Modes without any detector are traced out.  Outcome keys are count tuples
-    ordered like ``circuit.readout_modes``.
+    ordered like ``circuit.readout_modes``.  The heralds apply no cutoff: any
+    probability above 0 gives a distribution.
     """
-    evolved = _evolve_gates(state, circuit)
-    heralds = circuit.heralds
     readout = circuit.readout_modes
-    # a count above N never fires and would not fit the integer comparison
-    if any(c > evolved.n_particles for c in heralds.values()):
+    reached = _execute(state, circuit)
+    if reached is None:
         return ReadoutStatistics({}, 0.0, readout)
-    hit = np.all(evolved._occ[:, list(heralds)] == list(heralds.values()), axis=1)
+    survivors, occ, amp = reached
+    # modes the kernel left out read 0
+    counts = np.zeros((len(amp), circuit.n_modes), dtype=np.intp)
+    counts[:, survivors] = occ
     # few terms per state: a dict tally beats np.unique's fixed cost per call
     dist = {}
     p_herald = 0.0
-    keys = map(tuple, evolved._occ[hit][:, readout].tolist())
-    for key, amp in zip(keys, evolved._amp[hit].tolist()):
-        p = abs(amp) ** 2
+    keys = counts.take(readout, axis=1).tolist()
+    for key, a in zip(map(tuple, keys), amp.tolist()):
+        p = abs(a) ** 2
         p_herald += p
         dist[key] = dist.get(key, 0.0) + p
     if p_herald <= 0.0:

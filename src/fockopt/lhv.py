@@ -58,7 +58,10 @@ class EpistemicSpec:
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "n_particles", _integer(self.n_particles, "particle number"))
+        n = _integer(self.n_particles, "particle number")
+        if n < 0:
+            raise InvalidParameter(f"particle number must be >= 0, got {n}")
+        object.__setattr__(self, "n_particles", n)
 
     @property
     def n_modes(self):
@@ -134,13 +137,15 @@ def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
     ``(seed, shots, BLOCK)``.  Shots whose heralded detectors miss their
     required count are rejected (and counted, so the acceptance rate can be
     compared with the quantum herald probability).  Outcome keys follow
-    ``circuit.readout_modes``.
+    ``circuit.readout_modes``.  ``shots`` must be at least 1.
     """
     if spec.n_modes != circuit.n_modes:
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
     shots = _integer(shots, "shot count")
+    if shots < 1:
+        raise InvalidParameter(f"an experiment needs at least one shot, got {shots}")
     seed = _integer(seed, "seed")
     splits = _splits(spec.alpha, circuit)
     counts = {}

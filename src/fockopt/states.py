@@ -132,7 +132,9 @@ class FockState:
 
     @classmethod
     def _trusted(cls, statistics, n_modes, n_particles, occ, amp):
-        """Unit-norm state from valid, pruned term arrays; nothing is rechecked."""
+        """State from valid, pruned term arrays.  The occupations are not
+        rechecked; ``_store`` still checks that a term is left and that the
+        norm is 1 within ``NORM_TOL``."""
         state = object.__new__(cls)
         state._store(statistics, n_modes, n_particles, occ, amp, True)
         return state
@@ -140,10 +142,8 @@ class FockState:
     @classmethod
     def _from_vector(cls, statistics, n_modes, n_particles, vec):
         """State from a sector vector in rank order (see the module docstring)."""
-        occ = _sector(n_modes, n_particles, statistics is FERMION)[1]
-        mag = np.abs(vec)
-        keep = mag > PRUNE_REL * mag.max()
-        return cls._trusted(statistics, n_modes, n_particles, occ[keep], vec[keep])
+        terms = _sector_terms(n_modes, n_particles, statistics is FERMION, vec)
+        return cls._trusted(statistics, n_modes, n_particles, *terms)
 
     def _store(self, statistics, n_modes, n_particles, occ, amp, normalized):
         if not len(amp):
@@ -365,6 +365,44 @@ def _fermion_block(g, n, odd):
     return np.array([[g[1, 1], sign * g[0, 1]], [sign * g[1, 0], g[0, 0]]])
 
 
+def _sector_terms(n_modes, n_particles, fermionic, vec):
+    """The significant entries of a sector vector in rank order, as
+    ``(occupations, amplitudes)``: entries below ``PRUNE_REL`` of the largest
+    one are float dust and dropped."""
+    mag = np.abs(vec)
+    keep = mag > PRUNE_REL * mag.max()
+    return _sector(n_modes, n_particles, fermionic)[1].compress(keep, axis=0), vec[keep]
+
+
+def _evolve_terms(fermionic, m, n, occ, amp, gates):
+    """The sector kernel: the terms ``(occ, amp)`` of ``n`` particles on
+    ``m`` modes after ``gates``.
+
+    The terms are scattered into the dense sector vector, each gate acts on
+    it block by block, and the significant entries come back as
+    :func:`_sector_terms`.  The amplitudes need not have unit norm; the
+    kernel is linear.  Without gates the terms come back unchanged.
+    """
+    if not gates:
+        return occ, amp
+    rank, sector = _sector(m, n, fermionic)[:2]
+    vec = np.zeros(len(sector), dtype=complex)
+    vec[[rank[o] for o in map(tuple, occ.tolist())]] = amp
+    for modes, value in gates:
+        if len(modes) == 1:
+            vec *= np.exp(1j * value * sector[:, modes[0]])
+            continue
+        (s, t), g = modes, value
+        if s > t:
+            s, t, g = t, s, g[::-1, ::-1]
+        if not fermionic:
+            powers = _symmetric_powers(np.asarray(g, dtype=complex).tobytes(), n)
+        for k, odd, idx in _pair_blocks(m, n, fermionic, s, t):
+            block = _fermion_block(g, k, odd) if fermionic else powers[k]
+            vec[idx] = vec[idx] @ block.T
+    return _sector_terms(m, n, fermionic, vec)
+
+
 def evolve(state, gates):
     """Run ``gates`` on ``state`` through the sector kernel, first gate first.
 
@@ -376,23 +414,8 @@ def evolve(state, gates):
     if not gates:
         return state
     m, n = state.n_modes, state.n_particles
-    fermionic = state.statistics is FERMION
-    rank, occ = _sector(m, n, fermionic)[:2]
-    vec = np.zeros(len(occ), dtype=complex)
-    vec[[rank[o] for o in map(tuple, state._occ.tolist())]] = state._amp
-    for modes, value in gates:
-        if len(modes) == 1:
-            vec *= np.exp(1j * value * occ[:, modes[0]])
-            continue
-        (s, t), g = modes, value
-        if s > t:
-            s, t, g = t, s, g[::-1, ::-1]
-        if not fermionic:
-            powers = _symmetric_powers(np.asarray(g, dtype=complex).tobytes(), n)
-        for k, odd, idx in _pair_blocks(m, n, fermionic, s, t):
-            block = _fermion_block(g, k, odd) if fermionic else powers[k]
-            vec[idx] = vec[idx] @ block.T
-    return FockState._from_vector(state.statistics, m, n, vec)
+    terms = _evolve_terms(state.statistics is FERMION, m, n, state._occ, state._amp, gates)
+    return FockState._trusted(state.statistics, m, n, *terms)
 
 
 def reck_gates(u):
@@ -440,6 +463,28 @@ def apply_mode_unitary(state, u):
     return evolve(state, reck_gates(u))
 
 
+def _project(occ, amp, measured, counts, fermionic):
+    """The terms ``(occ, amp)`` with ``counts`` on the ``measured`` modes
+    (ascending), as ``(occupations of the other modes, amplitudes)``.
+
+    A fermion amplitude takes the sign of pulling the measured creation
+    operators to the front (see the module docstring).  There is no cutoff
+    and no renormalization; the callers decide both.
+    """
+    if not measured:
+        return occ, amp
+    counts = np.array(counts, dtype=np.intp)
+    # take and compress: a fancy index costs several times more on the few
+    # terms a state has
+    hit = (occ.take(measured, axis=1) == counts).all(axis=1)
+    occ, amp = occ.compress(hit, axis=0), amp[hit]
+    if fermionic:
+        # unmeasured particles below each measured mode, counted per row
+        below = np.cumsum(occ, axis=1)[:, measured] - np.cumsum(occ[:, measured], axis=1)
+        amp[(below @ counts) % 2 == 1] *= -1.0
+    return occ.take([j for j in range(occ.shape[1]) if j not in measured], axis=1), amp
+
+
 def herald(state, required_counts):
     """Condition on exact detector counts: ``required_counts`` maps each
     measured mode to its count.
@@ -463,22 +508,17 @@ def herald(state, required_counts):
     if not all(0 <= required[m] <= n for m in measured):
         # never fires; the counts are compared as machine integers below
         raise ZeroOutcome(f"herald {required} cannot fire on {n} particles")
-    counts = np.array([required[m] for m in measured], dtype=np.intp)
-    hit = np.all(state._occ[:, measured] == counts, axis=1)
-    kept = state._amp[hit]
+    counts = [required[m] for m in measured]
+    rest, kept = _project(
+        state._occ, state._amp, measured, counts, state.statistics is FERMION
+    )
     prob = float(np.vdot(kept, kept).real)
     if prob < HERALD_CUTOFF:
         raise ZeroOutcome(f"herald {required} fires with probability {prob:.3e}")
-    kept /= math.sqrt(prob)
-    occ = state._occ[hit]
-    if state.statistics is FERMION:
-        # unmeasured particles below each measured mode, counted per row
-        below = np.cumsum(occ, axis=1)[:, measured] - np.cumsum(occ[:, measured], axis=1)
-        kept[(below @ counts) % 2 == 1] *= -1.0
     # the kept terms are a rescaled subset of pruned ones, so none is dust
-    rest = np.delete(occ, measured, axis=1)
+    kept = kept / math.sqrt(prob)
     remaining = state.n_modes - len(measured)
-    return FockState._trusted(state.statistics, remaining, n - int(counts.sum()), rest, kept), prob
+    return FockState._trusted(state.statistics, remaining, n - sum(counts), rest, kept), prob
 
 
 def embed(state, n_modes, positions):

@@ -178,11 +178,28 @@ def lhv_count_law(spec, circuit):
     return {k: v / p_herald for k, v in dist.items()}, p_herald
 
 
+def _full_register(state, circuit):
+    """Every gate of ``circuit`` on the whole sector of ``state``."""
+    if state.n_modes != circuit.n_modes:
+        raise fo.ShapeMismatch(f"state has {state.n_modes} modes, circuit {circuit.n_modes}")
+    return fo.states.evolve(state, fo.circuits._kernel_gates(circuit.elements))
+
+
+def oracle_run_circuit(state, circuit):
+    """``run_circuit`` on the full register: every gate on the whole sector,
+    then the heralds as one joint ``herald``."""
+    evolved = _full_register(state, circuit)
+    heralds = circuit.heralds
+    if not heralds:
+        return evolved, 1.0
+    return fo.herald(evolved, heralds)
+
+
 def oracle_detector_statistics(state, circuit):
-    """``detector_statistics`` term by term over the evolved state: the
-    heralds filter the terms and the readout counts key the tally.  Returns
-    ``(distribution, herald probability)``."""
-    evolved = fo.circuits._evolve_gates(state, circuit)
+    """``detector_statistics`` on the full register, term by term over the
+    evolved state: the heralds filter the terms and the readout counts key the
+    tally.  Returns ``(distribution, herald probability)``."""
+    evolved = _full_register(state, circuit)
     heralds = circuit.heralds
     dist = {}
     p_herald = 0.0

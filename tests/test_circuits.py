@@ -1,17 +1,31 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fockopt as fo
-from fockopt.errors import InvalidCircuit, InvalidParameter, NotUnitary, ZeroOutcome
+from fockopt.errors import (
+    InvalidCircuit,
+    InvalidParameter,
+    NotUnitary,
+    ShapeMismatch,
+    ZeroOutcome,
+)
+from fockopt.states import HERALD_CUTOFF
 from helpers import (
     assert_states_close,
     oracle_detector_statistics,
+    oracle_run_circuit,
     random_state,
     random_unitary,
     two_mode_stages,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SQ2 = math.sqrt(2.0)
 
@@ -144,6 +158,244 @@ class TestDetectorStatisticsMatchesTermLoop:
             assert fired == 0
         else:
             assert 0 < fired < 40
+
+
+def sparse_case(rng, statistics, readouts):
+    """A random state with vacuum on some modes and a random circuit whose
+    gates touch only a few modes.  Every mode gets, at random, a herald, a
+    readout (with ``readouts``) or nothing, so heralds fall on touched and
+    untouched modes, often between the two modes of a gate, and readouts
+    fall on idle vacuum modes.  A herald count is mostly that of one term of
+    the state, so many heralds fire; the rest are drawn from 0..N+1."""
+    fermionic = statistics is fo.FERMION
+    m = int(rng.integers(3, 8))
+    k = int(rng.integers(1, m + 1))
+    n = int(rng.integers(0, 5))
+    if fermionic:
+        n = min(n, k)
+    positions = sorted(int(p) for p in rng.choice(m, k, replace=False))
+    state = fo.embed(random_state(rng, n, k, statistics), m, positions)
+    elements = []
+    for _ in range(int(rng.integers(0, 4))):
+        s, t = (int(x) for x in rng.choice(m, 2, replace=False))
+        if rng.random() < 0.2:
+            elements.append(fo.PhaseShifter(s, float(rng.uniform(0, 2 * math.pi))))
+        elif rng.random() < 0.2:
+            elements.append(fo.Swap((s, t)))
+        else:
+            elements.append(fo.BeamSplitter((s, t), random_unitary(rng, 2)))
+    terms = state.items()
+    reference = terms[int(rng.integers(len(terms)))][0]
+    for j in rng.permutation(m).tolist():
+        r = rng.random()
+        if r < 0.45:
+            count = reference[j] if rng.random() < 0.8 else int(rng.integers(0, n + 2))
+            elements.append(fo.Detector(j, count))
+        elif readouts and r < 0.8:
+            elements.append(fo.Detector(j))
+    return state, fo.Circuit(m, elements)
+
+
+def outcome(run, *args):
+    """``run(*args)``, or the type of the fockopt error it raised."""
+    try:
+        return run(*args)
+    except fo.FockoptError as exc:
+        return type(exc)
+
+
+def assert_same_state(a, b, atol=1e-12):
+    """Amplitude by amplitude, phases included; dust below ``atol`` may be
+    missing on either side."""
+    assert (a.statistics, a.n_modes, a.n_particles) == (b.statistics, b.n_modes, b.n_particles)
+    amps_a, amps_b = dict(a.items()), dict(b.items())
+    for occ in set(amps_a) | set(amps_b):
+        assert abs(amps_a.get(occ, 0j) - amps_b.get(occ, 0j)) < atol, occ
+
+
+def assert_same_distribution(a, b, atol=1e-12):
+    for key in set(a) | set(b):
+        assert abs(a.get(key, 0.0) - b.get(key, 0.0)) < atol, key
+
+
+def touched_modes(circuit):
+    return {
+        m
+        for el in circuit.elements
+        if not isinstance(el, fo.Detector)
+        for m in fo.circuits.element_modes(el)
+    }
+
+
+def late_below_early_sign(circuit):
+    """True when the fermion reordering sign of heralding untouched modes
+    first is -1 for ``circuit``."""
+    touched = touched_modes(circuit)
+    heralds = circuit.heralds
+    return sum(
+        heralds[e] * heralds[l]
+        for e in heralds if e not in touched
+        for l in heralds if l in touched and l < e
+    ) % 2 == 1
+
+
+class TestReachedModesMatchFullRegister:
+    """``run_circuit`` and ``detector_statistics`` herald untouched modes
+    before the gates and leave idle vacuum modes out of the kernel; the
+    full-register oracles of ``helpers`` evolve every mode and herald once."""
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
+    def test_run_circuit(self, statistics):
+        rng = np.random.default_rng(7 if statistics is fo.BOSON else 8)
+        fired = early_fired = flipped = 0
+        for _ in range(400):
+            state, circuit = sparse_case(rng, statistics, readouts=False)
+            expected = outcome(oracle_run_circuit, state, circuit)
+            got = outcome(fo.run_circuit, state, circuit)
+            if isinstance(expected, type):
+                assert got is expected
+                continue
+            assert not isinstance(got, type), got
+            assert abs(got[1] - expected[1]) < 1e-12
+            assert_same_state(got[0], expected[0])
+            fired += 1
+            touched = touched_modes(circuit)
+            early_fired += any(m not in touched for m in circuit.heralds)
+            flipped += late_below_early_sign(circuit)
+        assert fired > 100 and early_fired > 50
+        if statistics is fo.FERMION:
+            assert flipped > 0
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
+    def test_detector_statistics(self, statistics):
+        rng = np.random.default_rng(9 if statistics is fo.BOSON else 10)
+        fired = idle_readouts = 0
+        for _ in range(400):
+            state, circuit = sparse_case(rng, statistics, readouts=True)
+            dist, p_herald = oracle_detector_statistics(state, circuit)
+            result = fo.detector_statistics(state, circuit)
+            assert abs(result.herald_probability - p_herald) < 1e-12
+            assert_same_distribution(result.distribution, dist)
+            assert result.readout_modes == circuit.readout_modes
+            fired += p_herald > 0.0
+            occupied = state._occ.any(axis=0)
+            idle_readouts += p_herald > 0.0 and any(
+                not occupied[m] for m in circuit.readout_modes
+            )
+        assert fired > 100 and idle_readouts > 20
+
+    def test_fermion_late_herald_below_early_one(self, rng):
+        # mode 0 is heralded after the gate, mode 2 before it, both with an
+        # odd count: one joint herald orders them 0, 2, the plan 2, 0
+        state = random_state(rng, 3, 5, fo.FERMION)
+        circuit = fo.Circuit(
+            5,
+            [
+                fo.BeamSplitter((0, 3), random_unitary(rng, 2)),
+                fo.Detector(0, 1),
+                fo.Detector(2, 1),
+            ],
+        )
+        assert late_below_early_sign(circuit)
+        out, prob = fo.run_circuit(state, circuit)
+        expected, expected_prob = oracle_run_circuit(state, circuit)
+        assert prob > HERALD_CUTOFF
+        assert abs(prob - expected_prob) < 1e-12
+        assert_same_state(out, expected)
+
+    def test_idle_vacuum_modes_read_zero_and_return_as_vacuum(self, rng):
+        state = fo.embed(random_state(rng, 3, 2), 6, (1, 4))
+        gates = [fo.BeamSplitter((1, 4), random_unitary(rng, 2))]
+        readout = fo.Circuit(6, gates + [fo.Detector(0), fo.Detector(1), fo.Detector(5, 0)])
+        result = fo.detector_statistics(state, readout)
+        dist, p_herald = oracle_detector_statistics(state, readout)
+        assert abs(result.herald_probability - p_herald) < 1e-12
+        assert_same_distribution(result.distribution, dist)
+        assert all(key[0] == 0 for key in result.distribution)
+        heralded = fo.Circuit(6, gates + [fo.Detector(1, 2)])
+        out, prob = fo.run_circuit(state, heralded)
+        expected, expected_prob = oracle_run_circuit(state, heralded)
+        assert out.n_modes == 5 and abs(prob - expected_prob) < 1e-12
+        assert_same_state(out, expected)
+
+    def test_statistics_keep_a_herald_below_the_cutoff(self):
+        # the untouched mode 2 holds the particle with probability 1e-16
+        eps = 1e-8
+        state = fo.superpose(
+            [(1.0, fo.make_number_state((1, 1, 0))), (eps, fo.make_number_state((1, 0, 1)))]
+        )
+        circuit = fo.Circuit(
+            3, [fo.BeamSplitter((0, 1)), fo.Detector(0), fo.Detector(1), fo.Detector(2, 1)]
+        )
+        result = fo.detector_statistics(state, circuit)
+        dist, p_herald = oracle_detector_statistics(state, circuit)
+        assert 0.0 < p_herald < HERALD_CUTOFF
+        assert abs(result.herald_probability / p_herald - 1.0) < 1e-12
+        assert set(result.distribution) == set(dist) == {(1, 0), (0, 1)}
+        assert_same_distribution(result.distribution, dist)
+        heralded = fo.Circuit(3, [fo.BeamSplitter((0, 1)), fo.Detector(2, 1)])
+        with pytest.raises(ZeroOutcome):
+            fo.run_circuit(state, heralded)
+        with pytest.raises(ZeroOutcome):
+            oracle_run_circuit(state, heralded)
+
+    @pytest.mark.parametrize("p_early, fires", [(1e-8, False), (1e-6, True)])
+    def test_cutoff_applies_to_the_joint_probability(self, p_early, fires):
+        # both heralds pass the cutoff alone; their product is 1e-15 or 1e-13
+        state = fo.superpose(
+            [
+                (math.sqrt(p_early), fo.make_number_state((1, 0, 0))),
+                (math.sqrt(1 - p_early), fo.make_number_state((0, 0, 1))),
+            ]
+        )
+        theta = math.asin(math.sqrt(1e-7))
+        c, s = math.cos(theta), math.sin(theta)
+        circuit = fo.Circuit(
+            3,
+            [fo.BeamSplitter((0, 1), [[c, s], [-s, c]]), fo.Detector(2, 0), fo.Detector(1, 1)],
+        )
+        if not fires:
+            with pytest.raises(ZeroOutcome):
+                fo.run_circuit(state, circuit)
+            with pytest.raises(ZeroOutcome):
+                oracle_run_circuit(state, circuit)
+            return
+        out, prob = fo.run_circuit(state, circuit)
+        expected, expected_prob = oracle_run_circuit(state, circuit)
+        assert abs(prob / expected_prob - 1.0) < 1e-9
+        assert_same_state(out, expected)
+
+    def test_every_mode_detected_leaves_no_state(self):
+        circuit = fo.Circuit(2, [fo.BeamSplitter((0, 1)), fo.Detector(0, 1), fo.Detector(1, 1)])
+        with pytest.raises(ShapeMismatch):
+            fo.run_circuit(fo.make_number_state((1, 1)), circuit)
+
+    def test_wide_sparse_register_stays_small(self):
+        # |6,6,0,...,0> on 16 modes: the full sector has C(27, 12) = 17.4
+        # million states, more than the 1.5 GB address space allows
+        script = (
+            "import resource\n"
+            "limit = 1_500_000_000\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    limit = min(limit, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "import fockopt as fo\n"
+            "state = fo.make_number_state((6, 6) + (0,) * 14)\n"
+            "circuit = fo.Circuit(16, [fo.BeamSplitter((0, 1))])\n"
+            "out, prob = fo.run_circuit(state, circuit)\n"
+            "assert prob == 1.0 and out.n_modes == 16 and out.n_particles == 12\n"
+            "assert sorted(o[:2] for o in out.occupations()) == [(k, 12 - k) for k in range(0, 13, 2)]\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestCircuitToUnitary:

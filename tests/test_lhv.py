@@ -136,6 +136,16 @@ class TestRunExperiment:
         with pytest.raises(InvalidParameter):
             fo.EpistemicSpec(np.array([1.0, 0.0]), n)
 
+    def test_negative_particle_number_rejected(self):
+        with pytest.raises(InvalidParameter):
+            fo.EpistemicSpec(np.array([1.0, 0.0]), -1)
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_experiment_without_shots_rejected(self, shots):
+        spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 2)
+        with pytest.raises(InvalidParameter):
+            fo.run_lhv_experiment(spec, readout_circuit(fo.Circuit(2)), shots)
+
     @pytest.mark.parametrize("shots, seed", [(10.5, 1), ("10", 1), (10, 1.5), (10, "1"), (10, None)])
     def test_non_integral_shots_or_seed_rejected(self, shots, seed):
         spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 2)
