@@ -165,16 +165,24 @@ def _kernel_gates(elements):
 
 
 class Circuit:
-    """Ordered optical elements on a fixed number of modes."""
+    """Ordered optical elements on a fixed number of modes.
 
-    __slots__ = ("n_modes", "elements")
+    The detector views are computed once, when the circuit is built:
+    ``detectors`` holds the detector elements in element order,
+    ``readout_modes`` the modes of the unheralded ones in that order, and
+    ``output_modes`` the undetected modes, ascending.
+    """
+
+    __slots__ = ("n_modes", "elements", "detectors", "readout_modes", "output_modes", "_heralds")
 
     def __init__(self, n_modes, elements=()):
         n_modes = _integer(n_modes, "mode count")
         if n_modes < 1:
             raise InvalidCircuit("circuit needs at least one mode")
         elements = tuple(elements)
+        detectors = []
         detected = set()
+        heralds = {}
         for el in elements:
             for m in element_modes(el):
                 if not 0 <= m < n_modes:
@@ -182,32 +190,29 @@ class Circuit:
                 if m in detected:
                     raise InvalidCircuit(f"mode {m} is already terminated by a detector")
             if isinstance(el, Detector):
+                detectors.append(el)
                 detected.add(el.mode)
+                if el.herald is not None:
+                    heralds[el.mode] = el.herald
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "detectors", tuple(detectors))
+        object.__setattr__(
+            self, "readout_modes", tuple(d.mode for d in detectors if d.herald is None)
+        )
+        object.__setattr__(
+            self, "output_modes", tuple(m for m in range(n_modes) if m not in detected)
+        )
+        object.__setattr__(self, "_heralds", heralds)
 
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")
 
     @property
-    def detectors(self):
-        return tuple(el for el in self.elements if isinstance(el, Detector))
-
-    @property
     def heralds(self):
-        """Map detector mode -> required count, heralded detectors only."""
-        return {d.mode: d.herald for d in self.detectors if d.herald is not None}
-
-    @property
-    def readout_modes(self):
-        """Modes of unheralded detectors, in element order."""
-        return tuple(d.mode for d in self.detectors if d.herald is None)
-
-    @property
-    def output_modes(self):
-        """Undetected modes, ascending."""
-        detected = {d.mode for d in self.detectors}
-        return tuple(m for m in range(self.n_modes) if m not in detected)
+        """Map detector mode -> required count, heralded detectors only; a
+        fresh dict on every access, so a caller cannot change the circuit."""
+        return dict(self._heralds)
 
     def extended(self, extra_elements):
         """New circuit with ``extra_elements`` appended."""
@@ -230,7 +235,7 @@ def _execute(state, circuit):
         raise ShapeMismatch(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
         )
-    heralds = circuit.heralds
+    heralds = circuit._heralds
     n = state.n_particles
     # a count above N never fires and would not fit the integer comparison
     if any(c > n for c in heralds.values()):
@@ -273,16 +278,15 @@ def run_circuit(state, circuit):
     after them, and output modes the kernel left out come back as vacuum
     (see the module docstring).
     """
-    for det in circuit.detectors:
-        if det.herald is None:
-            raise InvalidCircuit(
-                "run_circuit needs heralded detectors; use detector_statistics "
-                "for readout detectors"
-            )
+    if circuit.readout_modes:
+        raise InvalidCircuit(
+            "run_circuit needs heralded detectors; use detector_statistics "
+            "for readout detectors"
+        )
     outputs = circuit.output_modes
     if not outputs:
         raise ShapeMismatch("heralding away every mode leaves no state")
-    heralds = circuit.heralds
+    heralds = circuit._heralds
     reached = _execute(state, circuit)
     if reached is None:
         raise ZeroOutcome(f"herald {heralds} cannot fire on {state.n_particles} particles")

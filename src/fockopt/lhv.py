@@ -17,6 +17,18 @@ as 1, 2, 3", SC'11): one multinomial for the block's starts, then one
 vectorized binomial per gate.  A tally therefore depends on the seed, the
 shot count and ``BLOCK`` alone, not on the order in which blocks run;
 ``BLOCK`` is part of that contract, and changing it changes every tally.
+
+A block is tallied without sorting rows.  Each accepted readout row becomes
+one int64 code (:func:`_row_codes`): the columns are folded in, most
+significant first, each in base (column maximum + 1), so the codes sort the
+way the rows sort lexicographically.  Before a fold could pass
+``CODE_LIMIT`` the partial code is replaced by its rank among the block's
+rows, which keeps the order and is below the row count; a column too wide
+even for that is folded in by its own rank.  The codes are therefore exact
+for any particle number and readout width.  One 1-D ``np.unique`` counts
+them, and each outcome's row is read back at its first index, so nothing is
+decoded: a block's outcomes come out in lexicographic order, and a run's in
+the order they are first seen across blocks.
 """
 
 import cmath
@@ -37,6 +49,8 @@ BLOCK = 4096
 EMPTY_PAIR = 1e-30
 # largest deviation of |alpha| from 1 that a preparation accepts
 SPEC_NORM_TOL = 1e-9
+# a partial row code is ranked before a fold could take it past this
+CODE_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,26 @@ def _splits(alpha, circuit):
     return splits
 
 
+def _row_codes(rows):
+    """One int64 code per row of the non-negative integer array ``rows``,
+    ordered as the rows sort lexicographically (see the module docstring)."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    span = 1  # every code lies in [0, span)
+    for col in rows.T:
+        base = int(col.max(initial=0)) + 1
+        if span * base > CODE_LIMIT:
+            # a rank is below the row count and keeps the order of the codes
+            codes = np.unique(codes, return_inverse=True)[1]
+            span = len(rows)
+            if span * base > CODE_LIMIT:
+                # a column too wide even for that is folded in by its own rank
+                col = np.unique(col, return_inverse=True)[1]
+                base = len(rows)
+        codes = codes * base + col
+        span *= base
+    return codes
+
+
 def _run_block(spec, circuit, splits, seed, block, size):
     """Readout tallies and accepted count of ``size`` shots of block ``block``."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
@@ -109,10 +143,9 @@ def _run_block(spec, circuit, splits, seed, block, size):
         counts[:, t] = k - counts[:, s]
     heralds = circuit.heralds
     accepted = np.all(counts[:, list(heralds)] == list(heralds.values()), axis=1)
-    rows, hits = np.unique(
-        counts[accepted][:, list(circuit.readout_modes)], axis=0, return_counts=True
-    )
-    return dict(zip(map(tuple, rows.tolist()), hits.tolist())), int(accepted.sum())
+    readout = counts[accepted][:, list(circuit.readout_modes)]
+    _, first, hits = np.unique(_row_codes(readout), return_index=True, return_counts=True)
+    return dict(zip(map(tuple, readout[first].tolist()), hits.tolist())), int(accepted.sum())
 
 
 @dataclass
@@ -311,10 +344,32 @@ def _chi_square_p(observed, expected_probs, total):
 
 def _postselection(readout_modes, groups):
     """Predicate on readout outcomes: each ``(modes, required)`` group of
-    readout modes holds exactly ``required`` particles in total."""
+    distinct readout modes holds exactly ``required`` >= 0 particles in total.
+
+    The groups are checked here, before any shot runs: a mode must be an
+    integer that is read out, and appear once in its group.
+    """
+    try:
+        groups = [(list(modes), required) for modes, required in groups]
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(
+            f"post-selection must list (modes, total) pairs, got {groups!r}"
+        ) from exc
     index = {m: i for i, m in enumerate(readout_modes)}
+    rules = []
+    for modes, required in groups:
+        modes = [_integer(m, "post-selected mode") for m in modes]
+        if len(set(modes)) < len(modes):
+            raise InvalidParameter(f"post-selection group {modes} repeats a mode")
+        missing = [m for m in modes if m not in index]
+        if missing:
+            raise ShapeMismatch(f"post-selected modes {missing} are not read out")
+        required = _integer(required, "post-selected total")
+        if required < 0:
+            raise InvalidParameter(f"post-selected total must be >= 0, got {required}")
+        rules.append(([index[m] for m in modes], required))
     return lambda outcome: all(
-        sum(outcome[index[m]] for m in modes) == required for modes, required in groups
+        sum(outcome[i] for i in cols) == required for cols, required in rules
     )
 
 
@@ -324,6 +379,7 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
     ``postselect`` optionally lists ``(modes, required_total)`` pairs applied
     to the readout counts of both sides (quantum by conditioning, LHV by
     rejection), covering post-selection rules that are not per-mode heralds.
+    The pairs are checked before any shot runs (see :func:`_postselection`).
     """
     shots, seed = _integer(shots, "shot count"), _integer(seed, "seed")
     if shots < 1:
@@ -332,13 +388,13 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
+    keep = _postselection(circuit.readout_modes, postselect) if postselect else None
     qstats = detector_statistics(spec.quantum_state(), circuit)
     qdist = qstats.distribution
     run = run_lhv_experiment(spec, circuit, shots, seed)
     lhv_counts = run.counts
     accepted = run.accepted
-    if postselect:
-        keep = _postselection(run.readout_modes, postselect)
+    if keep:
         qdist = {k: p for k, p in qdist.items() if keep(k)}
         total = sum(qdist.values())
         qdist = {k: p / total for k, p in qdist.items()}

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 import fockopt as fo
-from fockopt.lhv import _splits
+from fockopt.lhv import BLOCK, _splits
 
 
 def random_unitary(rng, m):
@@ -176,6 +176,36 @@ def lhv_count_law(spec, circuit):
     if p_herald <= 0.0:
         return {}, 0.0
     return {k: v / p_herald for k, v in dist.items()}, p_herald
+
+
+def oracle_lhv_counts(spec, circuit, shots, seed):
+    """``run_lhv_experiment`` with each block tallied by sorting its readout
+    rows, ``np.unique(..., axis=0)``: the same Philox draws per block, then
+    the blocks merged in order.  Returns ``(counts, accepted)``."""
+    splits = _splits(spec.alpha, circuit)
+    probs = np.abs(spec.alpha) ** 2
+    heralds = circuit.heralds
+    counts = {}
+    accepted = 0
+    for block, start in enumerate(range(0, shots, BLOCK)):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        occ = rng.multinomial(
+            spec.n_particles, probs / probs.sum(), size=min(BLOCK, shots - start)
+        )
+        for s, t, p in splits:
+            k = occ[:, s] + occ[:, t]
+            if p is not None:
+                occ[:, s] = rng.binomial(k, p)
+                occ[:, t] = k - occ[:, s]
+        fired = np.all(occ[:, list(heralds)] == list(heralds.values()), axis=1)
+        rows, hits = np.unique(
+            occ[fired][:, list(circuit.readout_modes)], axis=0, return_counts=True
+        )
+        for row, hit in zip(map(tuple, rows.tolist()), hits.tolist()):
+            counts[row] = counts.get(row, 0) + hit
+        accepted += int(fired.sum())
+    return counts, accepted
 
 
 def _full_register(state, circuit):

@@ -514,6 +514,34 @@ class TestStandardCircuits:
             np.testing.assert_array_equal(el.matrix, fo.hadamard())
 
 
+class TestDetectorViews:
+    def test_views_match_element_scan(self, rng):
+        # the views computed once when a circuit is built equal a scan of its
+        # elements on every access
+        for _ in range(60):
+            m = int(rng.integers(1, 7))
+            elements = list(fo.reck_decompose(random_unitary(rng, m)).elements)
+            for j in rng.permutation(m)[: int(rng.integers(0, m + 1))].tolist():
+                herald = int(rng.integers(0, 3)) if rng.random() < 0.5 else None
+                elements.append(fo.Detector(j, herald))
+            circuit = fo.Circuit(m, elements)
+            detectors = tuple(el for el in circuit.elements if isinstance(el, fo.Detector))
+            assert circuit.detectors == detectors
+            assert circuit.heralds == {d.mode: d.herald for d in detectors if d.herald is not None}
+            assert circuit.readout_modes == tuple(d.mode for d in detectors if d.herald is None)
+            detected = {d.mode for d in detectors}
+            assert circuit.output_modes == tuple(j for j in range(m) if j not in detected)
+
+    def test_heralds_are_a_fresh_dict(self):
+        circuit = fo.Circuit(3, [fo.Detector(2, 1), fo.Detector(0)])
+        circuit.heralds[1] = 0
+        circuit.heralds.pop(2)
+        assert circuit.heralds == {2: 1}
+        assert circuit.heralds is not circuit.heralds
+        with pytest.raises(AttributeError):
+            circuit.readout_modes = (1,)
+
+
 class TestElementIntegers:
     @pytest.mark.parametrize(
         "build",

@@ -6,8 +6,14 @@ import pytest
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import DegenerateAmplitude, InvalidCircuit, InvalidParameter, ShapeMismatch
-from fockopt.lhv import BLOCK, _chi2_sf, _chi_square_p, _run_block, _splits
-from helpers import detection_distribution, lhv_count_law, random_alpha, random_unitary
+from fockopt.lhv import BLOCK, CODE_LIMIT, _chi2_sf, _chi_square_p, _row_codes, _run_block, _splits
+from helpers import (
+    detection_distribution,
+    lhv_count_law,
+    oracle_lhv_counts,
+    random_alpha,
+    random_unitary,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -213,6 +219,74 @@ class TestInvariants:
         assert tallies == forward.counts
 
 
+def assert_tally_matches_oracle(spec, circuit, shots, seed):
+    run = fo.run_lhv_experiment(spec, circuit, shots, seed=seed)
+    counts, accepted = oracle_lhv_counts(spec, circuit, shots, seed)
+    # key order too: lexicographic within a block, first seen across blocks
+    assert list(run.counts.items()) == list(counts.items())
+    assert run.accepted == accepted
+    return run
+
+
+class TestTally:
+    def test_counts_equal_row_sort_oracle(self, rng):
+        shots = 2 * BLOCK + 17
+        for case in range(24):
+            m = int(rng.integers(1, 7))
+            n = int(rng.choice([0, 1, 3, 7]))
+            mesh = fo.reck_decompose(random_unitary(rng, m))
+            order = rng.permutation(m).tolist()
+            heralded = order[: int(rng.integers(0, m + 1))]
+            counts = [int(rng.integers(0, 2)) for _ in heralded]
+            if heralded and case % 3 == 0:
+                # a herald above the particle number never fires
+                counts[0] = n + 1
+            detectors = [fo.Detector(j, c) for j, c in zip(heralded, counts)]
+            # readouts listed out of mode order; none at all gives key ()
+            detectors += [fo.Detector(j) for j in order if j not in heralded]
+            circuit = mesh.extended(detectors)
+            spec = fo.EpistemicSpec(random_alpha(rng, m), n)
+            run = assert_tally_matches_oracle(spec, circuit, shots, int(rng.integers(2**63)))
+            if not circuit.readout_modes and run.accepted:
+                assert run.counts == {(): run.accepted}
+            if heralded and case % 3 == 0:
+                assert run.counts == {} and run.accepted == 0
+
+    def test_wide_counts_do_not_overflow(self, rng):
+        # 3001**6 > 2**63: a plain base-(N+1) code would wrap without an error
+        assert 3001**6 > CODE_LIMIT
+        circuit = readout_circuit(fo.reck_decompose(random_unitary(rng, 6)))
+        spec = fo.EpistemicSpec(random_alpha(rng, 6), 3000)
+        run = assert_tally_matches_oracle(spec, circuit, 200, 31)
+        assert len(run.counts) == 200
+
+    def test_rank_steps(self, rng):
+        # counts near 2**38 on four modes rank the partial code at every fold
+        # after the first; near 2**58 on three modes a column is so wide that
+        # it is folded in by its own rank as well
+        shots = 300
+        for m, n in ((4, 2**40), (3, 2**60)):
+            circuit = readout_circuit(fo.reck_decompose(random_unitary(rng, m)))
+            spec = fo.EpistemicSpec(random_alpha(rng, m), n)
+            run = assert_tally_matches_oracle(spec, circuit, shots, 32)
+            bases = [max(column) + 1 for column in zip(*run.counts)]
+            assert math.prod(bases) > CODE_LIMIT
+            if m == 3:
+                assert max(bases[1:]) * shots > CODE_LIMIT
+
+    def test_codes_order_rows_lexicographically(self, rng):
+        top = np.iinfo(np.int64).max
+        for width, high in ((1, 5), (4, 3), (7, 3001), (3, 2**40), (5, top)):
+            rows = rng.integers(0, high, size=(500, width), endpoint=True)
+            rows[rng.integers(500, size=100)] = rows[rng.integers(500, size=100)]
+            codes = _row_codes(rows)
+            order = np.lexsort(rows.T[::-1])
+            # sorted rows give non-decreasing codes, equal exactly when the rows are
+            same_row = np.all(rows[order][1:] == rows[order][:-1], axis=1)
+            steps = np.diff(codes[order])
+            assert np.all(steps[same_row] == 0) and np.all(steps[~same_row] > 0)
+
+
 class TestExactLaw:
     def test_count_law_equals_quantum(self, rng):
         # the paper's locality claim, exactly: the engine's count law is the
@@ -291,6 +365,37 @@ class TestComparison:
         )
         assert report.passed
         assert report.tv_distance < report.tv_bound
+
+    @pytest.mark.parametrize(
+        "groups, error",
+        [
+            ([((0, 2), 1)], ShapeMismatch),  # mode 0 is heralded, not read out
+            ([((5,), 1)], ShapeMismatch),  # no such mode
+            ([((1, 2), 1.5)], InvalidParameter),
+            ([((1, 2), -1)], InvalidParameter),
+            ([((1, 1), 2)], InvalidParameter),
+            ([((1, 2.5), 1)], InvalidParameter),
+            ([((1,), True)], InvalidParameter),
+            ([(1, 1)], ShapeMismatch),  # not a (modes, total) pair
+            ([((1, 2),)], ShapeMismatch),
+            (5, ShapeMismatch),
+        ],
+    )
+    def test_bad_postselection_rejected(self, rng, groups, error):
+        spec = fo.EpistemicSpec(random_alpha(rng, 3), 2)
+        circuit = fo.Circuit(3, [fo.Detector(0, 0), fo.Detector(1), fo.Detector(2)])
+        with pytest.raises(error):
+            fo.compare_lhv_quantum(spec, circuit, shots=200, seed=19, postselect=groups)
+
+    def test_postselection_accepts_integral_numbers(self, rng):
+        spec = fo.EpistemicSpec(random_alpha(rng, 3), 2)
+        circuit = fo.Circuit(3, [fo.Detector(0, 0), fo.Detector(1), fo.Detector(2)])
+        plain = fo.compare_lhv_quantum(spec, circuit, 500, seed=19, postselect=[((1, 2), 2)])
+        loose = fo.compare_lhv_quantum(
+            spec, circuit, 500, seed=19, postselect=[((np.int64(1), 2.0), 2.0)]
+        )
+        assert plain.to_json_dict() == loose.to_json_dict()
+        assert plain.accepted > 0
 
     @pytest.mark.parametrize("shots", [0, -3])
     def test_no_shots_rejected(self, rng, shots):
