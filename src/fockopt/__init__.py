@@ -27,7 +27,6 @@ from .circuits import (
     Swap,
     circuit_from_dict,
     circuit_to_dict,
-    circuit_to_unitary,
     detector_statistics,
     hadamard,
     load_circuit,
@@ -39,7 +38,6 @@ from .circuits import (
 from .classify import (
     Classification,
     is_single_mode_type,
-    phase_distance,
     single_mode_state,
 )
 from .errors import (
@@ -69,9 +67,7 @@ from .states import (
     Statistics,
     apply_mode_unitary,
     embed,
-    fidelity,
     herald,
-    inner,
     load_state,
     make_number_state,
     save_state,

@@ -35,14 +35,8 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
-from .states import FERMION, NORM_TOL, _file_number, embed, evolve, herald
-
-VIOLATION_MARGIN = 1e-6
-# a correlation matrix whose s0^2 + s1^2 (top two singular values) is this
-# small counts as zero: no projective optimum exists
-EIGEN_FLOOR = 1e-18
-# largest gap allowed between the CHSH optimum and its settings' direct value
-SETTINGS_CHECK_TOL = 1e-9
+from .states import FERMION, _file_number, embed, evolve, herald
+from .tolerances import NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 
 _PAULI = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
@@ -143,18 +137,17 @@ def chsh_max(chi):
     s0 >= s1 are the top singular values of the correlation matrix T.  Alice
     measures along the matching left singular vectors; Bob along
     cos(theta)*v0 +- sin(theta)*v1 of the right ones, with tan(theta) = s1/s0.
-    The returned value is re-verified against direct expectation values.
+    T of a pure state with Schmidt angle t has singular values
+    {1, sin 2t, sin 2t} (Gisin, PLA 154, 201 (1991)), so s0^2 + s1^2 >= 1: T
+    never vanishes and the value is at least 2.  The returned value is
+    re-verified against direct expectation values.
     """
-    t = chi.correlation_matrix()
-    u, s, vt = np.linalg.svd(t)
-    total = s[0] ** 2 + s[1] ** 2
-    if total < EIGEN_FLOOR:
-        raise InvalidParameter("correlation matrix vanishes; no projective optimum")
+    u, s, vt = np.linalg.svd(chi.correlation_matrix())
     theta = math.atan2(s[1], s[0])
     a1, a2 = u[:, 0], u[:, 1]
     b1 = math.cos(theta) * vt[0] + math.sin(theta) * vt[1]
     b2 = math.cos(theta) * vt[0] - math.sin(theta) * vt[1]
-    value = 2.0 * math.sqrt(total)
+    value = 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
     direct = (
         chi.expectation(a1, b1)
         + chi.expectation(a1, b2)

@@ -31,7 +31,6 @@ the output depends on.  One plan, :func:`_execute`, serves both
   one joint herald.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +46,6 @@ from .errors import (
 )
 from .states import (
     FERMION,
-    HERALD_CUTOFF,
     FockState,
     _evolve_terms,
     _file_count,
@@ -60,6 +58,7 @@ from .states import (
     reck_gates,
     require_unitary,
 )
+from .tolerances import HERALD_CUTOFF
 
 _SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SWAP_MATRIX.flags.writeable = False
@@ -184,6 +183,8 @@ class Circuit:
         detected = set()
         heralds = {}
         for el in elements:
+            if not isinstance(el, (BeamSplitter, PhaseShifter, Swap, Detector)):
+                raise InvalidCircuit(f"not a circuit element: {el!r}")
             for m in element_modes(el):
                 if not 0 <= m < n_modes:
                     raise InvalidCircuit(f"mode {m} out of range for {n_modes} modes")
@@ -346,29 +347,12 @@ def detector_statistics(state, circuit):
     return ReadoutStatistics({k: v / p_herald for k, v in dist.items()}, p_herald, readout)
 
 
-def circuit_to_unitary(circuit):
-    """Single mode transformation realized by a detector-free circuit.
-
-    The first element acts first, so the result is the left-to-right matrix
-    product of the embedded gates (creation-operator substitution composes
-    that way): each gate mixes the columns of the modes it acts on.
-    """
-    if circuit.detectors:
-        raise InvalidCircuit("circuit with detectors has no overall unitary")
-    u = np.eye(circuit.n_modes, dtype=complex)
-    for modes, value in _kernel_gates(circuit.elements):
-        if len(modes) == 1:
-            u[:, modes[0]] *= cmath.exp(1j * value)
-        else:
-            u[:, list(modes)] = u[:, list(modes)] @ value
-    return u
-
-
 def reck_decompose(u):
     """Factor a mode unitary into a triangular mesh of two-mode gates.
 
     Produces at most M(M-1)/2 beam splitters on adjacent mode pairs plus up
-    to M phase shifters, with ``circuit_to_unitary`` recovering ``u``.
+    to M phase shifters; their embedded matrices, multiplied left to right,
+    recover ``u``.
     """
     u = require_unitary(u)
     return Circuit(

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, ZERO_NORM, FockState, _integer, _sector
-
-DEFAULT_TOL = 1e-8
-# an overlap below this has no phase worth aligning to
-OVERLAP_FLOOR = 1e-300
+from .states import BOSON, FERMION, FockState, _integer, _sector
+from .tolerances import DEFAULT_TOL, ZERO_NORM
 
 
 def _product_form(alpha, occ, sqrt_multinomial):
@@ -39,8 +36,8 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     if statistics is FERMION and n >= 2:
         raise PauliForbidden("no multi-particle fermion state fits in one mode")
     norm = np.linalg.norm(alpha)
-    if norm < ZERO_NORM:
-        raise ShapeMismatch("alpha vector must be nonzero")
+    if alpha.ndim != 1 or norm < ZERO_NORM:
+        raise ShapeMismatch(f"alpha must be a nonzero 1-D vector, got shape {alpha.shape}")
     alpha = alpha / norm
     m = alpha.shape[0]
     _, occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
@@ -134,15 +131,3 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     # rank order is descending lexicographic: the last miss is the smallest
     return Classification(False, None, worst / peak, occupation(np.flatnonzero(dev >= atol)[-1]))
 
-
-def phase_distance(a, b):
-    """Distance between unit vectors modulo a global phase.
-
-    Computed as the norm of the phase-aligned difference rather than via
-    2 - 2|<a,b>|, which loses half the floating-point precision.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    overlap = np.vdot(a, b)
-    phase = overlap.conjugate() / abs(overlap) if abs(overlap) > OVERLAP_FLOOR else 1.0
-    return float(np.linalg.norm(a - phase * b))

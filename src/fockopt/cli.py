@@ -8,7 +8,6 @@ exists for it), and 2 for malformed input.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,11 +28,10 @@ from .circuits import (
     run_circuit,
     save_circuit,
 )
-from .classify import DEFAULT_TOL, is_single_mode_type
+from .classify import is_single_mode_type
 from .errors import FockoptError, InvalidFile, InvalidParameter, ZeroOutcome
 from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
 from .states import (
-    HERALD_CUTOFF,
     _read_json,
     _write_json,
     embed,
@@ -41,6 +39,7 @@ from .states import (
     save_state,
     state_to_dict,
 )
+from .tolerances import DEFAULT_TOL, HERALD_CUTOFF
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,18 +61,6 @@ def _load_unitary(path):
         return _matrix_from_json(data["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFile(f"malformed unitary description: {exc}") from exc
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FOCKOPT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidFile(f"FOCKOPT_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
 
 
 def _cmd_classify(args):
@@ -222,9 +209,8 @@ def _cmd_lhv_compare(args):
     if alpha is None:
         alpha = np.zeros(state.n_modes, dtype=complex)
         alpha[0] = 1.0
-    seed = _resolve_seed(args)
     spec = EpistemicSpec(alpha, state.n_particles)
-    report = compare_lhv_quantum(spec, circuit, shots=args.shots, seed=seed)
+    report = compare_lhv_quantum(spec, circuit, shots=args.shots, seed=args.seed)
     if args.format == "json":
         _print_json(report.to_json_dict())
     elif args.format == "csv":
@@ -293,7 +279,7 @@ def build_parser():
     p.add_argument("state")
     p.add_argument("circuit")
     p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None, help="overrides FOCKOPT_SEED")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=_cmd_lhv_compare)

@@ -41,14 +41,11 @@ from .circuits import _kernel_gates, detector_statistics
 from .classify import single_mode_state
 from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
 from .states import _integer
+from .tolerances import EMPTY_PAIR, NORM_TOL
 
 DEFAULT_SEED = 20240901
 # shots per random stream; part of the reproducibility contract (see above)
 BLOCK = 4096
-# a pair whose weight is below this carries no particles and gets no split
-EMPTY_PAIR = 1e-30
-# largest deviation of |alpha| from 1 that a preparation accepts
-SPEC_NORM_TOL = 1e-9
 # a partial row code is ranked before a fold could take it past this
 CODE_LIMIT = 2**62
 
@@ -66,9 +63,11 @@ class EpistemicSpec:
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=complex)
-        # written so that a NaN norm fails it too
-        if not abs(np.linalg.norm(alpha) - 1.0) <= SPEC_NORM_TOL:
-            raise ShapeMismatch("epistemic amplitude vector must be finite and normalized")
+        # written so that a NaN norm fails it too; an empty vector has norm 0
+        if alpha.ndim != 1 or not abs(np.linalg.norm(alpha) - 1.0) <= NORM_TOL:
+            raise ShapeMismatch(
+                "epistemic amplitude vector must be a finite, normalized 1-D vector"
+            )
         alpha = alpha.copy()
         alpha.flags.writeable = False
         object.__setattr__(self, "alpha", alpha)
@@ -381,17 +380,12 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
     rejection), covering post-selection rules that are not per-mode heralds.
     The pairs are checked before any shot runs (see :func:`_postselection`).
     """
-    shots, seed = _integer(shots, "shot count"), _integer(seed, "seed")
-    if shots < 1:
-        raise InvalidParameter(f"a comparison needs at least one shot, got {shots}")
-    if spec.n_modes != circuit.n_modes:
-        raise ShapeMismatch(
-            f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
-        )
+    seed = _integer(seed, "seed")
     keep = _postselection(circuit.readout_modes, postselect) if postselect else None
+    # the run checks the shot count and the widths before any shot
+    run = run_lhv_experiment(spec, circuit, shots, seed)
     qstats = detector_statistics(spec.quantum_state(), circuit)
     qdist = qstats.distribution
-    run = run_lhv_experiment(spec, circuit, shots, seed)
     lhv_counts = run.counts
     accepted = run.accepted
     if keep:

@@ -52,20 +52,8 @@ from .errors import (
     ZeroOutcome,
     ZeroState,
 )
+from .tolerances import FILE_NORM_TOL, HERALD_CUTOFF, NORM_TOL, PRUNE_REL, RECK_TOL, ZERO_NORM
 
-NORM_TOL = 1e-10
-UNITARY_TOL = 1e-10
-HERALD_CUTOFF = 1e-14
-# a norm below this is treated as the zero vector
-ZERO_NORM = 1e-12
-# amplitudes below this fraction of the largest one are dropped as float dust
-PRUNE_REL = 1e-14
-# Givens rotations of entries below this are skipped by the Reck factorization
-RECK_TOL = 1e-13
-# diagonal phases of the Reck factorization below this are left out
-RECK_PHASE_TOL = 1e-12
-# a state file whose norm deviates from 1 by more than this warns on renormalizing
-FILE_NORM_TOL = 1e-6
 # cached sectors and two-mode index sets; a fixed bound keeps memory flat when
 # many shapes pass through
 SECTOR_CACHE = 64
@@ -250,7 +238,7 @@ def require_unitary(u):
     if not np.all(np.isfinite(u)):
         raise NotUnitary("matrix has non-finite entries")
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > UNITARY_TOL:
+    if dev > NORM_TOL:
         raise NotUnitary(f"matrix deviates from unitarity by {dev:.3e}")
     return u
 
@@ -442,7 +430,7 @@ def reck_gates(u):
             gates.append(((row - 1, row), r.conj().T))
     for mode in range(m):
         phi = cmath.phase(a[mode, mode])
-        if abs(phi) > RECK_PHASE_TOL:
+        if abs(phi) > RECK_TOL:
             gates.append(((mode,), phi))
     return gates
 
@@ -538,23 +526,6 @@ def embed(state, n_modes, positions):
     occ = np.zeros((len(state._occ), n_modes), dtype=np.intp)
     occ[:, positions] = state._occ
     return FockState._trusted(state.statistics, n_modes, state.n_particles, occ, state._amp)
-
-
-def inner(a, b):
-    """Inner product <a|b> of two states on the same sector."""
-    if (
-        a.statistics is not b.statistics
-        or a.n_modes != b.n_modes
-        or a.n_particles != b.n_particles
-    ):
-        raise ShapeMismatch("inner product needs matching statistics, N and M")
-    amps = dict(b.items())
-    return sum(amp.conjugate() * amps.get(occ, 0j) for occ, amp in a.items())
-
-
-def fidelity(a, b):
-    """Phase-insensitive overlap |<a|b>|."""
-    return abs(inner(a, b))
 
 
 # ---------------------------------------------------------------------------

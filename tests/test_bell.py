@@ -7,9 +7,17 @@ from hypothesis import strategies as st
 
 import fockopt as fo
 from fockopt import bell
-from fockopt.bell import ALICE_RAILS, BOB_RAILS, VIOLATION_MARGIN
+from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
-from helpers import is_product, random_alpha, random_state, random_unitary, two_mode_stages
+from fockopt.tolerances import VIOLATION_MARGIN
+from helpers import (
+    fidelity,
+    is_product,
+    random_alpha,
+    random_state,
+    random_unitary,
+    two_mode_stages,
+)
 
 SQ2 = math.sqrt(2.0)
 CHSH_TSIRELSON = 2.0 * SQ2
@@ -177,11 +185,26 @@ class TestChshMax:
         res = fo.chsh_max(chi)
         assert abs(res.chsh - 2.0 * math.sqrt(1.0 + 0.96**2)) < 1e-9
 
-    def test_vanishing_correlation_raises_fockopt_error(self, monkeypatch):
-        # no normalized pure state has T = 0; the check guards the division
-        monkeypatch.setattr(fo.TwoQubitState, "correlation_matrix", lambda self: np.zeros((3, 3)))
-        with pytest.raises(InvalidParameter, match="vanishes"):
-            fo.chsh_max(fo.TwoQubitState([1, 0, 0, 0]))
+    def test_pure_states_reach_the_local_bound(self, rng):
+        # T of a pure state has singular values {1, sin 2t, sin 2t}, so CHSH >= 2
+        # and T never vanishes
+        states = [
+            [1, 0, 0, 0],
+            [0, 0, 0, 1j],
+            [1 / SQ2, 0, 0, 1 / SQ2],
+            [1 / SQ2, 0, 0, -1 / SQ2],
+            [0, 1 / SQ2, 1 / SQ2, 0],
+            [0, 1 / SQ2, -1 / SQ2, 0],
+        ]
+        for _ in range(200):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            states.append(psi)
+            states.append(np.kron(random_alpha(rng, 2), random_alpha(rng, 2)))
+            states.append(psi * (rng.random(4) < 0.5) + np.eye(4)[rng.integers(4)])
+        for psi in states:
+            psi = np.asarray(psi, dtype=complex)
+            res = fo.chsh_max(fo.TwoQubitState(psi / np.linalg.norm(psi)))
+            assert res.chsh >= 2.0 - 1e-9
 
     def test_settings_self_check_raises_fockopt_error(self, monkeypatch):
         monkeypatch.setattr(fo.TwoQubitState, "expectation", lambda self, a, b: 0.0)
@@ -326,7 +349,7 @@ class TestRunFilteredYS:
                 reference = fo.FockState(
                     fo.BOSON, 2, {k: v / norm for k, v in expected.items()}
                 )
-                assert abs(fo.fidelity(prepared, reference) - 1.0) < 1e-9
+                assert abs(fidelity(prepared, reference) - 1.0) < 1e-9
 
 
 class TestRunErasureYS:
@@ -358,7 +381,7 @@ class TestRunErasureYS:
             reference = fo.FockState(
                 fo.BOSON, 2, {(2, 0): bn * SQ2, (0, 2): b0 * SQ2}, normalized=False
             ).normalized()
-            assert abs(fo.fidelity(prepared, reference) - 1.0) < 1e-9
+            assert abs(fidelity(prepared, reference) - 1.0) < 1e-9
 
     def test_filters_then_one_erasure_stage(self, rng):
         # every two-mode state, with or without middle coefficients, gets the

@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 
 import fockopt as fo
 from fockopt.cli import main
-from helpers import random_alpha, random_state, random_unitary
+from helpers import (
+    circuit_unitary,
+    fidelity,
+    phase_distance,
+    random_alpha,
+    random_state,
+    random_unitary,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "bench" / "inputs"
@@ -130,7 +137,7 @@ class TestClassify:
         assert code == 0
         payload = printed_json(capsys)
         alpha = np.array([complex(re, im) for re, im in payload["alpha"]])
-        assert fo.phase_distance(alpha, fo.is_single_mode_type(single).alpha) < 1e-9
+        assert phase_distance(alpha, fo.is_single_mode_type(single).alpha) < 1e-9
 
     def test_generic_exits_10(self, tmp_path, generic):
         assert main(["classify", state_file(tmp_path, generic)]) == 10
@@ -178,7 +185,7 @@ class TestEvolve:
         expected, prob = fo.run_circuit(generic, circuit)
         assert abs(payload["probability"] - prob) < 1e-12
         out = fo.state_from_dict(payload["state"])
-        assert abs(fo.fidelity(out, expected) - 1.0) < 1e-12
+        assert abs(fidelity(out, expected) - 1.0) < 1e-12
 
     def test_readout_circuit_json_exits_0(self, tmp_path, capsys, generic, mesh):
         circuit = mesh.extended([fo.Detector(0, 1), fo.Detector(2), fo.Detector(1)])
@@ -374,6 +381,17 @@ class TestLhvCompare:
         assert "PASS" in run.stdout
         assert run.stdout.splitlines()[-1] == "scipy loaded: False"
 
+    def test_seed_environment_variable_is_ignored(self, tmp_path, capsys, monkeypatch, single, mesh):
+        # the default seed is DEFAULT_SEED; no environment variable overrides it
+        argv = ["lhv-compare", state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
+        argv += ["--shots", SHOTS, "--format", "json"]
+        assert main(argv) == 0
+        plain = printed_json(capsys)
+        monkeypatch.setenv("FOCKOPT_SEED", "5")
+        assert main(argv) == 0
+        assert printed_json(capsys) == plain
+        assert plain["seed"] == fo.lhv.DEFAULT_SEED
+
     def test_not_single_mode_exits_11(self, tmp_path, generic, mesh):
         assert self.lhv(state_file(tmp_path, generic), circuit_file(tmp_path, readout(mesh))) == 11
 
@@ -405,7 +423,7 @@ class TestDecompose:
         payload = {"matrix": [[[z.real, z.imag] for z in row] for row in u]}
         assert main(["decompose", write(tmp_path, "u.json", payload)]) == 0
         circuit = fo.circuit_from_dict(printed_json(capsys))
-        assert np.max(np.abs(fo.circuit_to_unitary(circuit) - u)) < 1e-9
+        assert np.max(np.abs(circuit_unitary(circuit) - u)) < 1e-9
 
     @pytest.mark.parametrize(
         "matrix",

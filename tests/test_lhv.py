@@ -7,7 +7,9 @@ import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import DegenerateAmplitude, InvalidCircuit, InvalidParameter, ShapeMismatch
 from fockopt.lhv import BLOCK, CODE_LIMIT, _chi2_sf, _chi_square_p, _row_codes, _run_block, _splits
+from fockopt.tolerances import NORM_TOL
 from helpers import (
+    circuit_unitary,
     detection_distribution,
     lhv_count_law,
     oracle_lhv_counts,
@@ -136,6 +138,18 @@ class TestRunExperiment:
         with pytest.raises(ShapeMismatch):
             fo.EpistemicSpec(np.array([bad, 1.0]), 2)
 
+    @pytest.mark.parametrize("alpha", [[[1.0, 0.0]], 1.0, []])
+    def test_alpha_must_be_a_vector(self, alpha):
+        # a 1 x 2 matrix used to pass as a one-mode spec
+        with pytest.raises(ShapeMismatch):
+            fo.EpistemicSpec(alpha, 1)
+
+    def test_norm_tolerance_boundary(self):
+        inside = np.array([1.0 + 0.5 * NORM_TOL, 0.0])
+        assert fo.EpistemicSpec(inside, 2).n_modes == 2
+        with pytest.raises(ShapeMismatch):
+            fo.EpistemicSpec(np.array([1.0 + 2.0 * NORM_TOL, 0.0]), 2)
+
     @pytest.mark.parametrize("n", [2.7, True])
     def test_non_integral_particle_number_rejected(self, n):
         # truncating 2.7 would silently give N = 2
@@ -187,7 +201,7 @@ class TestInvariants:
         for i, el in enumerate(mesh.elements):
             if isinstance(el, fo.BeamSplitter):
                 prefix = fo.Circuit(4, mesh.elements[: i + 1])
-                beta = alpha @ fo.circuit_to_unitary(prefix)
+                beta = alpha @ circuit_unitary(prefix)
                 s, t, p = next(splits)
                 ws, wt = abs(beta[s]) ** 2, abs(beta[t]) ** 2
                 assert (s, t) == el.modes and abs(p - ws / (ws + wt)) < 1e-9
@@ -402,6 +416,11 @@ class TestComparison:
         spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)
         with pytest.raises(InvalidParameter):
             fo.compare_lhv_quantum(spec, readout_circuit(fo.Circuit(2)), shots=shots)
+
+    def test_mode_count_mismatch(self, rng):
+        spec = fo.EpistemicSpec(random_alpha(rng, 3), 2)
+        with pytest.raises(ShapeMismatch, match="spec has 3 modes, circuit 2"):
+            fo.compare_lhv_quantum(spec, readout_circuit(fo.Circuit(2)), shots=10)
 
     def test_no_accepted_shot_is_no_pass(self, rng):
         # a herald above the particle number rejects every shot on both sides

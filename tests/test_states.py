@@ -21,6 +21,7 @@ from helpers import (
     assert_states_close,
     detection_distribution,
     embedded_gate,
+    fidelity,
     oracle_amplitude,
     oracle_evolve,
     oracle_herald,
@@ -552,7 +553,7 @@ class TestEmbedAndOverlap:
         rotated = fo.FockState(
             s.statistics, 3, {occ: 1j * amp for occ, amp in s.items()}
         )
-        assert abs(fo.fidelity(s, rotated) - 1.0) < 1e-12
+        assert abs(fidelity(s, rotated) - 1.0) < 1e-12
 
 
 class TestStateFiles:
