@@ -10,7 +10,6 @@ from .bell import (
     BellTestResult,
     TwoQubitState,
     WitnessExperiment,
-    bell_test,
     chsh_max,
     find_witness,
     replay_witness,

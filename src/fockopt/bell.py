@@ -9,10 +9,10 @@ The classifier decides which states have no witness: those reducible to a
 single mode.  For every other state :func:`find_witness` assembles an
 explicit violating experiment.  Herald prefixes reduce the state to two
 modes, and :func:`two_mode_preparations` supplies the final stage: the
-heralded two-mode filters, then the quantum-erasure filter.  Whether a filter
-yields a violation is decided by running it: :func:`bell_test` runs one such
-preparation through the splitter stage and the CHSH optimum; it is the only
-runner of the construction.
+heralded two-mode filters, then the quantum-erasure filter.  Each herald is
+simulated once, on the branch the earlier heralds left, and each stage is
+tested on the two-particle state its heralds leave.  :func:`replay_witness`
+re-runs a finished experiment as a whole, through circuits alone.
 """
 
 import math
@@ -36,7 +36,7 @@ from .circuits import (
 from .classify import is_single_mode_type
 from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
 from .states import FERMION, _file_number, embed, evolve, herald
-from .tolerances import NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
+from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 
 _PAULI = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
@@ -189,20 +189,6 @@ def two_mode_preparations(n, live, ancillas):
     yield split + (BeamSplitter._trusted((a, b), h), Detector(a, n - 2), Detector(b, 0))
 
 
-def bell_test(state, preparation):
-    """Run one event-ready ``preparation``, the splitter stage and the CHSH optimum.
-
-    ``state`` is padded with vacuum up to the width of the preparation
-    circuit, whose heralds must leave two particles on two output modes.
-    ``success_probability`` is the herald probability times the splitter
-    stage's post-selection probability.  Raises ZeroOutcome when the heralds
-    never fire.
-    """
-    prepared, p_prep = run_circuit(_embedded_input(state, preparation), preparation)
-    chi, p_ys = yurke_stoler_postselect(prepared)
-    return replace(chsh_max(chi), success_probability=p_prep * p_ys)
-
-
 # ---------------------------------------------------------------------------
 # witness construction
 # ---------------------------------------------------------------------------
@@ -227,15 +213,13 @@ class WitnessExperiment:
         return self.circuit.heralds
 
 
-def _embedded_input(state, circuit):
-    if state.n_modes == circuit.n_modes:
-        return state
-    return embed(state, circuit.n_modes, range(state.n_modes))
-
-
 def _boson_candidates(phi, live, prefix, total_modes):
-    """Preparation candidates for a NOT-SINGLE-MODE boson state, so N >= 2,
-    on ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
+    """Candidates for a NOT-SINGLE-MODE boson state, so N >= 2, on
+    ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
+
+    Yields ``(two, p, circuit)``: the two-particle state that the heralds of
+    ``circuit`` leave on its output modes and their joint probability on
+    ``phi``.  Each herald runs once, on the branch the earlier ones left.
 
     Enumeration order: ancilla filters with ascending ``s``, then erasure, at
     two modes; otherwise the zero-count herald on all but the first two
@@ -244,20 +228,27 @@ def _boson_candidates(phi, live, prefix, total_modes):
     """
     n = phi.n_particles
     if len(live) == 2:
-        for stage in two_mode_preparations(n, live, (total_modes, total_modes + 1)):
-            yield prefix + stage
+        four = embed(phi, 4, (0, 1))
+        placed = two_mode_preparations(n, live, (total_modes, total_modes + 1))
+        for stage, elements in zip(two_mode_preparations(n, (0, 1), (2, 3)), placed):
+            try:
+                two, p = run_circuit(four, Circuit(4, stage))
+            except ZeroOutcome:
+                continue
+            yield two, p, Circuit(total_modes + 2, prefix + elements)
         return
     rest_local = list(range(2, len(live)))
     try:
-        chi, _ = herald(phi, {i: 0 for i in rest_local})
+        chi, p_zero = herald(phi, {i: 0 for i in rest_local})
         verdict = is_single_mode_type(chi)
     except ZeroOutcome:
         verdict = None
     rotated, prefix_b = phi, prefix
     if verdict is not None:
         if not verdict.single_mode:
-            zero_dets = tuple(Detector(live[i], 0) for i in rest_local)
-            yield from _boson_candidates(chi, live[:2], prefix + zero_dets, total_modes)
+            zeros = tuple(Detector(live[i], 0) for i in rest_local)
+            for two, p, circuit in _boson_candidates(chi, live[:2], prefix + zeros, total_modes):
+                yield two, p_zero * p, circuit
             return
         u1, u2 = verdict.alpha
         rot = np.array([[u2.conjugate(), -u1.conjugate()], [u1, u2]]).conj().T
@@ -266,45 +257,39 @@ def _boson_candidates(phi, live, prefix, total_modes):
         prefix_b = prefix + (splitter,)
     for k in range(n):
         try:
-            branch, _ = herald(rotated, {1: k})
+            branch, p_k = herald(rotated, {1: k})
         except ZeroOutcome:
             continue
         if not is_single_mode_type(branch).single_mode:
-            yield from _boson_candidates(
-                branch,
-                [live[0]] + live[2:],
-                prefix_b + (Detector(live[1], k),),
-                total_modes,
-            )
+            for two, p, circuit in _boson_candidates(
+                branch, [live[0]] + live[2:], prefix_b + (Detector(live[1], k),), total_modes
+            ):
+                yield two, p_k * p, circuit
     # all per-count branches reduced to a single mode, which forces the
     # rotated state off mode 1 entirely; drop that mode and continue
     try:
-        residual, _ = herald(rotated, {0: 0})
+        residual, p_res = herald(rotated, {0: 0})
     except ZeroOutcome:
         return
     if not is_single_mode_type(residual).single_mode:
-        yield from _boson_candidates(
+        for two, p, circuit in _boson_candidates(
             residual, live[1:], prefix_b + (Detector(live[0], 0),), total_modes
-        )
+        ):
+            yield two, p_res * p, circuit
 
 
 def _fermion_candidates(phi):
-    """Herald every companion mode of the first occupied pair of a term."""
+    """Herald every companion mode of the first occupied pair of a term;
+    yields ``(two, p, circuit)`` like :func:`_boson_candidates`."""
     for occ in sorted(phi.occupations()):
         pair = [j for j, c in enumerate(occ) if c][:2]
-        others = [j for j in range(phi.n_modes) if j not in pair]
-        yield tuple(Detector(j, occ[j]) for j in others)
-
-
-def _candidate_circuits(state):
-    m = state.n_modes
-    if state.statistics is FERMION:
-        for elements in _fermion_candidates(state):
-            yield Circuit(m, elements)
-        return
-    # every boson candidate ends in a two-mode stage on the ancillas (m, m+1)
-    for elements in _boson_candidates(state, list(range(m)), (), m):
-        yield Circuit(m + 2, elements)
+        others = [Detector(j, c) for j, c in enumerate(occ) if j not in pair]
+        circuit = Circuit(phi.n_modes, others)
+        try:
+            two, p = run_circuit(phi, circuit)
+        except ZeroOutcome:
+            continue
+        yield two, p, circuit
 
 
 def find_witness(state):
@@ -313,17 +298,26 @@ def find_witness(state):
     A state of single-mode type has no witness: the classifier's verdict
     returns None before any candidate runs.  Otherwise candidates are tried
     in a fixed order, so the result is deterministic; None means that none
-    violates by more than ``VIOLATION_MARGIN``.
+    violates by more than ``VIOLATION_MARGIN``.  Each stage is tested on the
+    branch its heralds leave, so no prefix is simulated twice; a joint herald
+    probability below ``HERALD_CUTOFF`` skips the candidate, as its whole
+    circuit never fires even when every conditional herald does.
     """
     if is_single_mode_type(state).single_mode:
         return None
-    for prep in _candidate_circuits(state):
-        try:
-            result = bell_test(state, prep)
-        except ZeroOutcome:
+    m = state.n_modes
+    if state.statistics is FERMION:
+        candidates = _fermion_candidates(state)
+    else:
+        # every boson candidate ends in a two-mode stage on the ancillas (m, m+1)
+        candidates = _boson_candidates(state, list(range(m)), (), m)
+    for two, prob, circuit in candidates:
+        if prob < HERALD_CUTOFF:
             continue
+        chi, p_ys = yurke_stoler_postselect(two)
+        result = chsh_max(chi)
         if result.violated:
-            return WitnessExperiment(circuit=prep, result=result)
+            return WitnessExperiment(circuit, replace(result, success_probability=prob * p_ys))
     return None
 
 
@@ -370,7 +364,8 @@ def replay_witness(state, experiment):
     pair, carrying the conjugated basis matrix; correlators come from the
     joint detector statistics conditioned on one particle per rail pair.
     """
-    prepared, _ = run_circuit(_embedded_input(state, experiment.circuit), experiment.circuit)
+    circuit = experiment.circuit
+    prepared, _ = run_circuit(embed(state, circuit.n_modes, range(state.n_modes)), circuit)
     split, _ = run_circuit(embed(prepared, 4, (0, 1)), yurke_stoler_circuit())
     res = experiment.result
     correlators = np.empty((2, 2))

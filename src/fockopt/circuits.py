@@ -167,19 +167,18 @@ class Circuit:
     """Ordered optical elements on a fixed number of modes.
 
     The detector views are computed once, when the circuit is built:
-    ``detectors`` holds the detector elements in element order,
-    ``readout_modes`` the modes of the unheralded ones in that order, and
-    ``output_modes`` the undetected modes, ascending.
+    ``readout_modes`` holds the modes of the unheralded detectors in element
+    order and ``output_modes`` the undetected modes, ascending.
     """
 
-    __slots__ = ("n_modes", "elements", "detectors", "readout_modes", "output_modes", "_heralds")
+    __slots__ = ("n_modes", "elements", "readout_modes", "output_modes", "_heralds")
 
     def __init__(self, n_modes, elements=()):
         n_modes = _integer(n_modes, "mode count")
         if n_modes < 1:
             raise InvalidCircuit("circuit needs at least one mode")
         elements = tuple(elements)
-        detectors = []
+        readout = []
         detected = set()
         heralds = {}
         for el in elements:
@@ -191,16 +190,14 @@ class Circuit:
                 if m in detected:
                     raise InvalidCircuit(f"mode {m} is already terminated by a detector")
             if isinstance(el, Detector):
-                detectors.append(el)
                 detected.add(el.mode)
-                if el.herald is not None:
+                if el.herald is None:
+                    readout.append(el.mode)
+                else:
                     heralds[el.mode] = el.herald
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "detectors", tuple(detectors))
-        object.__setattr__(
-            self, "readout_modes", tuple(d.mode for d in detectors if d.herald is None)
-        )
+        object.__setattr__(self, "readout_modes", tuple(readout))
         object.__setattr__(
             self, "output_modes", tuple(m for m in range(n_modes) if m not in detected)
         )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
 from .states import BOSON, FERMION, FockState, _integer, _sector
-from .tolerances import DEFAULT_TOL, ZERO_NORM
+from .tolerances import DEFAULT_TOL
 
 
 def _product_form(alpha, occ, sqrt_multinomial):
@@ -27,7 +27,7 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     """Product-form state for amplitude vector ``alpha`` and N particles.
 
     Only bosons admit N >= 2 here; a fermion request raises PauliForbidden.
-    ``alpha`` is normalized internally.
+    ``alpha`` is normalized internally and must be finite.
     """
     alpha = np.asarray(alpha, dtype=complex)
     n = _integer(n_particles, "particle number")
@@ -35,10 +35,15 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
         raise InvalidParameter(f"particle number must be >= 0, got {n}")
     if statistics is FERMION and n >= 2:
         raise PauliForbidden("no multi-particle fermion state fits in one mode")
-    norm = np.linalg.norm(alpha)
-    if alpha.ndim != 1 or norm < ZERO_NORM:
+    if not np.isfinite(alpha).all():
+        raise InvalidParameter("alpha must be finite")
+    # divided by its largest real or imaginary part first, so that neither
+    # |alpha_i| nor the norm can overflow
+    peak = np.abs([alpha.real, alpha.imag]).max(initial=0.0)
+    if alpha.ndim != 1 or not peak:
         raise ShapeMismatch(f"alpha must be a nonzero 1-D vector, got shape {alpha.shape}")
-    alpha = alpha / norm
+    alpha = alpha / peak
+    alpha = alpha / np.linalg.norm(alpha)
     m = alpha.shape[0]
     _, occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
     amps = _product_form(alpha, occ, sqrt_multinomial)

@@ -173,7 +173,10 @@ def _cmd_witness(args):
     experiment = find_witness(state)
     if experiment is None:
         verdict = is_single_mode_type(state)
-        if verdict.single_mode:
+        if args.format == "json":
+            residual = verdict.residual if verdict.residual != float("inf") else None
+            _print_json(dict(witness=None, single_mode=verdict.single_mode, residual=residual))
+        elif verdict.single_mode:
             print("NO-VIOLATION-FOUND (state is of single-mode type)")
         else:
             print(

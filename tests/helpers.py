@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,6 +67,19 @@ def two_mode_stages(phi):
     (0, 1) with ancillas (2, 3): filters s = 0..N-2, then the erasure stage."""
     stages = fo.two_mode_preparations(phi.n_particles, (0, 1), (2, 3))
     return [fo.Circuit(4, stage) for stage in stages]
+
+
+def stage_test(phi, circuit):
+    """One two-mode stage as the witness search tests it: ``circuit`` on
+    ``phi`` with vacuum ancillas, the splitter stage and the CHSH optimum.
+
+    ``success_probability`` is the herald probability times the splitter
+    stage's post-selection probability; ZeroOutcome when the heralds never
+    fire.
+    """
+    prepared, p_herald = fo.run_circuit(fo.embed(phi, 4, (0, 1)), circuit)
+    chi, p_ys = fo.yurke_stoler_postselect(prepared)
+    return replace(fo.chsh_max(chi), success_probability=p_herald * p_ys)
 
 
 def _perm_sign(perm):

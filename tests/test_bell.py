@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ import fockopt as fo
 from fockopt import bell
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
-from fockopt.tolerances import VIOLATION_MARGIN
+from fockopt.tolerances import HERALD_CUTOFF, VIOLATION_MARGIN
 from helpers import (
     fidelity,
     is_product,
     random_alpha,
     random_state,
     random_unitary,
+    stage_test,
     two_mode_stages,
 )
 
@@ -41,7 +43,7 @@ def bloch_vector(basis):
 
 def filtered_test(phi, s):
     """Filter stage ``s`` through the splitter stage and the CHSH optimum."""
-    return fo.bell_test(phi, two_mode_stages(phi)[s])
+    return stage_test(phi, two_mode_stages(phi)[s])
 
 
 def erasure_stage(phi):
@@ -323,7 +325,7 @@ class TestRunFilteredYS:
         phi = fo.make_number_state((2, 1))
         circuit = two_mode_stages(phi)[1]
         _, p_herald = fo.run_circuit(fo.embed(phi, 4, (0, 1)), circuit)
-        res = fo.bell_test(phi, circuit)
+        res = stage_test(phi, circuit)
         assert abs(res.success_probability - 0.5 * p_herald) < 1e-12
 
     def test_noon3_filter_blind(self):
@@ -355,17 +357,17 @@ class TestRunFilteredYS:
 class TestRunErasureYS:
     def test_balanced_noon3(self):
         noon = two_mode_state([1 / SQ2, 0, 0, 1 / SQ2])
-        res = fo.bell_test(noon, erasure_stage(noon))
+        res = stage_test(noon, erasure_stage(noon))
         assert abs(res.chsh - CHSH_TSIRELSON) < 1e-9
 
     def test_all_in_one_mode_stays_local(self):
         phi = fo.make_number_state((0, 3))
-        res = fo.bell_test(phi, erasure_stage(phi))
+        res = stage_test(phi, erasure_stage(phi))
         assert abs(res.chsh - 2.0) < 1e-9
 
     def test_unbalanced_noon4_hand_value(self):
         noon = two_mode_state([0.6, 0, 0, 0, 0.8])
-        res = fo.bell_test(noon, erasure_stage(noon))
+        res = stage_test(noon, erasure_stage(noon))
         assert abs(res.chsh - 2.0 * math.sqrt(1.0 + 0.96**2)) < 1e-9
         assert res.violated
 
@@ -404,7 +406,7 @@ class TestRunErasureYS:
         noon = two_mode_state([0.6, 0, 0, 0, 0.8])
         wit = fo.find_witness(noon)
         assert repr(wit.circuit) == repr(erasure_stage(noon))
-        assert wit.result.chsh == fo.bell_test(noon, erasure_stage(noon)).chsh
+        assert wit.result.chsh == stage_test(noon, erasure_stage(noon)).chsh
 
 
 class TestFindWitness:
@@ -462,7 +464,7 @@ class TestFindWitness:
         def refuse(*args):
             raise AssertionError("a candidate ran for a single-mode state")
 
-        monkeypatch.setattr(bell, "bell_test", refuse)
+        monkeypatch.setattr(bell, "run_circuit", refuse)
         assert fo.find_witness(state) is None
 
     def test_noon_image_found_by_erasure(self):
@@ -480,6 +482,21 @@ class TestFindWitness:
         *_, erase, _, _ = wit.circuit.elements
         assert isinstance(erase, fo.BeamSplitter) and erase.modes == (4, 5)
         assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
+
+    def test_joint_herald_below_cutoff_is_no_witness(self):
+        # after the zero-count herald on the third mode (p = 2e-14) the
+        # branch is |1,1>, whose first stage violates maximally; each herald
+        # fires on its own branch, but jointly they fire with 5e-15: the
+        # whole circuit never fires, so replay could not run it
+        state = fo.FockState(
+            fo.BOSON, 3, {(0, 0, 2): math.sqrt(1 - 2e-14), (1, 1, 0): math.sqrt(2e-14)}
+        )
+        branch, p_zero = fo.herald(state, {2: 0})
+        stage = two_mode_stages(branch)[0]
+        _, p_stage = fo.run_circuit(fo.embed(branch, 4, (0, 1)), stage)
+        assert min(p_zero, p_stage) >= HERALD_CUTOFF > p_zero * p_stage
+        assert abs(stage_test(branch, stage).chsh - CHSH_TSIRELSON) < 1e-9
+        assert fo.find_witness(state) is None
 
     def test_single_particle_no_witness(self, rng):
         assert fo.find_witness(random_state(rng, 1, 3)) is None
@@ -559,3 +576,41 @@ class TestWitnessProperties:
         assert wit.result.chsh > 2.0 + VIOLATION_MARGIN
         assert 0.0 < wit.result.success_probability <= 1.0
         assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
+
+
+@st.composite
+def witness_states(draw):
+    """A random boson state with M and N in 2..5, or a fermion state with
+    2 <= N <= M <= 5."""
+    fermion = draw(st.booleans())
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(2, m if fermion else 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_state(rng, n, m, fo.FERMION if fermion else fo.BOSON)
+
+
+class TestWitnessMatchesItsCircuit:
+    # the search tests each stage on the branch it heralded; the whole
+    # witness circuit, run once on the padded state, must agree with it
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(state=witness_states())
+    def test_replay_and_herald_probability(self, state):
+        wit = fo.find_witness(state)
+        if wit is None:
+            return
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-12
+        padded = fo.embed(state, wit.circuit.n_modes, range(state.n_modes))
+        _, p_herald = fo.run_circuit(padded, wit.circuit)
+        assert abs(wit.result.success_probability - 0.5 * p_herald) <= 1e-12 * p_herald
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(state=witness_states())
+    def test_dict_round_trip_replays(self, state):
+        # through JSON text, as the witness file holds it
+        wit = fo.find_witness(state)
+        if wit is None:
+            return
+        back = fo.witness_from_dict(json.loads(json.dumps(fo.witness_to_dict(wit))))
+        assert repr(back.circuit) == repr(wit.circuit)
+        assert abs(fo.replay_witness(state, back) - wit.result.chsh) < 1e-12

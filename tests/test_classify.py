@@ -51,6 +51,21 @@ class TestSingleModeState:
         with pytest.raises(ShapeMismatch):
             fo.single_mode_state(alpha, 2)
 
+    def test_huge_alpha_is_a_direction(self):
+        # the norm of [1e200, 1e200] overflows unless alpha is scaled first
+        huge = fo.single_mode_state([1e200, 1e200], 2)
+        assert huge.items() == fo.single_mode_state([1, 1], 2).items()
+        # |1.5e308 (1 + i)| itself is beyond the float range
+        huge = dict(fo.single_mode_state([1.5e308 + 1.5e308j, 1.5e308], 2).items())
+        unit = dict(fo.single_mode_state([1 + 1j, 1], 2).items())
+        assert huge.keys() == unit.keys()
+        assert max(abs(huge[occ] - amp) for occ, amp in unit.items()) < 1e-15
+
+    @pytest.mark.parametrize("alpha", [[math.nan, 1], [math.inf, 1]])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(InvalidParameter):
+            fo.single_mode_state(alpha, 2)
+
     def test_negative_particle_number_rejected(self):
         with pytest.raises(InvalidParameter):
             fo.single_mode_state((1.0, 0.0), -1)

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fockopt as fo
+from fockopt import cli
 from fockopt.cli import main
 from helpers import (
     circuit_unitary,
@@ -327,6 +328,30 @@ class TestWitness:
         assert out.startswith("NO-VIOLATION-FOUND (state is NOT-SINGLE-MODE, residual 0.3177")
         assert "no candidate of the fixed family violates" in out
         assert main(["classify", path]) == 10
+
+    def test_no_witness_json(self, tmp_path, capsys, single):
+        # both negative kinds print JSON under --format json, still exit 10
+        missed = fo.superpose(
+            [
+                (1, fo.single_mode_state([0.4, -0.7, -0.7], 2)),
+                (1, fo.single_mode_state([-0.2, 0.3, -1.4], 2)),
+            ]
+        )
+        for state, single_mode in ((single, True), (missed, False)):
+            path = state_file(tmp_path, state)
+            assert main(["witness", path, "--format", "json"]) == 10
+            payload = printed_json(capsys)
+            assert list(payload) == ["witness", "single_mode", "residual"]
+            assert payload["witness"] is None and payload["single_mode"] is single_mode
+            assert payload["residual"] == fo.is_single_mode_type(fo.load_state(path)).residual
+
+    def test_infinite_residual_is_null_in_json(self, tmp_path, capsys, monkeypatch):
+        # a fermion pair has residual inf; with the search made to miss it,
+        # the residual prints as null, as `classify --format json` prints it
+        monkeypatch.setattr(cli, "find_witness", lambda state: None)
+        path = state_file(tmp_path, fo.make_number_state((1, 1), fo.FERMION))
+        assert main(["witness", path, "--format", "json"]) == 10
+        assert printed_json(capsys) == {"witness": None, "single_mode": False, "residual": None}
 
     def test_many_bosons_in_one_mode_exit_10(self, tmp_path):
         assert main(["witness", state_file(tmp_path, fo.make_number_state((21, 0)))]) == 10

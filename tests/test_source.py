@@ -1,10 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "fockopt"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "fockopt"
 
 
 def test_no_bare_assert():
@@ -160,3 +162,23 @@ def test_integers_are_checked_not_truncated():
         and (path.name, function) not in allowed
     ]
     assert not found, f"int() truncations in the library: {found}"
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer looks up every (module, name) of TARGETS in
+    # bench/spans.py with getattr: a deleted or renamed one crashes every
+    # traced run.  The list is read from the source, without importing bench.
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    targets = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    assert len(targets) == 1 and targets[0]
+    missing = [
+        f"fockopt.{home}.{name}"
+        for home, name in targets[0]
+        if not callable(getattr(importlib.import_module(f"fockopt.{home}"), name, None))
+    ]
+    assert not missing, f"traced names missing from the library: {missing}"

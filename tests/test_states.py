@@ -557,6 +557,30 @@ class TestEmbedAndOverlap:
 
 
 class TestStateFiles:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        statistics=st.sampled_from(STATS),
+        m=st.integers(1, 5),
+        n=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dict_round_trip(self, statistics, m, n, seed):
+        # through JSON text, as a file holds it: the same terms, amplitudes
+        # up to the reader's renormalization
+        if statistics is fo.FERMION:
+            n = min(n, m)
+        rng = np.random.default_rng(seed)
+        terms = dict(random_state(rng, n, m, statistics).items())
+        # a sparse state: drop about half of the terms, keeping at least one
+        keep = [occ for occ in terms if rng.random() < 0.5] or [next(iter(terms))]
+        state = fo.FockState(statistics, m, {occ: terms[occ] for occ in keep}, normalized=False)
+        state = state.normalized()
+        back = fo.state_from_dict(json.loads(json.dumps(fo.state_to_dict(state))))
+        assert back.statistics is statistics and back.n_modes == m and back.n_particles == n
+        before, after = dict(state.items()), dict(back.items())
+        assert after.keys() == before.keys()
+        assert max(abs(after[occ] - amp) for occ, amp in before.items()) < 1e-15
+
     def test_round_trip(self, rng, tmp_path):
         s = random_state(rng, 3, 3, fo.FERMION)
         path = tmp_path / "state.json"
