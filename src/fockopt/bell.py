@@ -2,19 +2,27 @@
 
 The splitter stage of :func:`fockopt.circuits.yurke_stoler_circuit` turns a
 two-particle two-mode state into a pair of dual-rail qubits once runs with one
-particle per rail pair are kept.  CHSH is then maximized exactly from the two
-top singular values of the two-qubit correlation matrix (Horodecki criterion).
+particle per rail pair are kept.  Stage and post-selection together are one
+constant linear map on the state's coefficients, 4x3 for bosons and 4x1 for
+fermions, built once from the circuit on the sector's basis states.  CHSH is
+then maximized exactly from the two top singular values of the two-qubit
+correlation matrix (Horodecki criterion).
 
 The classifier decides which states have no witness: those reducible to a
 single mode.  For every other state :func:`find_witness` assembles an
 explicit violating experiment.  Herald prefixes reduce the state to two
 modes, and :func:`two_mode_preparations` supplies the final stage: the
 heralded two-mode filters, then the quantum-erasure filter.  Each herald is
-simulated once, on the branch the earlier heralds left, and each stage is
-tested on the two-particle state its heralds leave.  :func:`replay_witness`
-re-runs a finished experiment as a whole, through circuits alone.
+simulated once, on the branch the earlier heralds left.  The stages share
+their two Hadamards, so a two-mode branch is evolved once under them; each
+filter stage is then a row mask on that evolution, and the erasure stage one
+more Hadamard on it.  :func:`replay_witness` re-runs a finished experiment as
+a whole, through circuits alone.
 """
 
+import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,6 +32,7 @@ from .circuits import (
     BeamSplitter,
     Circuit,
     Detector,
+    _kernel_gates,
     _matrix_from_json,
     _matrix_to_json,
     circuit_from_dict,
@@ -35,7 +44,19 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
-from .states import FERMION, _file_number, embed, evolve, herald
+from .states import (
+    FERMION,
+    FockState,
+    _evolve_terms,
+    _file_number,
+    _project,
+    _read_only,
+    _sector,
+    embed,
+    evolve,
+    herald,
+    make_number_state,
+)
 from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 
 _PAULI = np.array(
@@ -44,6 +65,10 @@ _PAULI = np.array(
 # _PAULI_PAIRS[i, j] is the 4x4 matrix kron(sigma_i, sigma_j)
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(3, 3, 4, 4)
 _PAULI_PAIRS.flags.writeable = False
+# row i is sigma_i flattened, so a @ _PAULI_ROWS flattens a.sigma
+_PAULI_ROWS = _read_only(_PAULI.reshape(3, 4))
+# signs of E(a1,b1), E(a1,b2), E(a2,b1), E(a2,b2) in the CHSH sum
+_CHSH_SIGNS = _read_only(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 ALICE_RAILS = (0, 2)
 BOB_RAILS = (3, 1)
@@ -51,7 +76,7 @@ BOB_RAILS = (3, 1)
 # occupations of the four kept patterns (uu, ud, du, dd) on the (in1, in2,
 # rail1, rail2) register: Alice's qubit is (in1, rail1), Bob's is (rail2,
 # in2), with "up" meaning a particle in the first mode of the pair
-_YS_SLOTS = np.array([np.bincount((a, b), minlength=4) for a in ALICE_RAILS for b in BOB_RAILS])
+_KEPT = [tuple(np.bincount((a, b), minlength=4).tolist()) for a in ALICE_RAILS for b in BOB_RAILS]
 
 
 class TwoQubitState:
@@ -79,21 +104,27 @@ class TwoQubitState:
         return np.einsum("x,ijxy,y->ij", psi.conj(), _PAULI_PAIRS, psi).real
 
     def expectation(self, a, b):
-        """<(a.sigma) x (b.sigma)> for Bloch vectors a, b."""
+        """<(a.sigma) x (b.sigma)> for Bloch vectors a, b.
+
+        Either may be a stack of vectors, one per row, for the matrix of
+        every pair in one pass.  With the amplitudes as the 2x2 matrix psi
+        (rows Alice, columns Bob), the value is the sum of
+        conj(psi[x, y]) A[x, u] B[y, v] psi[u, v].
+        """
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        obs = np.einsum("i,j,ijxy->xy", a, b, _PAULI_PAIRS)
-        return float(np.real(np.vdot(self.amplitudes, obs @ self.amplitudes)))
+        psi = self.amplitudes.reshape(2, 2)
+        # g[(x, u), (y, v)] = conj(psi[x, y]) psi[u, v]
+        g = (psi.conj()[:, None, :, None] * psi[None, :, None, :]).reshape(4, 4)
+        return ((a @ _PAULI_ROWS) @ g @ (b @ _PAULI_ROWS).T).real
 
 
 def bloch_basis(n):
     """Measurement basis (columns |+n>, |-n>) of the observable n.sigma."""
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    theta = math.acos(max(-1.0, min(1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
-    plus = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
-    minus = np.array([-math.sin(theta / 2), math.cos(theta / 2) * np.exp(1j * phi)])
-    return np.column_stack([plus, minus])
+    x, y, z = n
+    theta = math.acos(max(-1.0, min(1.0, z / math.hypot(x, y, z))))
+    phase = cmath.exp(1j * math.atan2(y, x))
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s * phase, c * phase]])
 
 
 @dataclass
@@ -116,18 +147,35 @@ class BellTestResult:
         return self.chsh > 2.0 + VIOLATION_MARGIN
 
 
+@functools.cache
+def _splitter_map(statistics):
+    """The splitter stage with its post-selection as one matrix: column r
+    holds the kept amplitudes (uu, ud, du, dd) that
+    :func:`~fockopt.circuits.yurke_stoler_circuit` leaves from basis state r
+    of the two-particle two-mode sector, in the sector's rank order."""
+    columns = []
+    for occ in _sector(2, 2, statistics is FERMION)[1].tolist():
+        embedded = embed(make_number_state(occ, statistics), 4, (0, 1))
+        four, _ = run_circuit(embedded, yurke_stoler_circuit())
+        columns.append([four.amplitude(kept) for kept in _KEPT])
+    return _read_only(np.array(columns).T)
+
+
 def yurke_stoler_postselect(phi):
     """Split a two-particle two-mode state into dual-rail qubits and keep
     runs with one particle on each side.
 
-    Returns the shared two-qubit state and the post-selection probability,
-    which equals 1/2 for every normalized input of either statistics.
+    The stage is linear, so it is the constant map :func:`_splitter_map` on
+    the state's coefficients.  Returns the shared two-qubit state and the
+    post-selection probability, which equals 1/2 for every normalized input
+    of either statistics.
     """
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
-    four, _ = run_circuit(embed(phi, 4, (0, 1)), yurke_stoler_circuit())
-    amps = four._amp @ (four._occ[:, None, :] == _YS_SLOTS).all(axis=2)
-    prob = float(np.sum(np.abs(amps) ** 2))
+    rank = _sector(2, 2, phi.statistics is FERMION)[0]
+    columns = [rank[occ] for occ in map(tuple, phi._occ.tolist())]
+    amps = _splitter_map(phi.statistics)[:, columns] @ phi._amp
+    prob = float(np.vdot(amps, amps).real)
     return TwoQubitState(amps / math.sqrt(prob)), prob
 
 
@@ -140,28 +188,25 @@ def chsh_max(chi):
     T of a pure state with Schmidt angle t has singular values
     {1, sin 2t, sin 2t} (Gisin, PLA 154, 201 (1991)), so s0^2 + s1^2 >= 1: T
     never vanishes and the value is at least 2.  The returned value is
-    re-verified against direct expectation values.
+    re-verified against the four direct expectation values, taken from the
+    amplitudes in one pass.
     """
     u, s, vt = np.linalg.svd(chi.correlation_matrix())
-    theta = math.atan2(s[1], s[0])
-    a1, a2 = u[:, 0], u[:, 1]
-    b1 = math.cos(theta) * vt[0] + math.sin(theta) * vt[1]
-    b2 = math.cos(theta) * vt[0] - math.sin(theta) * vt[1]
-    value = 2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2)
-    direct = (
-        chi.expectation(a1, b1)
-        + chi.expectation(a1, b2)
-        + chi.expectation(a2, b1)
-        - chi.expectation(a2, b2)
-    )
+    s0, s1 = s[0].item(), s[1].item()
+    theta = math.atan2(s1, s0)
+    c, t = math.cos(theta), math.sin(theta)
+    alice = u.T[:2]
+    bob = np.array([[c, t], [c, -t]]) @ vt[:2]
+    value = 2.0 * math.sqrt(s0 * s0 + s1 * s1)
+    direct = float((_CHSH_SIGNS * chi.expectation(alice, bob)).sum())
     if abs(direct - value) > SETTINGS_CHECK_TOL:
         raise InvalidParameter(
             f"settings reproduce {direct!r} instead of the criterion value {value!r}"
         )
     return BellTestResult(
         chsh=value,
-        settings_a=(bloch_basis(a1), bloch_basis(a2)),
-        settings_b=(bloch_basis(b1), bloch_basis(b2)),
+        settings_a=tuple(map(bloch_basis, alice.tolist())),
+        settings_b=tuple(map(bloch_basis, bob.tolist())),
         success_probability=1.0,
     )
 
@@ -213,13 +258,47 @@ class WitnessExperiment:
         return self.circuit.heralds
 
 
+def _stage_states(phi):
+    """The stages of ``two_mode_preparations(N, (0, 1), (2, 3))`` on a
+    two-mode boson branch ``phi`` with vacuum ancillas, lazily and in order.
+
+    Yields ``(two, p)`` per stage: the two-particle state its heralds leave on
+    modes (0, 1) and their probability, or None where that probability is
+    below ``HERALD_CUTOFF`` (where ``run_circuit`` raises ZeroOutcome).  The
+    branch is evolved once, under the gates of the first filter stage, which
+    every stage shares.  A filter stage is then one row mask on that
+    evolution; the erasure stage runs its extra Hadamard on the same evolved
+    terms and masks them.
+    """
+    n = phi.n_particles
+    stages = two_mode_preparations(n, (0, 1), (2, 3))
+    first = next(stages)
+    shared = _kernel_gates(first)
+    occ = np.zeros((len(phi._occ), 4), dtype=np.intp)
+    occ[:, :2] = phi._occ
+    evolved = _evolve_terms(False, 4, n, occ, phi._amp, shared)
+    for stage in itertools.chain((first,), stages):
+        # a filter stage has no gate of its own: its terms are the evolved ones
+        terms = _evolve_terms(False, 4, n, *evolved, _kernel_gates(stage)[len(shared):])
+        detectors = [el for el in stage if isinstance(el, Detector)]
+        rest, kept = _project(
+            *terms, [d.mode for d in detectors], [d.herald for d in detectors], False
+        )
+        p = float(np.vdot(kept, kept).real)
+        if p < HERALD_CUTOFF:
+            yield None
+            continue
+        yield FockState._trusted(phi.statistics, 2, 2, rest, kept / math.sqrt(p)), p
+
+
 def _boson_candidates(phi, live, prefix, total_modes):
     """Candidates for a NOT-SINGLE-MODE boson state, so N >= 2, on
     ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
 
     Yields ``(two, p, circuit)``: the two-particle state that the heralds of
     ``circuit`` leave on its output modes and their joint probability on
-    ``phi``.  Each herald runs once, on the branch the earlier ones left.
+    ``phi``.  Each herald runs once, on the branch the earlier ones left, and
+    the stages of a two-mode branch share one evolution (:func:`_stage_states`).
 
     Enumeration order: ancilla filters with ascending ``s``, then erasure, at
     two modes; otherwise the zero-count herald on all but the first two
@@ -228,14 +307,11 @@ def _boson_candidates(phi, live, prefix, total_modes):
     """
     n = phi.n_particles
     if len(live) == 2:
-        four = embed(phi, 4, (0, 1))
         placed = two_mode_preparations(n, live, (total_modes, total_modes + 1))
-        for stage, elements in zip(two_mode_preparations(n, (0, 1), (2, 3)), placed):
-            try:
-                two, p = run_circuit(four, Circuit(4, stage))
-            except ZeroOutcome:
-                continue
-            yield two, p, Circuit(total_modes + 2, prefix + elements)
+        for elements, outcome in zip(placed, _stage_states(phi)):
+            if outcome is not None:
+                two, p = outcome
+                yield two, p, Circuit(total_modes + 2, prefix + elements)
         return
     rest_local = list(range(2, len(live)))
     try:
@@ -298,10 +374,13 @@ def find_witness(state):
     A state of single-mode type has no witness: the classifier's verdict
     returns None before any candidate runs.  Otherwise candidates are tried
     in a fixed order, so the result is deterministic; None means that none
-    violates by more than ``VIOLATION_MARGIN``.  Each stage is tested on the
-    branch its heralds leave, so no prefix is simulated twice; a joint herald
-    probability below ``HERALD_CUTOFF`` skips the candidate, as its whole
-    circuit never fires even when every conditional herald does.
+    violates by more than ``VIOLATION_MARGIN``.  No prefix is simulated
+    twice: each herald runs on the branch the earlier ones left, and a
+    two-mode boson branch is evolved once for all its stages
+    (:func:`_stage_states`).  Each candidate's two-particle state then costs
+    the splitter stage as its constant map and one CHSH optimum.  A joint
+    herald probability below ``HERALD_CUTOFF`` skips the candidate, as its
+    whole circuit never fires even when every conditional herald does.
     """
     if is_single_mode_type(state).single_mode:
         return None

@@ -23,13 +23,22 @@ def _product_form(alpha, occ, sqrt_multinomial):
     return sqrt_multinomial * np.prod(alpha**occ, axis=1)
 
 
+def _complex_array(alpha):
+    """``alpha`` as a complex array; InvalidParameter when an entry is not a
+    number or the nesting is ragged, where numpy raises a bare error."""
+    try:
+        return np.asarray(alpha, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"alpha must be an array of numbers: {exc}") from exc
+
+
 def single_mode_state(alpha, n_particles, statistics=BOSON):
     """Product-form state for amplitude vector ``alpha`` and N particles.
 
     Only bosons admit N >= 2 here; a fermion request raises PauliForbidden.
     ``alpha`` is normalized internally and must be finite.
     """
-    alpha = np.asarray(alpha, dtype=complex)
+    alpha = _complex_array(alpha)
     n = _integer(n_particles, "particle number")
     if n < 0:
         raise InvalidParameter(f"particle number must be >= 0, got {n}")

@@ -82,6 +82,22 @@ def stage_test(phi, circuit):
     return replace(fo.chsh_max(chi), success_probability=p_herald * p_ys)
 
 
+def oracle_splitter_stage(phi):
+    """``yurke_stoler_postselect`` through ``yurke_stoler_circuit()``: ``phi``
+    on the inputs with empty rails, the four kept patterns (uu, ud, du, dd)
+    read off the circuit's output and renormalized.  Returns ``(two-qubit
+    amplitudes, post-selection probability)``."""
+    four, _ = fo.run_circuit(fo.embed(phi, 4, (0, 1)), fo.yurke_stoler_circuit())
+    kept = [
+        tuple(np.bincount((a, b), minlength=4).tolist())
+        for a in fo.bell.ALICE_RAILS
+        for b in fo.bell.BOB_RAILS
+    ]
+    amps = np.array([four.amplitude(occ) for occ in kept])
+    prob = float(np.vdot(amps, amps).real)
+    return amps / math.sqrt(prob), prob
+
+
 def _perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)

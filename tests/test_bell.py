@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fockopt as fo
@@ -14,6 +14,7 @@ from fockopt.tolerances import HERALD_CUTOFF, VIOLATION_MARGIN
 from helpers import (
     fidelity,
     is_product,
+    oracle_splitter_stage,
     random_alpha,
     random_state,
     random_unitary,
@@ -460,11 +461,14 @@ class TestFindWitness:
         ids=["N80-in-one-mode", "random-M4-N6"],
     )
     def test_single_mode_states_run_no_candidate(self, monkeypatch, state):
-        # the classifier's verdict alone answers; no candidate is run
+        # the classifier's verdict alone answers: no herald prefix and no
+        # candidate runs.  A fermion candidate runs its circuit, a boson
+        # stage the sector kernel.
         def refuse(*args):
-            raise AssertionError("a candidate ran for a single-mode state")
+            raise AssertionError("the search ran for a single-mode state")
 
-        monkeypatch.setattr(bell, "run_circuit", refuse)
+        for name in ("herald", "run_circuit", "_evolve_terms"):
+            monkeypatch.setattr(bell, name, refuse)
         assert fo.find_witness(state) is None
 
     def test_noon_image_found_by_erasure(self):
@@ -614,3 +618,58 @@ class TestWitnessMatchesItsCircuit:
         back = fo.witness_from_dict(json.loads(json.dumps(fo.witness_to_dict(wit))))
         assert repr(back.circuit) == repr(wit.circuit)
         assert abs(fo.replay_witness(state, back) - wit.result.chsh) < 1e-12
+
+
+@st.composite
+def two_particle_states(draw):
+    """Two particles on two modes: a fermion pair with a random phase, or a
+    boson state on a random nonempty subset of |2,0>, |1,1>, |0,2>."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return fo.FockState(fo.FERMION, 2, {(1, 1): np.exp(2j * math.pi * rng.random())})
+    support = draw(st.sets(st.sampled_from([(2, 0), (1, 1), (0, 2)]), min_size=1))
+    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+    terms = dict(zip(sorted(support), amps))
+    return fo.FockState(fo.BOSON, 2, terms, normalized=False).normalized()
+
+
+class TestShortcutsMatchTheCircuits:
+    """The splitter stage's constant map and the stage evaluator's shared
+    evolution against the circuit runs they replace."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(phi=two_particle_states())
+    def test_splitter_map(self, phi):
+        chi, prob = fo.yurke_stoler_postselect(phi)
+        amps, p_circuit = oracle_splitter_stage(phi)
+        assert np.abs(chi.amplitudes - amps).max() <= 1e-14
+        assert abs(prob - p_circuit) <= 1e-14
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), top=st.booleans())
+    @example(n=8, seed=0, top=True)
+    def test_stage_evaluator(self, n, seed, top):
+        # with ``top`` mode 1 holds at most one particle, so the filters
+        # s < N-3, the first ones, never fire
+        rng = np.random.default_rng(seed)
+        beta = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        if top:
+            beta[: n - 1] = 0.0
+        phi = two_mode_state(beta / np.linalg.norm(beta))
+        outcomes = list(bell._stage_states(phi))
+        circuits = two_mode_stages(phi)
+        assert len(outcomes) == len(circuits) == n
+        if top and n >= 4:
+            assert outcomes[0] is None
+        for outcome, circuit in zip(outcomes, circuits):
+            try:
+                expected = stage_test(phi, circuit)
+            except ZeroOutcome:
+                assert outcome is None
+                continue
+            two, p_herald = outcome
+            chi, p_ys = fo.yurke_stoler_postselect(two)
+            res = fo.chsh_max(chi)
+            assert abs(res.chsh - expected.chsh) <= 1e-12
+            p = expected.success_probability
+            assert abs(p_herald * p_ys - p) <= 1e-12 * p

@@ -144,6 +144,12 @@ class TestRunExperiment:
         with pytest.raises(ShapeMismatch):
             fo.EpistemicSpec(alpha, 1)
 
+    @pytest.mark.parametrize("alpha", [["a", 1], [[1, 0], [0]], [object(), 1], {"a": 1}])
+    def test_non_numeric_alpha_rejected(self, alpha):
+        # numpy's conversion raises a bare ValueError or TypeError for these
+        with pytest.raises(InvalidParameter):
+            fo.EpistemicSpec(alpha, 1)
+
     def test_norm_tolerance_boundary(self):
         inside = np.array([1.0 + 0.5 * NORM_TOL, 0.0])
         assert fo.EpistemicSpec(inside, 2).n_modes == 2
