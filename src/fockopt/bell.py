@@ -43,7 +43,13 @@ from .circuits import (
     yurke_stoler_circuit,
 )
 from .classify import is_single_mode_type
-from .errors import InvalidFile, InvalidParameter, ShapeMismatch, ZeroOutcome
+from .errors import (
+    InvalidFile,
+    InvalidParameter,
+    NotUnitary,
+    ShapeMismatch,
+    ZeroOutcome,
+)
 from .states import (
     FERMION,
     FockState,
@@ -419,6 +425,8 @@ def witness_to_dict(experiment):
 
 
 def witness_from_dict(data):
+    """Inverse of :func:`witness_to_dict`; InvalidFile unless each party has
+    exactly two unitary 2x2 settings."""
     try:
         circuit = circuit_from_dict(data["circuit"])
         settings_a = tuple(_matrix_from_json(b) for b in data["settings"]["party_A"])
@@ -432,39 +440,59 @@ def witness_from_dict(data):
     result = BellTestResult(
         chsh=chsh, settings_a=settings_a, settings_b=settings_b, success_probability=prob
     )
+    try:
+        _settings(result)
+    except (InvalidParameter, NotUnitary, ShapeMismatch) as exc:
+        raise InvalidFile(f"invalid witness settings: {exc}") from exc
     return WitnessExperiment(circuit=circuit, result=result)
+
+
+def _settings(result):
+    """The settings of ``result``, Alice's two then Bob's two, as one checked
+    (4, 2, 2) array: ShapeMismatch for any other shape, InvalidParameter for
+    a non-numeric entry, NotUnitary for a non-finite or non-unitary one."""
+    try:
+        parties = [
+            [np.asarray(b, dtype=complex) for b in party]
+            for party in (result.settings_a, result.settings_b)
+        ]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"settings must be numeric matrices: {exc}") from exc
+    shapes = [[m.shape for m in party] for party in parties]
+    if shapes != [[(2, 2), (2, 2)]] * 2:
+        raise ShapeMismatch(f"expected two 2x2 settings per party, got shapes {shapes}")
+    bases = np.stack(parties[0] + parties[1])
+    if not np.isfinite(bases).all():
+        raise NotUnitary("a setting has non-finite entries")
+    dev = np.abs(bases.conj().transpose(0, 2, 1) @ bases - np.eye(2)).max()
+    if dev > NORM_TOL:
+        raise NotUnitary(f"a setting deviates from unitarity by {dev:.3e}")
+    return bases
 
 
 def replay_witness(state, experiment):
     """Re-run a witness through circuits alone and return the CHSH value.
 
-    The preparation circuit and the splitter stage are executed on the state
-    once.  Each setting then becomes one beam splitter on its party's rail
-    pair, carrying the conjugated basis matrix; correlators come from the
-    joint detector statistics conditioned on one particle per rail pair.
+    The settings are checked once (shape and unitarity).  The preparation
+    circuit and the splitter stage are executed on the state once.  Each
+    setting then becomes one beam splitter on its party's rail pair, carrying
+    the conjugated basis matrix; after it a particle on the pair's first rail
+    means the basis's first outcome.  Each correlator is read off the joint
+    detector statistics of the four kept patterns ``_KEPT`` (one particle per
+    rail pair) as (p_uu - p_ud - p_du + p_dd) / (their sum).
     """
+    bases = _settings(experiment.result).conj()
     circuit = experiment.circuit
     prepared, _ = run_circuit(embed(state, circuit.n_modes, range(state.n_modes)), circuit)
     split, _ = run_circuit(embed(prepared, 4, (0, 1)), yurke_stoler_circuit())
-    res = experiment.result
-    correlators = np.empty((2, 2))
-    # after the splitter, a particle on the pair's first rail means the
-    # basis's first outcome
-    stages_a = [(BeamSplitter(ALICE_RAILS, b.conj()),) for b in res.settings_a]
-    stages_b = [(BeamSplitter(BOB_RAILS, b.conj()),) for b in res.settings_b]
+    stages_a = [(BeamSplitter._trusted(ALICE_RAILS, b),) for b in bases[:2]]
+    stages_b = [(BeamSplitter._trusted(BOB_RAILS, b),) for b in bases[2:]]
     readout = tuple(Detector(m) for m in range(4))
-    for i, stage_a in enumerate(stages_a):
-        for j, stage_b in enumerate(stages_b):
-            stats = detector_statistics(split, Circuit(4, stage_a + stage_b + readout))
-            num = den = 0.0
-            # the readout covers modes 0..3 in order: counts are indexed by mode
-            for counts, p in stats.distribution.items():
-                n_a = (counts[ALICE_RAILS[0]], counts[ALICE_RAILS[1]])
-                n_b = (counts[BOB_RAILS[0]], counts[BOB_RAILS[1]])
-                if sorted(n_a) != [0, 1] or sorted(n_b) != [0, 1]:
-                    continue
-                sign = (1.0 if n_a[0] else -1.0) * (1.0 if n_b[0] else -1.0)
-                num += sign * p
-                den += p
-            correlators[i, j] = num / den
-    return correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1]
+    correlators = []
+    for stage_a in stages_a:
+        for stage_b in stages_b:
+            dist = detector_statistics(split, Circuit(4, stage_a + stage_b + readout)).distribution
+            uu, ud, du, dd = (dist.get(kept, 0.0) for kept in _KEPT)
+            correlators.append((uu - ud - du + dd) / (uu + ud + du + dd))
+    e11, e12, e21, e22 = correlators
+    return e11 + e12 + e21 - e22

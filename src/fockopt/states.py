@@ -21,11 +21,15 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   applied in increasing mode order.  A particle moved between s and t passes
   the occupied modes strictly between them, so the n = 1 block takes the
   sign (-1)^(occupied modes strictly between s and t) on its off-diagonal
-  entries.  With both modes occupied the block is the number det(g).
+  entries.  With both modes occupied the block is the number det(g).  A gate
+  reads g's four entries once; each (n, parity) block occurs once per gate,
+  so each is built once, and the n = 2 block is an in-place scale by det(g).
 * **Phase shifter.**  A diagonal multiply by exp(i phi n_mode).
 * **Dense U.**  :func:`apply_mode_unitary` factors U with Reck's triangular
   Givens loop (:func:`reck_gates`) into at most M(M-1)/2 gates on adjacent
-  modes and M phases, and runs those through the kernel.
+  modes and M phases, and runs those through the kernel.  The loop reads each
+  pivot pair as two Python numbers and rotates only the columns from the
+  pivot's on, so a rotation costs one small matrix product.
 * **Herald.**  A row mask on the state's own terms, not on the sector, so
   its cost follows the number of terms; dropping the measured columns leaves
   the smaller state's occupations.  The fermion sign of pulling the measured
@@ -346,13 +350,6 @@ def _symmetric_powers(g_bytes, n_max):
     return tuple(out)
 
 
-def _fermion_block(g, n, odd):
-    if n == 2:
-        return np.array([[g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]]])
-    sign = -1.0 if odd else 1.0
-    return np.array([[g[1, 1], sign * g[0, 1]], [sign * g[1, 0], g[0, 0]]])
-
-
 def _sector_terms(n_modes, n_particles, fermionic, vec):
     """The significant entries of a sector vector in rank order, as
     ``(occupations, amplitudes)``: entries below ``PRUNE_REL`` of the largest
@@ -383,11 +380,21 @@ def _evolve_terms(fermionic, m, n, occ, amp, gates):
         (s, t), g = modes, value
         if s > t:
             s, t, g = t, s, g[::-1, ::-1]
+        blocks = _pair_blocks(m, n, fermionic, s, t)
         if not fermionic:
             powers = _symmetric_powers(np.asarray(g, dtype=complex).tobytes(), n)
-        for k, odd, idx in _pair_blocks(m, n, fermionic, s, t):
-            block = _fermion_block(g, k, odd) if fermionic else powers[k]
-            vec[idx] = vec[idx] @ block.T
+            for k, _, idx in blocks:
+                vec[idx] = vec[idx] @ powers[k].T
+            continue
+        # one block per (n, parity): the transposed n = 1 blocks, and det g
+        (g00, g01), (g10, g11) = g.tolist()
+        for k, odd, idx in blocks:
+            if k == 2:
+                vec[idx] *= g00 * g11 - g01 * g10
+            elif odd:
+                vec[idx] = vec[idx] @ np.array([[g11, -g10], [-g01, g00]])
+            else:
+                vec[idx] = vec[idx] @ np.array([[g11, g10], [g01, g00]])
     return _sector_terms(m, n, fermionic, vec)
 
 
@@ -412,24 +419,30 @@ def reck_gates(u):
     Returns kernel gates in the form :func:`evolve` takes: at most M(M-1)/2
     two-mode gates on adjacent modes, then up to M phases.  Composed left to
     right, their embedded matrices give ``u``.
+
+    Column by column, bottom row up, a Givens rotation r on rows (row-1, row)
+    zeroes the entry below the pivot x = a[row-1, col], y = a[row, col]; its
+    inverse r^dag is the gate.  A y within ``RECK_TOL`` of 0 needs none.  The
+    columns left of col are already zero in those rows and are never read
+    again, so r acts on the columns from col on.  The diagonal left over
+    gives the phases.
     """
     m = u.shape[0]
     a = np.array(u, dtype=complex)
     gates = []
     for col in range(m - 1):
         for row in range(m - 1, col, -1):
-            x = a[row - 1, col]
-            y = a[row, col]
+            x, y = a[row - 1 : row + 1, col].tolist()
             if abs(y) <= RECK_TOL:
                 continue
             norm = math.hypot(abs(x), abs(y))
-            r = np.array(
-                [[x.conjugate() / norm, y.conjugate() / norm], [-y / norm, x / norm]]
-            )
-            a[row - 1 : row + 1, :] = r @ a[row - 1 : row + 1, :]
+            x, y = x / norm, y / norm
+            r = np.array([[x.conjugate(), y.conjugate()], [-y, x]])
+            pair = a[row - 1 : row + 1, col:]
+            pair[...] = r @ pair
             gates.append(((row - 1, row), r.conj().T))
-    for mode in range(m):
-        phi = cmath.phase(a[mode, mode])
+    for mode, d in enumerate(a.diagonal().tolist()):
+        phi = cmath.phase(d)
         if abs(phi) > RECK_TOL:
             gates.append(((mode,), phi))
     return gates

@@ -9,7 +9,7 @@ import numpy as np
 
 import fockopt as fo
 from fockopt.lhv import BLOCK, _splits
-from fockopt.tolerances import HERALD_CUTOFF
+from fockopt.tolerances import HERALD_CUTOFF, RECK_TOL
 
 
 def random_unitary(rng, m):
@@ -152,6 +152,31 @@ def oracle_evolve(state, u):
         )
         for occ_out in sector_occupations(state.n_particles, state.n_modes, state.statistics)
     }
+
+
+def oracle_reck_gates(u):
+    """``states.reck_gates`` as a plain Givens loop on numpy values: each
+    rotation is a 2x2 array applied to both rows across every column."""
+    m = u.shape[0]
+    a = np.array(u, dtype=complex)
+    gates = []
+    for col in range(m - 1):
+        for row in range(m - 1, col, -1):
+            x = a[row - 1, col]
+            y = a[row, col]
+            if abs(y) <= RECK_TOL:
+                continue
+            norm = math.hypot(abs(x), abs(y))
+            r = np.array(
+                [[x.conjugate() / norm, y.conjugate() / norm], [-y / norm, x / norm]]
+            )
+            a[row - 1 : row + 1, :] = r @ a[row - 1 : row + 1, :]
+            gates.append(((row - 1, row), r.conj().T))
+    for mode in range(m):
+        phi = cmath.phase(a[mode, mode])
+        if abs(phi) > RECK_TOL:
+            gates.append(((mode,), phi))
+    return gates
 
 
 def embedded_gate(element, m):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 import fockopt as fo
 from fockopt import bell
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
-from fockopt.errors import InvalidParameter, ShapeMismatch, ZeroOutcome
+from fockopt.errors import (
+    FockoptError,
+    InvalidParameter,
+    NotUnitary,
+    ShapeMismatch,
+    ZeroOutcome,
+)
 from fockopt.tolerances import HERALD_CUTOFF, VIOLATION_MARGIN
 from helpers import (
     fidelity,
@@ -552,6 +559,74 @@ class TestFindWitness:
             "alice": [m + 1 for m in ALICE_RAILS],
             "bob": [m + 1 for m in BOB_RAILS],
         }
+
+
+# settings per party (Alice, Bob) other than two each
+SETTING_COUNTS = [(1, 1), (0, 0), (3, 3), (1, 2), (2, 3)]
+
+
+def with_settings(experiment, settings_a, settings_b):
+    result = replace(experiment.result, settings_a=settings_a, settings_b=settings_b)
+    return replace(experiment, result=result)
+
+
+class TestReplaySettings:
+    """Replay and the witness reader accept exactly two unitary 2x2 settings
+    per party."""
+
+    @pytest.fixture
+    def witness(self, rng):
+        state = random_state(rng, 2, 3)
+        return state, fo.find_witness(state)
+
+    @pytest.mark.parametrize("counts", SETTING_COUNTS)
+    def test_reader_rejects_setting_counts(self, witness, counts):
+        data = fo.witness_to_dict(witness[1])
+        for party, k in zip(("party_A", "party_B"), counts):
+            data["settings"][party] = (data["settings"][party] * 2)[:k]
+        with pytest.raises(fo.InvalidFile):
+            fo.witness_from_dict(data)
+
+    @pytest.mark.parametrize("entry", [[5.0, 0.0], [0.0, 0.0]])
+    def test_reader_rejects_non_unitary_settings(self, witness, entry):
+        data = fo.witness_to_dict(witness[1])
+        data["settings"]["party_B"][1][0][0] = entry
+        with pytest.raises(fo.InvalidFile):
+            fo.witness_from_dict(data)
+
+    @pytest.mark.parametrize("counts", SETTING_COUNTS)
+    def test_replay_rejects_setting_counts(self, witness, counts):
+        state, wit = witness
+        res = wit.result
+        bad = with_settings(
+            wit, (res.settings_a * 2)[: counts[0]], (res.settings_b * 2)[: counts[1]]
+        )
+        with pytest.raises(ShapeMismatch):
+            fo.replay_witness(state, bad)
+
+    def test_replay_rejects_wrongly_shaped_settings(self, witness):
+        state, wit = witness
+        bad = with_settings(wit, (np.eye(3), np.eye(2)), wit.result.settings_b)
+        with pytest.raises(ShapeMismatch):
+            fo.replay_witness(state, bad)
+
+    @pytest.mark.parametrize("entry", ["x", None, [1.0, 0.0], {}])
+    def test_replay_rejects_non_numeric_settings(self, witness, entry):
+        state, wit = witness
+        first = wit.result.settings_a[0].tolist()
+        first[0][0] = entry
+        bad = with_settings(wit, (first, wit.result.settings_a[1]), wit.result.settings_b)
+        with pytest.raises(FockoptError):
+            fo.replay_witness(state, bad)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 2.0])
+    def test_replay_rejects_non_unitary_settings(self, witness, entry):
+        state, wit = witness
+        last = wit.result.settings_b[1].copy()
+        last[1, 1] = entry
+        bad = with_settings(wit, wit.result.settings_a, (wit.result.settings_b[0], last))
+        with pytest.raises(NotUnitary):
+            fo.replay_witness(state, bad)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import fockopt as fo
 from fockopt.errors import (
@@ -17,8 +18,10 @@ from fockopt.errors import (
     ZeroOutcome,
     ZeroState,
 )
+from fockopt.tolerances import RECK_TOL
 from helpers import (
     assert_states_close,
+    circuit_unitary,
     detection_distribution,
     embedded_gate,
     fidelity,
@@ -26,6 +29,7 @@ from helpers import (
     oracle_evolve,
     oracle_herald,
     oracle_pair_blocks,
+    oracle_reck_gates,
     random_state,
     random_unitary,
     sector_occupations,
@@ -286,7 +290,9 @@ class TestSectorKernel:
     """Gate-by-gate and dense-U evolution against the permanent/determinant oracle."""
 
     @pytest.mark.parametrize("statistics", STATS)
-    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 3), (2, 5), (3, 4)])
+    # (2, 6) and (3, 6) reach both fermion parities of the n = 1 block and
+    # the determinant block on reversed pairs
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 6), (3, 6)])
     def test_gate_lists_match_oracle(self, rng, statistics, n, m):
         s = random_state(rng, n, m, statistics)
         gates = random_gates(rng, m, 10)
@@ -359,6 +365,53 @@ class TestSectorKernel:
                     assert blocks.keys() == walk.keys()
                     for key, idx in blocks.items():
                         assert set(map(tuple, idx.tolist())) == set(map(tuple, walk[key].tolist()))
+
+
+class TestReckGates:
+    """``reck_gates`` against the plain Givens loop of ``oracle_reck_gates``."""
+
+    @staticmethod
+    def assert_matches_oracle(u):
+        gates = fo.states.reck_gates(u)
+        expected = oracle_reck_gates(u)
+        assert [modes for modes, _ in gates] == [modes for modes, _ in expected]
+        for (_, g), (_, h) in zip(gates, expected):
+            assert np.max(np.abs(np.asarray(g) - np.asarray(h))) < 1e-13
+        assert np.max(np.abs(circuit_unitary(fo.reck_decompose(u)) - u)) < 1e-12
+        return gates
+
+    def test_random(self, rng):
+        for m in range(1, 17):
+            for _ in range(2):
+                self.assert_matches_oracle(random_unitary(rng, m))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.eye(4),
+            np.eye(5)[::-1],
+            np.roll(np.eye(6), 1, axis=0) * np.exp(0.3j),
+            block_diag(1j, fo.hadamard(), np.eye(3)[[2, 0, 1]]),
+            block_diag(fo.hadamard(), fo.hadamard(), fo.hadamard()),
+            np.kron(fo.hadamard(), fo.hadamard()),
+        ],
+        ids=["identity", "reversal", "cycle", "blocks", "hadamard-sum", "hadamard-kron"],
+    )
+    def test_structured(self, u):
+        self.assert_matches_oracle(u)
+
+    def test_mixed_blocks(self, rng):
+        u = block_diag(random_unitary(rng, 2), random_unitary(rng, 3), random_unitary(rng, 1))
+        self.assert_matches_oracle(u)
+
+    @pytest.mark.parametrize("scale,rotations", [(0.5, 0), (2.0, 1)])
+    def test_entry_at_the_tolerance(self, scale, rotations):
+        # a rotation on modes (2, 3) whose column entry sits at scale * RECK_TOL:
+        # below the tolerance it is left out, above it is kept
+        sin = scale * RECK_TOL
+        cos = math.sqrt(1.0 - sin * sin)
+        gates = self.assert_matches_oracle(block_diag(np.eye(2), [[cos, -sin], [sin, cos]]))
+        assert sum(len(modes) == 2 for modes, _ in gates) == rotations
 
 
 class TestDetectionDistribution:
