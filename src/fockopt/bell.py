@@ -4,9 +4,10 @@ The splitter stage of :func:`fockopt.circuits.yurke_stoler_circuit` turns a
 two-particle two-mode state into a pair of dual-rail qubits once runs with one
 particle per rail pair are kept.  Stage and post-selection together are one
 constant linear map on the state's coefficients, 4x3 for bosons and 4x1 for
-fermions, built once from the circuit on the sector's basis states.  CHSH is
-then maximized exactly from the two top singular values of the two-qubit
-correlation matrix (Horodecki criterion).
+fermions, built once from the circuit on the sector's basis states.  The
+two-qubit state is pure, so its CHSH optimum is read off its Schmidt form
+l0|a0 b0> + l1|a1 b1>: the value is 2 sqrt(1 + (2 l0 l1)^2) (Gisin), reached by
+the settings of the Horodecki criterion in the Schmidt frame.
 
 The classifier decides which states have no witness: those reducible to a
 single mode.  For every other state :func:`find_witness` assembles an
@@ -20,7 +21,6 @@ more Hadamard on it.  :func:`replay_witness` re-runs a finished experiment as
 a whole, through circuits alone.
 """
 
-import cmath
 import functools
 import itertools
 import math
@@ -53,6 +53,7 @@ from .errors import (
 from .states import (
     FERMION,
     FockState,
+    _complex_array,
     _evolve_terms,
     _file_number,
     _project,
@@ -64,17 +65,6 @@ from .states import (
     make_number_state,
 )
 from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
-
-_PAULI = np.array(
-    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
-)
-# _PAULI_PAIRS[i, j] is the 4x4 matrix kron(sigma_i, sigma_j)
-_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(3, 3, 4, 4)
-_PAULI_PAIRS.flags.writeable = False
-# row i is sigma_i flattened, so a @ _PAULI_ROWS flattens a.sigma
-_PAULI_ROWS = _read_only(_PAULI.reshape(3, 4))
-# signs of E(a1,b1), E(a1,b2), E(a2,b1), E(a2,b2) in the CHSH sum
-_CHSH_SIGNS = _read_only(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 ALICE_RAILS = (0, 2)
 BOB_RAILS = (3, 1)
@@ -91,7 +81,7 @@ class TwoQubitState:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = _complex_array(amplitudes, "two-qubit amplitudes")
         if amps.shape != (4,):
             raise ShapeMismatch("two-qubit state needs exactly four amplitudes")
         # written so that a NaN norm fails it too
@@ -103,34 +93,6 @@ class TwoQubitState:
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoQubitState is immutable")
-
-    def correlation_matrix(self):
-        """3x3 matrix of Pauli-Pauli expectation values."""
-        psi = self.amplitudes
-        return np.einsum("x,ijxy,y->ij", psi.conj(), _PAULI_PAIRS, psi).real
-
-    def expectation(self, a, b):
-        """<(a.sigma) x (b.sigma)> for Bloch vectors a, b.
-
-        Either may be a stack of vectors, one per row, for the matrix of
-        every pair in one pass.  With the amplitudes as the 2x2 matrix psi
-        (rows Alice, columns Bob), the value is the sum of
-        conj(psi[x, y]) A[x, u] B[y, v] psi[u, v].
-        """
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        psi = self.amplitudes.reshape(2, 2)
-        # g[(x, u), (y, v)] = conj(psi[x, y]) psi[u, v]
-        g = (psi.conj()[:, None, :, None] * psi[None, :, None, :]).reshape(4, 4)
-        return ((a @ _PAULI_ROWS) @ g @ (b @ _PAULI_ROWS).T).real
-
-
-def bloch_basis(n):
-    """Measurement basis (columns |+n>, |-n>) of the observable n.sigma."""
-    x, y, z = n
-    theta = math.acos(max(-1.0, min(1.0, z / math.hypot(x, y, z))))
-    phase = cmath.exp(1j * math.atan2(y, x))
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s * phase, c * phase]])
 
 
 @dataclass
@@ -185,35 +147,48 @@ def yurke_stoler_postselect(phi):
     return TwoQubitState(amps / math.sqrt(prob)), prob
 
 
-def chsh_max(chi):
-    """Exact CHSH maximum 2*sqrt(s0^2 + s1^2) over projective settings.
+def _chsh(probs):
+    """CHSH from ``probs[a, b, i, j]``, the weight of outcomes (i, j) under
+    Alice's setting a and Bob's setting b; each correlator is
+    (p00 - p01 - p10 + p11) / (their sum)."""
+    (e11, e12), (e21, e22) = (
+        (probs[..., 0, 0] - probs[..., 0, 1] - probs[..., 1, 0] + probs[..., 1, 1])
+        / probs.sum(axis=(2, 3))
+    ).tolist()
+    return e11 + e12 + e21 - e22
 
-    s0 >= s1 are the top singular values of the correlation matrix T.  Alice
-    measures along the matching left singular vectors; Bob along
-    cos(theta)*v0 +- sin(theta)*v1 of the right ones, with tan(theta) = s1/s0.
-    T of a pure state with Schmidt angle t has singular values
-    {1, sin 2t, sin 2t} (Gisin, PLA 154, 201 (1991)), so s0^2 + s1^2 >= 1: T
-    never vanishes and the value is at least 2.  The returned value is
-    re-verified against the four direct expectation values, taken from the
-    amplitudes in one pass.
+
+def chsh_max(chi):
+    """Exact CHSH maximum over projective settings, from the Schmidt form.
+
+    The SVD of the amplitude matrix psi (rows Alice, columns Bob) is the
+    Schmidt form l0|a0 b0> + l1|a1 b1>.  With s = 2*l0*l1 the maximum is
+    2*sqrt(1 + s^2) >= 2 (Gisin, PLA 154, 201 (1991)).  The settings are those
+    of the Horodecki criterion (PLA 200, 340 (1995)) in the Schmidt frame,
+    where the correlation matrix is diag(s, -s, 1): Alice measures z and x,
+    Bob cos(theta)*z +- sin(theta)*x with tan(theta) = s.  They are
+    continuous in the state except at l0 = l1, where the Schmidt frame is
+    any rotation that float dust picks.  The value is re-verified against
+    the outcome probabilities |A^dag psi B*|^2 of the four setting pairs.
     """
-    u, s, vt = np.linalg.svd(chi.correlation_matrix())
-    s0, s1 = s[0].item(), s[1].item()
-    theta = math.atan2(s1, s0)
-    c, t = math.cos(theta), math.sin(theta)
-    alice = u.T[:2]
-    bob = np.array([[c, t], [c, -t]]) @ vt[:2]
-    value = 2.0 * math.sqrt(s0 * s0 + s1 * s1)
-    direct = float((_CHSH_SIGNS * chi.expectation(alice, bob)).sum())
+    psi = chi.amplitudes.reshape(2, 2)
+    u, (l0, l1), vh = np.linalg.svd(psi)
+    s = 2.0 * l0.item() * l1.item()
+    value = 2.0 * math.sqrt(1.0 + s * s)
+    half = 0.5 * math.atan(s)
+    c, t = math.cos(half), math.sin(half)
+    # the columns of u and of vh.T are the Schmidt vectors; each basis below
+    # is an eigenbasis in that frame, its +1 outcome first
+    alice = np.stack((u, u @ hadamard()))
+    bob = vh.T @ np.array([[[c, -t], [t, c]], [[c, t], [-t, c]]])
+    amps = alice.conj().transpose(0, 2, 1)[:, None] @ psi @ bob.conj()
+    direct = _chsh(np.abs(amps) ** 2)
     if abs(direct - value) > SETTINGS_CHECK_TOL:
         raise InvalidParameter(
             f"settings reproduce {direct!r} instead of the criterion value {value!r}"
         )
     return BellTestResult(
-        chsh=value,
-        settings_a=tuple(map(bloch_basis, alice.tolist())),
-        settings_b=tuple(map(bloch_basis, bob.tolist())),
-        success_probability=1.0,
+        chsh=value, settings_a=tuple(alice), settings_b=tuple(bob), success_probability=1.0
     )
 
 
@@ -433,8 +408,6 @@ def witness_from_dict(data):
         settings_b = tuple(_matrix_from_json(b) for b in data["settings"]["party_B"])
         chsh = _file_number(data["chsh"])
         prob = _file_number(data["success_probability"])
-    except InvalidFile:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFile(f"malformed witness description: {exc}") from exc
     result = BellTestResult(
@@ -451,13 +424,10 @@ def _settings(result):
     """The settings of ``result``, Alice's two then Bob's two, as one checked
     (4, 2, 2) array: ShapeMismatch for any other shape, InvalidParameter for
     a non-numeric entry, NotUnitary for a non-finite or non-unitary one."""
-    try:
-        parties = [
-            [np.asarray(b, dtype=complex) for b in party]
-            for party in (result.settings_a, result.settings_b)
-        ]
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"settings must be numeric matrices: {exc}") from exc
+    parties = [
+        [_complex_array(b, "a setting") for b in party]
+        for party in (result.settings_a, result.settings_b)
+    ]
     shapes = [[m.shape for m in party] for party in parties]
     if shapes != [[(2, 2), (2, 2)]] * 2:
         raise ShapeMismatch(f"expected two 2x2 settings per party, got shapes {shapes}")
@@ -479,7 +449,7 @@ def replay_witness(state, experiment):
     the conjugated basis matrix; after it a particle on the pair's first rail
     means the basis's first outcome.  Each correlator is read off the joint
     detector statistics of the four kept patterns ``_KEPT`` (one particle per
-    rail pair) as (p_uu - p_ud - p_du + p_dd) / (their sum).
+    rail pair) by :func:`_chsh`, the rule ``chsh_max`` checks its value with.
     """
     bases = _settings(experiment.result).conj()
     circuit = experiment.circuit
@@ -488,11 +458,9 @@ def replay_witness(state, experiment):
     stages_a = [(BeamSplitter._trusted(ALICE_RAILS, b),) for b in bases[:2]]
     stages_b = [(BeamSplitter._trusted(BOB_RAILS, b),) for b in bases[2:]]
     readout = tuple(Detector(m) for m in range(4))
-    correlators = []
+    probs = []
     for stage_a in stages_a:
         for stage_b in stages_b:
             dist = detector_statistics(split, Circuit(4, stage_a + stage_b + readout)).distribution
-            uu, ud, du, dd = (dist.get(kept, 0.0) for kept in _KEPT)
-            correlators.append((uu - ud - du + dd) / (uu + ud + du + dd))
-    e11, e12, e21, e22 = correlators
-    return e11 + e12 + e21 - e22
+            probs.append([dist.get(kept, 0.0) for kept in _KEPT])
+    return _chsh(np.reshape(probs, (2, 2, 2, 2)))

@@ -51,6 +51,7 @@ from .states import (
     _file_count,
     _file_number,
     _integer,
+    _number,
     _project,
     _read_json,
     _write_json,
@@ -109,7 +110,7 @@ class PhaseShifter:
     phi: float
 
     def __post_init__(self):
-        phi = float(self.phi)
+        phi = _number(self.phi, "phase", float)
         if not math.isfinite(phi):
             raise InvalidParameter(f"phase must be finite, got {phi!r}")
         object.__setattr__(self, "mode", _integer(self.mode, "mode"))
@@ -464,8 +465,6 @@ def circuit_from_dict(data):
         declared = data.get("outputs")
         if declared is not None:
             declared = sorted(_file_count(x) for x in declared)
-    except InvalidFile:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidFile(f"malformed circuit description: {exc}") from exc
     except (InvalidCircuit, NotUnitary, ShapeMismatch, InvalidParameter) as exc:

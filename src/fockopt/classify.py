@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
-from .states import BOSON, FERMION, FockState, _integer, _sector
+from .states import (
+    BOSON,
+    FERMION,
+    FockState,
+    _complex_array,
+    _integer,
+    _number,
+    _sector,
+    _statistics,
+)
 from .tolerances import DEFAULT_TOL
 
 
@@ -23,22 +32,14 @@ def _product_form(alpha, occ, sqrt_multinomial):
     return sqrt_multinomial * np.prod(alpha**occ, axis=1)
 
 
-def _complex_array(alpha):
-    """``alpha`` as a complex array; InvalidParameter when an entry is not a
-    number or the nesting is ragged, where numpy raises a bare error."""
-    try:
-        return np.asarray(alpha, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"alpha must be an array of numbers: {exc}") from exc
-
-
 def single_mode_state(alpha, n_particles, statistics=BOSON):
     """Product-form state for amplitude vector ``alpha`` and N particles.
 
     Only bosons admit N >= 2 here; a fermion request raises PauliForbidden.
     ``alpha`` is normalized internally and must be finite.
     """
-    alpha = _complex_array(alpha)
+    alpha = _complex_array(alpha, "alpha")
+    statistics = _statistics(statistics)
     n = _integer(n_particles, "particle number")
     if n < 0:
         raise InvalidParameter(f"particle number must be >= 0, got {n}")
@@ -94,6 +95,7 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     coefficients.
     """
     # relative to the largest amplitude: at 1 or above even that one is dropped
+    tol = _number(tol, "tolerance", float)
     if not 0.0 < tol < 1.0:
         raise InvalidParameter(f"tolerance must lie strictly between 0 and 1, got {tol!r}")
     n = state.n_particles

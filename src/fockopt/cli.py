@@ -300,17 +300,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidFile as exc:
+    except (FockoptError, OSError) as exc:
+        # only an InvalidFile from a JSON parse error carries a line
         location = ""
-        if exc.line is not None:
+        if getattr(exc, "line", None) is not None:
             location = f" (line {exc.line}, column {exc.column})"
         print(f"input error{location}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FockoptError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import _kernel_gates, detector_statistics
-from .classify import _complex_array, single_mode_state
+from .classify import single_mode_state
 from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
-from .states import _integer
+from .states import _complex_array, _integer
 from .tolerances import EMPTY_PAIR, NORM_TOL
 
 DEFAULT_SEED = 20240901
@@ -62,7 +62,7 @@ class EpistemicSpec:
     n_particles: int
 
     def __post_init__(self):
-        alpha = _complex_array(self.alpha)
+        alpha = _complex_array(self.alpha, "alpha")
         # written so that a NaN norm fails it too; an empty vector has norm 0
         if alpha.ndim != 1 or not abs(np.linalg.norm(alpha) - 1.0) <= NORM_TOL:
             raise ShapeMismatch(

@@ -85,8 +85,7 @@ class FockState:
     __slots__ = ("statistics", "n_modes", "n_particles", "_occ", "_amp")
 
     def __init__(self, statistics, n_modes, amplitudes, normalized=True):
-        if not isinstance(statistics, Statistics):
-            statistics = Statistics(statistics)
+        statistics = _statistics(statistics)
         n_modes = _integer(n_modes, "mode count")
         if n_modes < 1:
             raise ShapeMismatch("a state needs at least one mode")
@@ -108,7 +107,7 @@ class FockState:
                 raise ShapeMismatch(
                     f"mixed particle numbers {n_particles} and {total} in one state"
                 )
-            amp = complex(amp)
+            amp = _number(amp, "amplitude")
             if not cmath.isfinite(amp):
                 raise InvalidParameter(f"amplitude of {occ} is not finite: {amp!r}")
             if amp != 0:
@@ -216,7 +215,7 @@ def superpose(terms):
         ):
             raise ShapeMismatch("superposition terms must share statistics, N and M")
         for occ, amp in state.items():
-            amps[occ] = amps.get(occ, 0j) + complex(coeff) * amp
+            amps[occ] = amps.get(occ, 0j) + _number(coeff, "coefficient") * amp
     return FockState(first.statistics, first.n_modes, amps, normalized=False).normalized()
 
 
@@ -234,9 +233,45 @@ def _integer(value, what):
     return k
 
 
+def _statistics(value):
+    """``value`` as a Statistics member: InvalidParameter for anything else,
+    where the Enum raises a bare ValueError."""
+    try:
+        return Statistics(value)
+    except ValueError as exc:
+        raise InvalidParameter(f"statistics must be boson or fermion: {exc}") from exc
+
+
+def _number(value, what, kind=complex):
+    """``value`` as a Python ``kind``, complex or float.  InvalidParameter
+    for text, which the builtin would parse; for a complex value where a
+    float is asked, whose imaginary part numpy would drop; and where the
+    builtin raises."""
+    wrong = (str, bytes) if kind is complex else (str, bytes, complex, np.complexfloating)
+    if not isinstance(value, wrong):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidParameter(f"{what} must be a number of type {kind.__name__}, got {value!r}")
+
+
+def _complex_array(values, what):
+    """``values`` as a complex array: InvalidParameter for text, which numpy
+    would parse, and where numpy raises a bare error, for an entry that is not
+    a number or for ragged nesting."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind not in "SU":
+            return a.astype(complex, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{what} must be an array of numbers: {exc}") from exc
+    raise InvalidParameter(f"{what} must be an array of numbers, got text {values!r}")
+
+
 def require_unitary(u):
     """Validate ``u`` as a square unitary matrix; return it as complex ndarray."""
-    u = np.asarray(u, dtype=complex)
+    u = _complex_array(u, "a unitary")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {u.shape}")
     if not np.all(np.isfinite(u)):

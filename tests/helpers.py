@@ -334,6 +334,20 @@ def detection_distribution(state):
     return {occ: abs(amp) ** 2 for occ, amp in state.items()}
 
 
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def correlation_matrix(chi):
+    """3x3 matrix T[i, j] = <psi| sigma_i x sigma_j |psi> of a two-qubit
+    state, by np.kron: the oracle of the Horodecki criterion."""
+    psi = chi.amplitudes
+    return np.array([[np.vdot(psi, np.kron(si, sj) @ psi).real for sj in PAULI] for si in PAULI])
+
+
 def is_product(chi, tol=1e-9):
     """True iff the two-qubit state factorizes: its 2x2 amplitude matrix is singular."""
     return abs(np.linalg.det(chi.amplitudes.reshape(2, 2))) < tol

@@ -19,6 +19,7 @@ from fockopt.errors import (
 )
 from fockopt.tolerances import HERALD_CUTOFF, VIOLATION_MARGIN
 from helpers import (
+    correlation_matrix,
     fidelity,
     is_product,
     oracle_splitter_stage,
@@ -157,24 +158,18 @@ class TestProductCondition:
 
 
 class TestChshMax:
-    def test_correlation_matrix_matches_kron(self, rng):
-        pauli = (
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        )
-        for _ in range(50):
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            chi = fo.TwoQubitState(psi / np.linalg.norm(psi))
-            psi = chi.amplitudes
-            t = chi.correlation_matrix()
-            for i, si in enumerate(pauli):
-                for j, sj in enumerate(pauli):
-                    expected = np.vdot(psi, np.kron(si, sj) @ psi).real
-                    assert abs(t[i, j] - expected) < 1e-12
-            a, b = random_alpha(rng, 3).real, random_alpha(rng, 3).real
-            obs = np.kron(*(sum(v[k] * pauli[k] for k in range(3)) for v in (a, b)))
-            assert abs(chi.expectation(a, b) - np.vdot(psi, obs @ psi).real) < 1e-12
+    @staticmethod
+    def random_states(rng, count):
+        for _ in range(count):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            yield fo.TwoQubitState(v / np.linalg.norm(v))
+
+    def test_correlation_oracle_hand_values(self):
+        # the singlet is anti-correlated along every axis; |uu> only along z
+        singlet = fo.TwoQubitState([0, 1 / SQ2, -1 / SQ2, 0])
+        np.testing.assert_allclose(correlation_matrix(singlet), -np.eye(3), atol=1e-15)
+        product = fo.TwoQubitState([1, 0, 0, 0])
+        np.testing.assert_allclose(correlation_matrix(product), np.diag([0, 0, 1]), atol=1e-15)
 
     def test_singlet(self):
         res = fo.chsh_max(fo.TwoQubitState([0, 1 / SQ2, -1 / SQ2, 0]))
@@ -217,30 +212,41 @@ class TestChshMax:
             assert res.chsh >= 2.0 - 1e-9
 
     def test_settings_self_check_raises_fockopt_error(self, monkeypatch):
-        monkeypatch.setattr(fo.TwoQubitState, "expectation", lambda self, a, b: 0.0)
+        monkeypatch.setattr(bell, "_chsh", lambda probs: 0.0)
         with pytest.raises(InvalidParameter, match="settings reproduce"):
             fo.chsh_max(fo.TwoQubitState([0, 1 / SQ2, -1 / SQ2, 0]))
 
     def test_settings_reproduce_value(self, rng):
-        # rebuild Bloch vectors from the returned bases and evaluate directly
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        chi = fo.TwoQubitState(v / np.linalg.norm(v))
-        res = fo.chsh_max(chi)
-        a1, a2 = (bloch_vector(b) for b in res.settings_a)
-        b1, b2 = (bloch_vector(b) for b in res.settings_b)
-        direct = (
-            chi.expectation(a1, b1)
-            + chi.expectation(a1, b2)
-            + chi.expectation(a2, b1)
-            - chi.expectation(a2, b2)
-        )
-        assert abs(direct - res.chsh) < 1e-9
+        # <psi| A x B |psi> with the observable A = basis diag(1, -1) basis^dag
+        # of each returned basis, by np.kron
+        for chi in [*self.degenerate_states(), *self.random_states(rng, 50)]:
+            res = fo.chsh_max(chi)
+            a1, a2, b1, b2 = (
+                basis @ np.diag([1, -1]) @ basis.conj().T
+                for basis in res.settings_a + res.settings_b
+            )
+            psi = chi.amplitudes
+            e = [[np.vdot(psi, np.kron(a, b) @ psi).real for b in (b1, b2)] for a in (a1, a2)]
+            direct = e[0][0] + e[0][1] + e[1][0] - e[1][1]
+            assert abs(direct - res.chsh) < 1e-12
+
+    def test_settings_are_continuous_in_the_state(self, rng):
+        # away from l0 = l1 the Schmidt frame is unique, so float dust in the
+        # amplitudes must not rotate the settings
+        for chi in self.random_states(rng, 200):
+            dust = 1e-15 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+            near = fo.TwoQubitState(chi.amplitudes + dust)
+            res, res_near = fo.chsh_max(chi), fo.chsh_max(near)
+            for basis, basis_near in zip(
+                res.settings_a + res.settings_b, res_near.settings_a + res_near.settings_b
+            ):
+                assert np.abs(basis - basis_near).max() < 1e-9
 
     @staticmethod
     def degenerate_states():
-        """Two-qubit states whose correlation matrix has repeated or zero
-        singular values: products, the four Bell states, |uu> and a
-        phase-rotated Bell state."""
+        """Two-qubit states with equal or zero Schmidt coefficients:
+        products, the four Bell states, |uu> and a phase-rotated Bell
+        state."""
         yield fo.TwoQubitState([1, 0, 0, 0])
         yield fo.TwoQubitState(np.kron([0.6, 0.8j], [1 / SQ2, -1 / SQ2]))
         yield fo.TwoQubitState(np.kron([1, 0], [0.28, 0.96]))
@@ -252,15 +258,11 @@ class TestChshMax:
 
     def test_value_matches_eigenvalue_oracle(self, rng):
         # Horodecki: 2*sqrt(l1 + l2) from the top eigenvalues of T^T T
-        states = list(self.degenerate_states())
-        for _ in range(200):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            states.append(fo.TwoQubitState(v / np.linalg.norm(v)))
-        for chi in states:
-            t = chi.correlation_matrix()
+        for chi in [*self.degenerate_states(), *self.random_states(rng, 200)]:
+            t = correlation_matrix(chi)
             lam = np.linalg.eigvalsh(t.T @ t)
             expected = 2.0 * math.sqrt(max(lam[2] + lam[1], 0.0))
-            assert abs(fo.chsh_max(chi).chsh - expected) < 1e-12
+            assert abs(fo.chsh_max(chi).chsh - expected) < 1e-14
 
     def test_rank_one_settings_are_unit_bases(self, rng):
         # a product state has rank-1 T: the second singular direction is
@@ -269,7 +271,7 @@ class TestChshMax:
         for _ in range(20):
             products.append(fo.TwoQubitState(np.kron(random_alpha(rng, 2), random_alpha(rng, 2))))
         for chi in products:
-            assert np.linalg.matrix_rank(chi.correlation_matrix(), tol=1e-9) == 1
+            assert np.linalg.matrix_rank(correlation_matrix(chi), tol=1e-9) == 1
             res = fo.chsh_max(chi)
             for basis in res.settings_a + res.settings_b:
                 assert basis.shape == (2, 2)

@@ -42,6 +42,12 @@ class TestSingleModeState:
         with pytest.raises(PauliForbidden):
             fo.single_mode_state((1 / SQ2, 1 / SQ2), 2, fo.FERMION)
 
+    def test_statistics_by_name(self):
+        # read as FockState reads it, not taken for bosons
+        with pytest.raises(PauliForbidden):
+            fo.single_mode_state((1 / SQ2, 1 / SQ2), 2, "fermion")
+        assert fo.single_mode_state((1, 0), 2, "boson").statistics is fo.BOSON
+
     def test_zero_particles_is_vacuum(self):
         s = fo.single_mode_state((0.6, 0.8j), 0)
         assert dict(s.items()) == {(0, 0): 1.0}

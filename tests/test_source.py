@@ -164,6 +164,34 @@ def test_integers_are_checked_not_truncated():
     assert not found, f"int() truncations in the library: {found}"
 
 
+def _is_dotted_name(node):
+    """True for ``x`` or ``x.y.z``; not for an attribute of a computed value,
+    such as ``np.vdot(a, a).real``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name)
+
+
+def test_numbers_are_checked_not_coerced():
+    # complex("1") parses text and float(1j) raises a bare TypeError: a
+    # number passed in by a caller goes through states._number (or the array
+    # converter states._complex_array), which raise InvalidParameter instead.
+    # _floats converts integers the kernel itself made.
+    allowed = {("states.py", "_number"), ("states.py", "_floats")}
+    found = [
+        f"{path.name}:{node.lineno} {node.func.id}() in {function}"
+        for path, tree in _parsed_sources()
+        for function, node in _function_nodes(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("complex", "float")
+        and len(node.args) == 1
+        and _is_dotted_name(node.args[0])
+        and (path.name, function) not in allowed
+    ]
+    assert not found, f"unchecked number conversions in the library: {found}"
+
+
 def test_traced_names_exist():
     # the benchmark's tracer looks up every (module, name) of TARGETS in
     # bench/spans.py with getattr: a deleted or renamed one crashes every

@@ -37,6 +37,36 @@ from helpers import (
 
 SQ2 = math.sqrt(2.0)
 
+_PAIR = fo.make_number_state((1, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: fo.superpose([("x", _PAIR)]), id="superpose-text"),
+        pytest.param(lambda: fo.TwoQubitState(["a", 0, 0, 0]), id="two-qubit-text"),
+        pytest.param(lambda: fo.TwoQubitState(["1", 0, 0, 0]), id="two-qubit-numeric-text"),
+        pytest.param(lambda: fo.apply_mode_unitary(_PAIR, "abc"), id="unitary-text"),
+        pytest.param(lambda: fo.apply_mode_unitary(_PAIR, [[1, 0], [0]]), id="unitary-ragged"),
+        pytest.param(lambda: fo.BeamSplitter((0, 1), [[1, "a"], [0, 1]]), id="splitter-text"),
+        pytest.param(lambda: fo.reck_decompose("abc"), id="reck-text"),
+        pytest.param(lambda: fo.PhaseShifter(0, "x"), id="phase-text"),
+        pytest.param(lambda: fo.PhaseShifter(0, "1.5"), id="phase-numeric-text"),
+        pytest.param(lambda: fo.PhaseShifter(0, None), id="phase-none"),
+        pytest.param(lambda: fo.PhaseShifter(0, 1j), id="phase-complex"),
+        pytest.param(lambda: fo.PhaseShifter(0, np.complex128(1j)), id="phase-numpy-complex"),
+        pytest.param(lambda: fo.FockState("boson", 2, {(1, 1): "a"}), id="amplitude-text"),
+        pytest.param(lambda: fo.FockState("anyon", 2, {(1, 1): 1}), id="statistics-anyon"),
+        pytest.param(lambda: fo.single_mode_state([1, 0], 2, "anyon"), id="single-mode-anyon"),
+        pytest.param(lambda: fo.is_single_mode_type(_PAIR, tol="x"), id="tolerance-text"),
+    ],
+)
+def test_wrongly_typed_numbers_raise_invalid_parameter(call):
+    # numpy and the builtins raise a bare ValueError or TypeError here, parse
+    # text, or drop an imaginary part
+    with pytest.raises(InvalidParameter):
+        call()
+
 
 class TestFockState:
     @pytest.mark.parametrize("normalized", [True, False])
