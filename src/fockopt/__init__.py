@@ -72,7 +72,6 @@ from .states import (
     save_state,
     state_from_dict,
     state_to_dict,
-    superpose,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

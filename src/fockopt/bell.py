@@ -14,15 +14,18 @@ single mode.  For every other state :func:`find_witness` assembles an
 explicit violating experiment.  Herald prefixes reduce the state to two
 modes, and :func:`two_mode_preparations` supplies the final stage: the
 heralded two-mode filters, then the quantum-erasure filter.  Each herald is
-simulated once, on the branch the earlier heralds left.  The stages share
-their two Hadamards, so a two-mode branch is evolved once under them; each
-filter stage is then a row mask on that evolution, and the erasure stage one
-more Hadamard on it.  :func:`replay_witness` re-runs a finished experiment as
-a whole, through circuits alone.
+simulated once, on the branch the earlier heralds left.  On a two-mode branch
+c_k |k, N-k> every stage is linear and fixes the ancilla counts, so it too is
+a constant map, of binomial weights.  Filter s keeps c_k for k = s, s+1, s+2,
+on |k-s, s+2-k>, with weight sqrt(C(k, s) C(N-k, N-2-s) / 2^N): each live
+mode splits binomially onto its ancilla.  The erasure stage is the sum over s
+of sqrt(C(N-2, s) / 2^(N-2)) times filter s.  Every weight is positive,
+because the real Hadamard feeds the kept terms only through its +1/sqrt(2)
+entries.  :func:`replay_witness` re-runs a finished experiment as a whole,
+through circuits alone.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,7 +35,6 @@ from .circuits import (
     BeamSplitter,
     Circuit,
     Detector,
-    _kernel_gates,
     _matrix_from_json,
     _matrix_to_json,
     circuit_from_dict,
@@ -54,9 +56,7 @@ from .states import (
     FERMION,
     FockState,
     _complex_array,
-    _evolve_terms,
     _file_number,
-    _project,
     _read_only,
     _sector,
     embed,
@@ -215,6 +215,20 @@ def two_mode_preparations(n, live, ancillas):
     yield split + (BeamSplitter._trusted((a, b), h), Detector(a, n - 2), Detector(b, 0))
 
 
+def _stage_maps(n):
+    """The N stages of :func:`two_mode_preparations` as one (N, 3, N+1)
+    array of the binomial weights in the module docstring: stage s takes the
+    coefficients c_k of a two-mode boson branch to its heralded amplitudes on
+    |2,0>, |1,1>, |0,2>, the sector's rank order."""
+    maps = np.zeros((n, 3, n + 1))
+    for s in range(n - 1):
+        for k in range(s, s + 3):
+            maps[s, s + 2 - k, k] = math.sqrt(math.comb(k, s) * math.comb(n - k, n - 2 - s) / 2**n)
+    erase = [math.sqrt(math.comb(n - 2, s) / 2 ** (n - 2)) for s in range(n - 1)]
+    maps[n - 1] = np.tensordot(erase, maps[: n - 1], axes=1)
+    return maps
+
+
 # ---------------------------------------------------------------------------
 # witness construction
 # ---------------------------------------------------------------------------
@@ -239,47 +253,18 @@ class WitnessExperiment:
         return self.circuit.heralds
 
 
-def _stage_states(phi):
-    """The stages of ``two_mode_preparations(N, (0, 1), (2, 3))`` on a
-    two-mode boson branch ``phi`` with vacuum ancillas, lazily and in order.
-
-    Yields ``(two, p)`` per stage: the two-particle state its heralds leave on
-    modes (0, 1) and their probability, or None where that probability is
-    below ``HERALD_CUTOFF`` (where ``run_circuit`` raises ZeroOutcome).  The
-    branch is evolved once, under the gates of the first filter stage, which
-    every stage shares.  A filter stage is then one row mask on that
-    evolution; the erasure stage runs its extra Hadamard on the same evolved
-    terms and masks them.
-    """
-    n = phi.n_particles
-    stages = two_mode_preparations(n, (0, 1), (2, 3))
-    first = next(stages)
-    shared = _kernel_gates(first)
-    occ = np.zeros((len(phi._occ), 4), dtype=np.intp)
-    occ[:, :2] = phi._occ
-    evolved = _evolve_terms(False, 4, n, occ, phi._amp, shared)
-    for stage in itertools.chain((first,), stages):
-        # a filter stage has no gate of its own: its terms are the evolved ones
-        terms = _evolve_terms(False, 4, n, *evolved, _kernel_gates(stage)[len(shared):])
-        detectors = [el for el in stage if isinstance(el, Detector)]
-        rest, kept = _project(
-            *terms, [d.mode for d in detectors], [d.herald for d in detectors], False
-        )
-        p = float(np.vdot(kept, kept).real)
-        if p < HERALD_CUTOFF:
-            yield None
-            continue
-        yield FockState._trusted(phi.statistics, 2, 2, rest, kept / math.sqrt(p)), p
-
-
 def _boson_candidates(phi, live, prefix, total_modes):
     """Candidates for a NOT-SINGLE-MODE boson state, so N >= 2, on
     ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
 
     Yields ``(two, p, circuit)``: the two-particle state that the heralds of
     ``circuit`` leave on its output modes and their joint probability on
-    ``phi``.  Each herald runs once, on the branch the earlier ones left, and
-    the stages of a two-mode branch share one evolution (:func:`_stage_states`).
+    ``phi``.  Each herald runs once, on the branch the earlier ones left.  At
+    two modes all N stages are one contraction of the branch's coefficients
+    with :func:`_stage_maps`; their weights, sqrt(C(k, s) C(N-k, N-2-s) / 2^N)
+    for filter s and those summed with sqrt(C(N-2, s) / 2^(N-2)) for erasure,
+    are positive because only the Hadamard's +1/sqrt(2) entries reach the
+    kept terms.  A stage below ``HERALD_CUTOFF`` is skipped.
 
     Enumeration order: ancilla filters with ascending ``s``, then erasure, at
     two modes; otherwise the zero-count herald on all but the first two
@@ -288,10 +273,14 @@ def _boson_candidates(phi, live, prefix, total_modes):
     """
     n = phi.n_particles
     if len(live) == 2:
+        coeffs = np.zeros(n + 1, dtype=complex)
+        coeffs[phi._occ[:, 0]] = phi._amp
+        stages = _stage_maps(n) @ coeffs
+        probs = (np.abs(stages) ** 2).sum(axis=1)
         placed = two_mode_preparations(n, live, (total_modes, total_modes + 1))
-        for elements, outcome in zip(placed, _stage_states(phi)):
-            if outcome is not None:
-                two, p = outcome
+        for elements, amps, p in zip(placed, stages, probs.tolist()):
+            if p >= HERALD_CUTOFF:
+                two = FockState._from_vector(phi.statistics, 2, 2, amps / math.sqrt(p))
                 yield two, p, Circuit(total_modes + 2, prefix + elements)
         return
     rest_local = list(range(2, len(live)))
@@ -356,12 +345,14 @@ def find_witness(state):
     returns None before any candidate runs.  Otherwise candidates are tried
     in a fixed order, so the result is deterministic; None means that none
     violates by more than ``VIOLATION_MARGIN``.  No prefix is simulated
-    twice: each herald runs on the branch the earlier ones left, and a
-    two-mode boson branch is evolved once for all its stages
-    (:func:`_stage_states`).  Each candidate's two-particle state then costs
-    the splitter stage as its constant map and one CHSH optimum.  A joint
-    herald probability below ``HERALD_CUTOFF`` skips the candidate, as its
-    whole circuit never fires even when every conditional herald does.
+    twice: each herald runs on the branch the earlier ones left.  The stages
+    of a two-mode boson branch evolve nothing: each is a constant map of
+    binomial weights on its coefficients (:func:`_stage_maps`), all positive
+    since only the Hadamard's +1/sqrt(2) entries reach the kept terms.  Each
+    candidate's two-particle state then costs the splitter stage as its
+    constant map and one CHSH optimum.  A joint herald probability below
+    ``HERALD_CUTOFF`` skips the candidate, as its whole circuit never fires
+    even when every conditional herald does.
     """
     if is_single_mode_type(state).single_mode:
         return None

@@ -196,29 +196,6 @@ def make_number_state(counts, statistics=BOSON):
     return FockState(statistics, len(counts), {counts: 1.0})
 
 
-def superpose(terms):
-    """Amplitude-wise combination ``sum_k c_k |psi_k>``, renormalized.
-
-    All terms must share statistics, particle number and mode count.
-    Raises ZeroState when the combination cancels below norm ``ZERO_NORM``.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ZeroState("empty superposition")
-    _, first = terms[0]
-    amps = {}
-    for coeff, state in terms:
-        if (
-            state.statistics is not first.statistics
-            or state.n_modes != first.n_modes
-            or state.n_particles != first.n_particles
-        ):
-            raise ShapeMismatch("superposition terms must share statistics, N and M")
-        for occ, amp in state.items():
-            amps[occ] = amps.get(occ, 0j) + _number(coeff, "coefficient") * amp
-    return FockState(first.statistics, first.n_modes, amps, normalized=False).normalized()
-
-
 def _integer(value, what):
     """``value`` as an int: ints, numpy integers and integral floats pass;
     anything else, bools included, is InvalidParameter rather than truncated."""
@@ -258,10 +235,12 @@ def _number(value, what, kind=complex):
 
 def _complex_array(values, what):
     """``values`` as a complex array: InvalidParameter for text, which numpy
-    would parse, and where numpy raises a bare error, for an entry that is not
-    a number or for ragged nesting."""
+    would parse, for None, which numpy casts to nan, and where numpy raises a
+    bare error, for an entry that is not a number or for ragged nesting."""
     try:
         a = np.asarray(values)
+        if a.dtype.kind == "O" and any(x is None for x in a.flat):
+            raise InvalidParameter(f"{what} must be an array of numbers, got None in {values!r}")
         if a.dtype.kind not in "SU":
             return a.astype(complex, copy=False)
     except (TypeError, ValueError) as exc:

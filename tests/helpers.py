@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 
 import fockopt as fo
+from fockopt.errors import ShapeMismatch, ZeroState
 from fockopt.lhv import BLOCK, _splits
+from fockopt.states import _number
 from fockopt.tolerances import HERALD_CUTOFF, RECK_TOL
 
 
@@ -60,6 +62,29 @@ def random_state(rng, n, m, statistics=fo.BOSON):
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     amps /= np.linalg.norm(amps)
     return fo.FockState(statistics, m, dict(zip(basis, amps)))
+
+
+def superpose(terms):
+    """Amplitude-wise combination ``sum_k c_k |psi_k>``, renormalized.
+
+    All terms must share statistics, particle number and mode count.
+    Raises ZeroState when the combination cancels below norm ``ZERO_NORM``.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ZeroState("empty superposition")
+    _, first = terms[0]
+    amps = {}
+    for coeff, state in terms:
+        if (
+            state.statistics is not first.statistics
+            or state.n_modes != first.n_modes
+            or state.n_particles != first.n_particles
+        ):
+            raise ShapeMismatch("superposition terms must share statistics, N and M")
+        for occ, amp in state.items():
+            amps[occ] = amps.get(occ, 0j) + _number(coeff, "coefficient") * amp
+    return fo.FockState(first.statistics, first.n_modes, amps, normalized=False).normalized()
 
 
 def two_mode_stages(phi):

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockopt as fo
@@ -27,6 +28,7 @@ from helpers import (
     random_state,
     random_unitary,
     stage_test,
+    superpose,
     two_mode_stages,
 )
 
@@ -433,7 +435,7 @@ class TestFindWitness:
         assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-6
 
     def test_bell_state(self):
-        bell = fo.superpose(
+        bell = superpose(
             [(1, fo.make_number_state((1, 0, 1, 0))), (1, fo.make_number_state((0, 1, 0, 1)))]
         )
         wit = fo.find_witness(bell)
@@ -447,7 +449,7 @@ class TestFindWitness:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_balanced_noon(self, n):
-        noon = fo.superpose(
+        noon = superpose(
             [
                 (1, fo.make_number_state((n,) + (0,))),
                 (1, fo.make_number_state((0,) + (n,))),
@@ -472,11 +474,11 @@ class TestFindWitness:
     def test_single_mode_states_run_no_candidate(self, monkeypatch, state):
         # the classifier's verdict alone answers: no herald prefix and no
         # candidate runs.  A fermion candidate runs its circuit, a boson
-        # stage the sector kernel.
+        # stage its stage map.
         def refuse(*args):
             raise AssertionError("the search ran for a single-mode state")
 
-        for name in ("herald", "run_circuit", "_evolve_terms"):
+        for name in ("herald", "run_circuit", "_stage_maps"):
             monkeypatch.setattr(bell, name, refuse)
         assert fo.find_witness(state) is None
 
@@ -487,7 +489,7 @@ class TestFindWitness:
         rng = np.random.default_rng(293)
         u = random_unitary(rng, 4)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        state = fo.superpose(
+        state = superpose(
             [(1, fo.single_mode_state(u[0], 8)), (phase, fo.single_mode_state(u[1], 8))]
         )
         wit = fo.find_witness(state)
@@ -511,12 +513,34 @@ class TestFindWitness:
         assert abs(stage_test(branch, stage).chsh - CHSH_TSIRELSON) < 1e-9
         assert fo.find_witness(state) is None
 
+    def test_many_particles_need_no_sector_evolution(self, monkeypatch):
+        # N = 40 on two modes: the stage maps find the first filter's witness
+        # with the sector kernel refused; the stage evolution they replace
+        # gave the same circuit with these CHSH and probability
+        def refuse(*args):
+            raise AssertionError("the search evolved a sector")
+
+        state = random_state(np.random.default_rng(5), 40, 2)
+        # the splitter map is built through the kernel once, on first use
+        bell._splitter_map(fo.BOSON)
+        with monkeypatch.context() as patch:
+            for module in (fo.states, fo.circuits):
+                patch.setattr(module, "_evolve_terms", refuse)
+            wit = fo.find_witness(state)
+        first = next(fo.two_mode_preparations(40, (0, 1), (2, 3)))
+        assert repr(wit.circuit) == repr(fo.Circuit(4, first))
+        assert abs(wit.result.chsh - 2.0466473393768783) <= 1e-12
+        p = 7.295340102813264e-12
+        assert abs(wit.result.success_probability - p) <= 1e-12 * p
+        # replay runs the whole circuit through the kernel
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
+
     def test_single_particle_no_witness(self, rng):
         assert fo.find_witness(random_state(rng, 1, 3)) is None
 
     def test_vacuum_mode_then_noon_needs_fallback(self):
         # no particles in mode 1, entanglement hidden on modes (2,3)
-        state = fo.superpose(
+        state = superpose(
             [(1, fo.make_number_state((0, 2, 0))), (1, fo.make_number_state((0, 0, 2)))]
         )
         wit = fo.find_witness(state)
@@ -711,8 +735,8 @@ def two_particle_states(draw):
 
 
 class TestShortcutsMatchTheCircuits:
-    """The splitter stage's constant map and the stage evaluator's shared
-    evolution against the circuit runs they replace."""
+    """The splitter stage's constant map and the two-mode stage maps against
+    the circuit runs they replace."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(phi=two_particle_states())
@@ -722,31 +746,29 @@ class TestShortcutsMatchTheCircuits:
         assert np.abs(chi.amplitudes - amps).max() <= 1e-14
         assert abs(prob - p_circuit) <= 1e-14
 
-    @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), top=st.booleans())
-    @example(n=8, seed=0, top=True)
-    def test_stage_evaluator(self, n, seed, top):
-        # with ``top`` mode 1 holds at most one particle, so the filters
-        # s < N-3, the first ones, never fire
-        rng = np.random.default_rng(seed)
-        beta = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        if top:
-            beta[: n - 1] = 0.0
-        phi = two_mode_state(beta / np.linalg.norm(beta))
-        outcomes = list(bell._stage_states(phi))
-        circuits = two_mode_stages(phi)
-        assert len(outcomes) == len(circuits) == n
-        if top and n >= 4:
-            assert outcomes[0] is None
-        for outcome, circuit in zip(outcomes, circuits):
-            try:
-                expected = stage_test(phi, circuit)
-            except ZeroOutcome:
-                assert outcome is None
-                continue
-            two, p_herald = outcome
-            chi, p_ys = fo.yurke_stoler_postselect(two)
-            res = fo.chsh_max(chi)
-            assert abs(res.chsh - expected.chsh) <= 1e-12
-            p = expected.success_probability
-            assert abs(p_herald * p_ys - p) <= 1e-12 * p
+    def test_stage_maps(self):
+        # every stage circuit of two_mode_preparations for N = 2..12; with
+        # ``top`` mode 1 holds at most one particle, so the filters s < N-3,
+        # the first ones, never fire
+        rng = np.random.default_rng(17)
+        for n, top in itertools.product(range(2, 13), (False, True)):
+            beta = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            if top:
+                beta[: n - 1] = 0.0
+            phi = two_mode_state(beta / np.linalg.norm(beta))
+            expected = []
+            for circuit in two_mode_stages(phi):
+                try:
+                    expected.append((circuit, stage_test(phi, circuit)))
+                except ZeroOutcome:
+                    continue
+            found = list(bell._boson_candidates(phi, [0, 1], (), 2))
+            assert len(found) == len(expected) >= 1
+            if top and n >= 4:
+                assert len(found) < n
+            for (circuit, res), (two, p_herald, stage) in zip(expected, found):
+                assert repr(stage) == repr(circuit)
+                chi, p_ys = fo.yurke_stoler_postselect(two)
+                assert abs(fo.chsh_max(chi).chsh - res.chsh) <= 1e-12
+                p = res.success_probability
+                assert abs(p_herald * p_ys - p) <= 1e-12 * p

@@ -27,6 +27,7 @@ from helpers import (
     oracle_run_circuit,
     random_state,
     random_unitary,
+    superpose,
     two_mode_stages,
 )
 
@@ -326,7 +327,7 @@ class TestReachedModesMatchFullRegister:
     def test_statistics_keep_a_herald_below_the_cutoff(self):
         # the untouched mode 2 holds the particle with probability 1e-16
         eps = 1e-8
-        state = fo.superpose(
+        state = superpose(
             [(1.0, fo.make_number_state((1, 1, 0))), (eps, fo.make_number_state((1, 0, 1)))]
         )
         circuit = fo.Circuit(
@@ -347,7 +348,7 @@ class TestReachedModesMatchFullRegister:
     @pytest.mark.parametrize("p_early, fires", [(1e-8, False), (1e-6, True)])
     def test_cutoff_applies_to_the_joint_probability(self, p_early, fires):
         # both heralds pass the cutoff alone; their product is 1e-15 or 1e-13
-        state = fo.superpose(
+        state = superpose(
             [
                 (math.sqrt(p_early), fo.make_number_state((1, 0, 0))),
                 (math.sqrt(1 - p_early), fo.make_number_state((0, 0, 1))),
@@ -489,7 +490,7 @@ class TestStandardCircuits:
         assert_states_close(out, s)
 
     def test_erasure_on_balanced_noon(self):
-        noon = fo.superpose(
+        noon = superpose(
             [(1, fo.make_number_state((3, 0))), (1, fo.make_number_state((0, 3)))]
         )
         out, prob = fo.run_circuit(fo.embed(noon, 4, (0, 1)), two_mode_stages(noon)[-1])

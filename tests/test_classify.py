@@ -17,6 +17,7 @@ from helpers import (
     random_alpha,
     random_state,
     random_unitary,
+    superpose,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -113,14 +114,14 @@ class TestExtractAlpha:
         assert phase_distance(alpha, np.array([1.0, 0, 0])) < 1e-12
 
     def test_noon_rejected(self):
-        noon = fo.superpose(
+        noon = superpose(
             [(1, fo.make_number_state((2, 0))), (1, fo.make_number_state((0, 2)))]
         )
         verdict = fo.is_single_mode_type(noon)
         assert not verdict.single_mode and verdict.alpha is None
 
     def test_bell_state_rejected(self):
-        bell = fo.superpose(
+        bell = superpose(
             [(1, fo.make_number_state((1, 0, 1, 0))), (1, fo.make_number_state((0, 1, 0, 1)))]
         )
         verdict = fo.is_single_mode_type(bell)
@@ -243,11 +244,11 @@ def classifier_cases(rng, m, n):
     yield random_state(rng, n, m)
     yield single
     for eps in (1e-2, 1e-6):
-        yield fo.superpose([(1.0, single), (eps, fo.single_mode_state(b, n))])
+        yield superpose([(1.0, single), (eps, fo.single_mode_state(b, n))])
     yield fo.embed(random_state(rng, n, m), m + 2, range(1, m + 1))
     wide = fo.embed(single, m + 2, range(1, m + 1))
     yield wide
-    yield fo.superpose([(1.0, wide), (1e-10, random_state(rng, n, m + 2))])
+    yield superpose([(1.0, wide), (1e-10, random_state(rng, n, m + 2))])
     yield random_state(rng, min(n, m), m, fo.FERMION)
 
 

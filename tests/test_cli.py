@@ -29,6 +29,7 @@ from helpers import (
     random_alpha,
     random_state,
     random_unitary,
+    superpose,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -315,7 +316,7 @@ class TestWitness:
 
     def test_missed_state_is_not_called_single_mode(self, tmp_path, capsys):
         # not of single-mode type, yet no candidate of the fixed family violates
-        state = fo.superpose(
+        state = superpose(
             [
                 (1, fo.single_mode_state([0.4, -0.7, -0.7], 2)),
                 (1, fo.single_mode_state([-0.2, 0.3, -1.4], 2)),
@@ -331,7 +332,7 @@ class TestWitness:
 
     def test_no_witness_json(self, tmp_path, capsys, single):
         # both negative kinds print JSON under --format json, still exit 10
-        missed = fo.superpose(
+        missed = superpose(
             [
                 (1, fo.single_mode_state([0.4, -0.7, -0.7], 2)),
                 (1, fo.single_mode_state([-0.2, 0.3, -1.4], 2)),

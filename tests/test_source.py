@@ -145,6 +145,20 @@ def test_every_top_level_name_is_used():
     assert not found, f"top-level names nothing refers to: {found}"
 
 
+def test_one_evolution_kernel():
+    # the sector kernel and its herald mask have their callers in states.py
+    # and in the circuit plan of circuits.py: no other module imports or
+    # names them
+    found = []
+    for path, tree in _parsed_sources():
+        if path.name in ("states.py", "circuits.py"):
+            continue
+        names = set(_references(tree))
+        names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.alias))
+        found += [f"{path.name}: {name}" for name in sorted(names & {"_evolve_terms", "_project"})]
+    assert not found, f"the kernel reached outside states.py and circuits.py: {found}"
+
+
 def test_integers_are_checked_not_truncated():
     # int(2.7) is 2: a count, mode, seed or particle number passed in by a
     # caller goes through states._integer, which rejects non-integral values.

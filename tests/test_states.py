@@ -33,6 +33,7 @@ from helpers import (
     random_state,
     random_unitary,
     sector_occupations,
+    superpose,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -43,12 +44,15 @@ _PAIR = fo.make_number_state((1, 1))
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: fo.superpose([("x", _PAIR)]), id="superpose-text"),
+        pytest.param(lambda: superpose([("x", _PAIR)]), id="superpose-text"),
         pytest.param(lambda: fo.TwoQubitState(["a", 0, 0, 0]), id="two-qubit-text"),
         pytest.param(lambda: fo.TwoQubitState(["1", 0, 0, 0]), id="two-qubit-numeric-text"),
         pytest.param(lambda: fo.apply_mode_unitary(_PAIR, "abc"), id="unitary-text"),
         pytest.param(lambda: fo.apply_mode_unitary(_PAIR, [[1, 0], [0]]), id="unitary-ragged"),
         pytest.param(lambda: fo.BeamSplitter((0, 1), [[1, "a"], [0, 1]]), id="splitter-text"),
+        pytest.param(lambda: fo.BeamSplitter((0, 1), [[1, None], [0, 1]]), id="splitter-none"),
+        pytest.param(lambda: fo.TwoQubitState([1, None, 0, 0]), id="two-qubit-none"),
+        pytest.param(lambda: fo.EpistemicSpec([1, None], 2), id="epistemic-none"),
         pytest.param(lambda: fo.reck_decompose("abc"), id="reck-text"),
         pytest.param(lambda: fo.PhaseShifter(0, "x"), id="phase-text"),
         pytest.param(lambda: fo.PhaseShifter(0, "1.5"), id="phase-numeric-text"),
@@ -141,7 +145,7 @@ class TestMakeNumberState:
 
 class TestSuperpose:
     def test_noon(self):
-        noon = fo.superpose(
+        noon = superpose(
             [(1 / SQ2, fo.make_number_state((2, 0))), (1 / SQ2, fo.make_number_state((0, 2)))]
         )
         assert abs(noon.amplitude((2, 0)) - 1 / SQ2) < 1e-12
@@ -149,20 +153,20 @@ class TestSuperpose:
 
     def test_identity(self):
         s = fo.make_number_state((1, 1))
-        assert_states_close(fo.superpose([(1.0, s)]), s)
+        assert_states_close(superpose([(1.0, s)]), s)
 
     def test_cancellation(self):
         s = fo.make_number_state((2, 0))
         with pytest.raises(ZeroState):
-            fo.superpose([(1.0, s), (-1.0, s)])
+            superpose([(1.0, s), (-1.0, s)])
 
     def test_mixed_sectors_rejected(self):
         with pytest.raises(ShapeMismatch):
-            fo.superpose(
+            superpose(
                 [(1.0, fo.make_number_state((2, 0))), (1.0, fo.make_number_state((1, 0)))]
             )
         with pytest.raises(ShapeMismatch):
-            fo.superpose(
+            superpose(
                 [(1.0, fo.make_number_state((1, 0))), (1.0, fo.make_number_state((1, 0, 0)))]
             )
 
@@ -469,7 +473,7 @@ class TestDetectionDistribution:
 
 class TestHerald:
     def test_noon_herald(self):
-        noon = fo.superpose(
+        noon = superpose(
             [(1, fo.make_number_state((2, 0))), (1, fo.make_number_state((0, 2)))]
         )
         out, prob = fo.herald(noon, {1: 0})
