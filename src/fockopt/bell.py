@@ -21,8 +21,16 @@ on |k-s, s+2-k>, with weight sqrt(C(k, s) C(N-k, N-2-s) / 2^N): each live
 mode splits binomially onto its ancilla.  The erasure stage is the sum over s
 of sqrt(C(N-2, s) / 2^(N-2)) times filter s.  Every weight is positive,
 because the real Hadamard feeds the kept terms only through its +1/sqrt(2)
-entries.  :func:`replay_witness` re-runs a finished experiment as a whole,
-through circuits alone.
+entries.  The search tests each candidate through these maps and builds a
+circuit for the witness it returns alone.
+
+:func:`replay_witness` re-runs a finished experiment through circuits and the
+kernel alone, none of the maps above: the preparation, then all four setting
+pairs in one switched circuit on 8 modes, where balanced beam splitters copy
+each party's rail pair onto a second station (Alice's (0, 2) onto (4, 5),
+Bob's (3, 1) onto (6, 7)) and setting a sits on station a, as in a Bell test
+with passive basis choice.  Each correlator is normalized by its own readout
+patterns, so the weight 1/4 of a pair of stations cancels.
 """
 
 import functools
@@ -53,8 +61,9 @@ from .errors import (
     ZeroOutcome,
 )
 from .states import (
+    BOSON,
     FERMION,
-    FockState,
+    SECTOR_CACHE,
     _complex_array,
     _file_number,
     _read_only,
@@ -64,7 +73,7 @@ from .states import (
     herald,
     make_number_state,
 )
-from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
+from .tolerances import HERALD_CUTOFF, NORM_TOL, PRUNE_REL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 
 ALICE_RAILS = (0, 2)
 BOB_RAILS = (3, 1)
@@ -129,6 +138,15 @@ def _splitter_map(statistics):
     return _read_only(np.array(columns).T)
 
 
+def _postselect(statistics, columns, amp):
+    """The splitter stage as :func:`_splitter_map` on the terms ``amp`` of a
+    two-particle two-mode state at sector ranks ``columns``: the shared
+    two-qubit state and the post-selection probability."""
+    amps = _splitter_map(statistics)[:, columns] @ amp
+    prob = float(np.vdot(amps, amps).real)
+    return TwoQubitState(amps / math.sqrt(prob)), prob
+
+
 def yurke_stoler_postselect(phi):
     """Split a two-particle two-mode state into dual-rail qubits and keep
     runs with one particle on each side.
@@ -142,9 +160,7 @@ def yurke_stoler_postselect(phi):
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
     rank = _sector(2, 2, phi.statistics is FERMION)[0]
     columns = [rank[occ] for occ in map(tuple, phi._occ.tolist())]
-    amps = _splitter_map(phi.statistics)[:, columns] @ phi._amp
-    prob = float(np.vdot(amps, amps).real)
-    return TwoQubitState(amps / math.sqrt(prob)), prob
+    return _postselect(phi.statistics, columns, phi._amp)
 
 
 def _chsh(probs):
@@ -215,18 +231,19 @@ def two_mode_preparations(n, live, ancillas):
     yield split + (BeamSplitter._trusted((a, b), h), Detector(a, n - 2), Detector(b, 0))
 
 
+@functools.lru_cache(maxsize=SECTOR_CACHE)
 def _stage_maps(n):
-    """The N stages of :func:`two_mode_preparations` as one (N, 3, N+1)
-    array of the binomial weights in the module docstring: stage s takes the
-    coefficients c_k of a two-mode boson branch to its heralded amplitudes on
-    |2,0>, |1,1>, |0,2>, the sector's rank order."""
+    """The N stages of :func:`two_mode_preparations` as one read-only
+    (N, 3, N+1) array of the binomial weights in the module docstring: stage
+    s takes the coefficients c_k of a two-mode boson branch to its heralded
+    amplitudes on |2,0>, |1,1>, |0,2>, the sector's rank order."""
     maps = np.zeros((n, 3, n + 1))
     for s in range(n - 1):
         for k in range(s, s + 3):
             maps[s, s + 2 - k, k] = math.sqrt(math.comb(k, s) * math.comb(n - k, n - 2 - s) / 2**n)
     erase = [math.sqrt(math.comb(n - 2, s) / 2 ** (n - 2)) for s in range(n - 1)]
     maps[n - 1] = np.tensordot(erase, maps[: n - 1], axes=1)
-    return maps
+    return _read_only(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +270,33 @@ class WitnessExperiment:
         return self.circuit.heralds
 
 
+def _heralded_pair(vec):
+    """The splitter stage on the heralded two-particle boson state whose
+    rank-order sector vector is ``vec``, of unit norm: entries below
+    ``PRUNE_REL`` of the largest are dropped as :class:`FockState` drops
+    them, and the rest must keep the norm within ``NORM_TOL``."""
+    mag = np.abs(vec)
+    keep = mag > PRUNE_REL * mag.max()
+    amp = vec[keep]
+    norm = math.hypot(*map(abs, amp.tolist()))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise InvalidParameter(f"heralded pair norm {norm!r} deviates from 1 beyond {NORM_TOL}")
+    return _postselect(BOSON, np.flatnonzero(keep), amp)
+
+
 def _boson_candidates(phi, live, prefix, total_modes):
     """Candidates for a NOT-SINGLE-MODE boson state, so N >= 2, on
     ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
 
-    Yields ``(two, p, circuit)``: the two-particle state that the heralds of
-    ``circuit`` leave on its output modes and their joint probability on
-    ``phi``.  Each herald runs once, on the branch the earlier ones left.  At
-    two modes all N stages are one contraction of the branch's coefficients
-    with :func:`_stage_maps`; their weights, sqrt(C(k, s) C(N-k, N-2-s) / 2^N)
-    for filter s and those summed with sqrt(C(N-2, s) / 2^(N-2)) for erasure,
+    Yields ``((chi, p_ys), p, elements)``: the two-qubit state and
+    post-selection probability of the splitter stage on the two-particle
+    state that the heralds of ``elements`` leave on their output modes, and
+    the joint probability of those heralds on ``phi``.  The elements form a
+    circuit on ``total_modes + 2`` modes, which is built only for a witness.
+    Each herald runs once, on the branch the earlier ones left.  At two modes
+    all N stages are one contraction of the branch's coefficients with
+    :func:`_stage_maps`; their weights, sqrt(C(k, s) C(N-k, N-2-s) / 2^N) for
+    filter s and those summed with sqrt(C(N-2, s) / 2^(N-2)) for erasure,
     are positive because only the Hadamard's +1/sqrt(2) entries reach the
     kept terms.  A stage below ``HERALD_CUTOFF`` is skipped.
 
@@ -280,8 +314,7 @@ def _boson_candidates(phi, live, prefix, total_modes):
         placed = two_mode_preparations(n, live, (total_modes, total_modes + 1))
         for elements, amps, p in zip(placed, stages, probs.tolist()):
             if p >= HERALD_CUTOFF:
-                two = FockState._from_vector(phi.statistics, 2, 2, amps / math.sqrt(p))
-                yield two, p, Circuit(total_modes + 2, prefix + elements)
+                yield _heralded_pair(amps / math.sqrt(p)), p, prefix + elements
         return
     rest_local = list(range(2, len(live)))
     try:
@@ -293,8 +326,8 @@ def _boson_candidates(phi, live, prefix, total_modes):
     if verdict is not None:
         if not verdict.single_mode:
             zeros = tuple(Detector(live[i], 0) for i in rest_local)
-            for two, p, circuit in _boson_candidates(chi, live[:2], prefix + zeros, total_modes):
-                yield two, p_zero * p, circuit
+            for pair, p, elements in _boson_candidates(chi, live[:2], prefix + zeros, total_modes):
+                yield pair, p_zero * p, elements
             return
         u1, u2 = verdict.alpha
         rot = np.array([[u2.conjugate(), -u1.conjugate()], [u1, u2]]).conj().T
@@ -307,10 +340,10 @@ def _boson_candidates(phi, live, prefix, total_modes):
         except ZeroOutcome:
             continue
         if not is_single_mode_type(branch).single_mode:
-            for two, p, circuit in _boson_candidates(
+            for pair, p, elements in _boson_candidates(
                 branch, [live[0]] + live[2:], prefix_b + (Detector(live[1], k),), total_modes
             ):
-                yield two, p_k * p, circuit
+                yield pair, p_k * p, elements
     # all per-count branches reduced to a single mode, which forces the
     # rotated state off mode 1 entirely; drop that mode and continue
     try:
@@ -318,24 +351,24 @@ def _boson_candidates(phi, live, prefix, total_modes):
     except ZeroOutcome:
         return
     if not is_single_mode_type(residual).single_mode:
-        for two, p, circuit in _boson_candidates(
+        for pair, p, elements in _boson_candidates(
             residual, live[1:], prefix_b + (Detector(live[0], 0),), total_modes
         ):
-            yield two, p_res * p, circuit
+            yield pair, p_res * p, elements
 
 
 def _fermion_candidates(phi):
     """Herald every companion mode of the first occupied pair of a term;
-    yields ``(two, p, circuit)`` like :func:`_boson_candidates`."""
+    yields ``((chi, p_ys), p, elements)`` like :func:`_boson_candidates`,
+    for a circuit on ``phi.n_modes`` modes."""
     for occ in sorted(phi.occupations()):
         pair = [j for j, c in enumerate(occ) if c][:2]
-        others = [Detector(j, c) for j, c in enumerate(occ) if j not in pair]
-        circuit = Circuit(phi.n_modes, others)
+        circuit = Circuit(phi.n_modes, [Detector(j, c) for j, c in enumerate(occ) if j not in pair])
         try:
             two, p = run_circuit(phi, circuit)
         except ZeroOutcome:
             continue
-        yield two, p, circuit
+        yield yurke_stoler_postselect(two), p, circuit.elements
 
 
 def find_witness(state):
@@ -350,25 +383,27 @@ def find_witness(state):
     binomial weights on its coefficients (:func:`_stage_maps`), all positive
     since only the Hadamard's +1/sqrt(2) entries reach the kept terms.  Each
     candidate's two-particle state then costs the splitter stage as its
-    constant map and one CHSH optimum.  A joint herald probability below
-    ``HERALD_CUTOFF`` skips the candidate, as its whole circuit never fires
-    even when every conditional herald does.
+    constant map and one CHSH optimum; the circuit is built for the witness
+    alone.  A joint herald probability below ``HERALD_CUTOFF`` skips the
+    candidate, as its whole circuit never fires even when every conditional
+    herald does.
     """
     if is_single_mode_type(state).single_mode:
         return None
     m = state.n_modes
     if state.statistics is FERMION:
-        candidates = _fermion_candidates(state)
+        candidates, n_modes = _fermion_candidates(state), m
     else:
         # every boson candidate ends in a two-mode stage on the ancillas (m, m+1)
-        candidates = _boson_candidates(state, list(range(m)), (), m)
-    for two, prob, circuit in candidates:
+        candidates, n_modes = _boson_candidates(state, list(range(m)), (), m), m + 2
+    for (chi, p_ys), prob, elements in candidates:
         if prob < HERALD_CUTOFF:
             continue
-        chi, p_ys = yurke_stoler_postselect(two)
         result = chsh_max(chi)
         if result.violated:
-            return WitnessExperiment(circuit, replace(result, success_probability=prob * p_ys))
+            return WitnessExperiment(
+                Circuit(n_modes, elements), replace(result, success_probability=prob * p_ys)
+            )
     return None
 
 
@@ -431,27 +466,58 @@ def _settings(result):
     return bases
 
 
+# replay's stations: each party's rail pair and the pair it is copied onto;
+# its fixed elements are the splitter stage and the balanced beam splitters
+# that copy each rail onto its second station
+_STATIONS = ((ALICE_RAILS, (4, 5)), (BOB_RAILS, (6, 7)))
+_SWITCH = yurke_stoler_circuit().elements + tuple(
+    BeamSplitter._trusted((rail, copy), hadamard())
+    for first, second in _STATIONS
+    for rail, copy in zip(first, second)
+)
+_READOUT = tuple(Detector(m) for m in range(8))
+# replay's readout pattern of outcome (i, j) under settings (a, b), in that
+# index order: Alice's particle on rail i of her station a, Bob's on rail j of
+# his station b
+_PATTERNS = [
+    tuple(np.bincount((alice[i], bob[j]), minlength=8).tolist())
+    for alice in _STATIONS[0]
+    for bob in _STATIONS[1]
+    for i in range(2)
+    for j in range(2)
+]
+
+
 def replay_witness(state, experiment):
     """Re-run a witness through circuits alone and return the CHSH value.
 
-    The settings are checked once (shape and unitarity).  The preparation
-    circuit and the splitter stage are executed on the state once.  Each
-    setting then becomes one beam splitter on its party's rail pair, carrying
-    the conjugated basis matrix; after it a particle on the pair's first rail
-    means the basis's first outcome.  Each correlator is read off the joint
-    detector statistics of the four kept patterns ``_KEPT`` (one particle per
-    rail pair) by :func:`_chsh`, the rule ``chsh_max`` checks its value with.
+    The settings are checked once (shape and unitarity) and the preparation
+    circuit runs on the state once; ShapeMismatch unless it leaves two
+    particles on two modes.  All four setting pairs then run in one switched
+    circuit on 8 modes, as a Bell test with passive basis choice does: the
+    pair enters modes (0, 1), the splitter stage follows, and one balanced
+    beam splitter per rail copies each party's rail pair onto a second
+    station, Alice's (0, 2) onto (4, 5) and Bob's (3, 1) onto (6, 7).
+    Setting a is a beam splitter on Alice's station a carrying the conjugated
+    basis matrix, setting b likewise on Bob's station b; after it a particle
+    on the pair's first rail means the basis's first outcome.  One readout of
+    the 8 modes gives correlator (a, b) from the patterns with Alice's
+    particle in station a and Bob's in station b.  Those patterns carry the
+    stations' weight 1/4, which cancels: :func:`_chsh`, the rule ``chsh_max``
+    checks its value with, divides each correlator by the sum of its patterns.
     """
     bases = _settings(experiment.result).conj()
     circuit = experiment.circuit
     prepared, _ = run_circuit(embed(state, circuit.n_modes, range(state.n_modes)), circuit)
-    split, _ = run_circuit(embed(prepared, 4, (0, 1)), yurke_stoler_circuit())
-    stages_a = [(BeamSplitter._trusted(ALICE_RAILS, b),) for b in bases[:2]]
-    stages_b = [(BeamSplitter._trusted(BOB_RAILS, b),) for b in bases[2:]]
-    readout = tuple(Detector(m) for m in range(4))
-    probs = []
-    for stage_a in stages_a:
-        for stage_b in stages_b:
-            dist = detector_statistics(split, Circuit(4, stage_a + stage_b + readout)).distribution
-            probs.append([dist.get(kept, 0.0) for kept in _KEPT])
-    return _chsh(np.reshape(probs, (2, 2, 2, 2)))
+    if prepared.n_particles != 2 or prepared.n_modes != 2:
+        raise ShapeMismatch(
+            f"the witness circuit leaves {prepared.n_particles} particles on "
+            f"{prepared.n_modes} modes, not two on two"
+        )
+    settings = tuple(
+        BeamSplitter._trusted(rails, basis)
+        for rails, basis in zip(_STATIONS[0] + _STATIONS[1], bases)
+    )
+    switched = Circuit(8, _SWITCH + settings + _READOUT)
+    dist = detector_statistics(embed(prepared, 8, (0, 1)), switched).distribution
+    return _chsh(np.reshape([dist.get(k, 0.0) for k in _PATTERNS], (2, 2, 2, 2)))

@@ -123,6 +123,34 @@ def oracle_splitter_stage(phi):
     return amps / math.sqrt(prob), prob
 
 
+def oracle_replay_witness(state, experiment):
+    """``replay_witness`` with one run per setting pair: the preparation
+    circuit on ``state``, the splitter stage on four modes, then for each
+    pair (a, b) a beam splitter with the conjugated basis on each party's
+    rail pair and a readout of the four modes.  Correlator (a, b) is read
+    off the four patterns with one particle per rail pair."""
+    circuit = experiment.circuit
+    prepared, _ = fo.run_circuit(fo.embed(state, circuit.n_modes, range(state.n_modes)), circuit)
+    split, _ = fo.run_circuit(fo.embed(prepared, 4, (0, 1)), fo.yurke_stoler_circuit())
+    alice, bob = fo.bell.ALICE_RAILS, fo.bell.BOB_RAILS
+    readout = [fo.Detector(m) for m in range(4)]
+    correlators = []
+    for basis_a in experiment.result.settings_a:
+        for basis_b in experiment.result.settings_b:
+            settings = [
+                fo.BeamSplitter(alice, np.conj(basis_a)),
+                fo.BeamSplitter(bob, np.conj(basis_b)),
+            ]
+            dist = fo.detector_statistics(split, fo.Circuit(4, settings + readout)).distribution
+            p = [
+                [dist.get(tuple(np.bincount((a, b), minlength=4).tolist()), 0.0) for b in bob]
+                for a in alice
+            ]
+            correlators.append((p[0][0] - p[0][1] - p[1][0] + p[1][1]) / sum(map(sum, p)))
+    e11, e12, e21, e22 = correlators
+    return e11 + e12 + e21 - e22
+
+
 def _perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)

@@ -18,11 +18,12 @@ from fockopt.errors import (
     ShapeMismatch,
     ZeroOutcome,
 )
-from fockopt.tolerances import HERALD_CUTOFF, VIOLATION_MARGIN
+from fockopt.tolerances import HERALD_CUTOFF, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 from helpers import (
     correlation_matrix,
     fidelity,
     is_product,
+    oracle_replay_witness,
     oracle_splitter_stage,
     random_alpha,
     random_state,
@@ -655,6 +656,46 @@ class TestReplaySettings:
             fo.replay_witness(state, bad)
 
 
+class TestReplay:
+    """Replay runs all four setting pairs in one switched circuit."""
+
+    def test_matches_one_run_per_setting_pair(self):
+        # random states and unitarily rotated ones (the image of a number
+        # state, of a N00N state), bosons and fermions
+        rng = np.random.default_rng(23)
+        states = []
+        for statistics, shapes in (
+            (fo.BOSON, [(2, 2), (2, 3), (3, 3), (4, 2), (3, 4)]),
+            (fo.FERMION, [(2, 2), (2, 3), (2, 4), (3, 4)]),
+        ):
+            for n, m in shapes:
+                states.append(random_state(rng, n, m, statistics))
+                occ = np.bincount(np.arange(n) % m, minlength=m)
+                number = fo.make_number_state(occ.tolist(), statistics)
+                states.append(fo.apply_mode_unitary(number, random_unitary(rng, m)))
+        u = random_unitary(rng, 3)
+        noon = superpose([(1, fo.single_mode_state(u[0], 4)), (1j, fo.single_mode_state(u[1], 4))])
+        for state in states + [noon]:
+            wit = fo.find_witness(state)
+            assert wit is not None
+            replayed = fo.replay_witness(state, wit)
+            assert abs(replayed - oracle_replay_witness(state, wit)) <= 1e-12
+            assert abs(replayed - wit.result.chsh) <= SETTINGS_CHECK_TOL
+
+    def test_rejects_a_state_the_circuit_does_not_fit(self, monkeypatch):
+        # the witness of a three-particle state heralds one particle; on four
+        # particles it leaves three on its output modes, and replay stops
+        # before the splitter stage
+        def refuse(*args):
+            raise AssertionError("replay ran the splitter stage")
+
+        wit = fo.find_witness(fo.FockState(fo.BOSON, 3, {(2, 1, 0): 0.6, (0, 1, 2): 0.8}))
+        other = fo.FockState(fo.BOSON, 3, {(3, 1, 0): 0.6, (0, 1, 3): 0.8})
+        monkeypatch.setattr(bell, "detector_statistics", refuse)
+        with pytest.raises(ShapeMismatch):
+            fo.replay_witness(other, wit)
+
+
 @st.composite
 def small_states(draw):
     """A small boson or fermion state: random, or of single-mode type."""
@@ -766,9 +807,11 @@ class TestShortcutsMatchTheCircuits:
             assert len(found) == len(expected) >= 1
             if top and n >= 4:
                 assert len(found) < n
-            for (circuit, res), (two, p_herald, stage) in zip(expected, found):
-                assert repr(stage) == repr(circuit)
-                chi, p_ys = fo.yurke_stoler_postselect(two)
+            for (circuit, res), ((chi, p_ys), p_herald, elements) in zip(expected, found):
+                assert repr(fo.Circuit(4, elements)) == repr(circuit)
                 assert abs(fo.chsh_max(chi).chsh - res.chsh) <= 1e-12
                 p = res.success_probability
                 assert abs(p_herald * p_ys - p) <= 1e-12 * p
+        # one array per N, which no caller can change
+        maps = bell._stage_maps(7)
+        assert bell._stage_maps(7) is maps and not maps.flags.writeable

@@ -159,6 +159,32 @@ def test_one_evolution_kernel():
     assert not found, f"the kernel reached outside states.py and circuits.py: {found}"
 
 
+def test_replay_takes_no_search_shortcut():
+    # replay checks that a recorded experiment violates by running its
+    # circuits through the kernel: neither replay_witness nor any name of
+    # bell.py it reaches may use the constant maps, their post-selection
+    # helpers or the Schmidt-form optimum that the search runs in their place
+    definitions = dict(_definitions(ast.parse((SOURCE / "bell.py").read_text(encoding="utf-8"))))
+    shortcuts = {
+        "_splitter_map",
+        "_stage_maps",
+        "_postselect",
+        "_heralded_pair",
+        "_KEPT",
+        "yurke_stoler_postselect",
+        "chsh_max",
+    }
+    assert shortcuts <= definitions.keys()
+    reached, todo = set(), ["replay_witness"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += sorted((set(_references(definitions[name])) & definitions.keys()) - reached)
+    assert "_chsh" in reached
+    found = sorted(reached & shortcuts)
+    assert not found, f"replay reaches the search's shortcuts: {found}"
+
+
 def test_integers_are_checked_not_truncated():
     # int(2.7) is 2: a count, mode, seed or particle number passed in by a
     # caller goes through states._integer, which rejects non-integral values.
