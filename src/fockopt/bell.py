@@ -66,6 +66,7 @@ from .states import (
     SECTOR_CACHE,
     _complex_array,
     _file_number,
+    _ranks,
     _read_only,
     _sector,
     embed,
@@ -131,7 +132,7 @@ def _splitter_map(statistics):
     :func:`~fockopt.circuits.yurke_stoler_circuit` leaves from basis state r
     of the two-particle two-mode sector, in the sector's rank order."""
     columns = []
-    for occ in _sector(2, 2, statistics is FERMION)[1].tolist():
+    for occ in _sector(2, 2, statistics is FERMION)[0].tolist():
         embedded = embed(make_number_state(occ, statistics), 4, (0, 1))
         four, _ = run_circuit(embedded, yurke_stoler_circuit())
         columns.append([four.amplitude(kept) for kept in _KEPT])
@@ -158,8 +159,7 @@ def yurke_stoler_postselect(phi):
     """
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
-    rank = _sector(2, 2, phi.statistics is FERMION)[0]
-    columns = [rank[occ] for occ in map(tuple, phi._occ.tolist())]
+    columns = _ranks(2, 2, phi.statistics is FERMION, phi._occ)
     return _postselect(phi.statistics, columns, phi._amp)
 
 

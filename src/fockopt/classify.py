@@ -8,6 +8,7 @@ decides membership, and generates such states.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +18,13 @@ from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
 from .states import (
     BOSON,
     FERMION,
+    SECTOR_CACHE,
     FockState,
     _complex_array,
     _integer,
     _number,
+    _ranks,
+    _read_only,
     _sector,
     _statistics,
 )
@@ -29,7 +33,19 @@ from .tolerances import DEFAULT_TOL
 
 def _product_form(alpha, occ, sqrt_multinomial):
     """sqrt(multinomial(N, n)) * prod_j alpha_j ** n_j for each row n of ``occ``."""
-    return sqrt_multinomial * np.prod(alpha**occ, axis=1)
+    return sqrt_multinomial * np.multiply.reduce(alpha**occ, axis=1)
+
+
+@functools.lru_cache(maxsize=SECTOR_CACHE)
+def _fit_rows(n_modes, n_particles, fermionic):
+    """The ranks that fit alpha in a sector: entry (r, j) of the second array
+    is the rank of the row with N - 1 particles in mode r and one in mode j,
+    so its diagonal, the first array, holds the rows of all N particles in
+    one mode."""
+    eye = np.eye(n_modes, dtype=np.intp)
+    rows = ((n_particles - 1) * eye[:, None] + eye[None, :]).reshape(-1, n_modes)
+    fit = _ranks(n_modes, n_particles, fermionic, rows).reshape(n_modes, n_modes)
+    return _read_only(fit.diagonal().copy()), _read_only(fit)
 
 
 def single_mode_state(alpha, n_particles, statistics=BOSON):
@@ -55,7 +71,7 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     alpha = alpha / peak
     alpha = alpha / np.linalg.norm(alpha)
     m = alpha.shape[0]
-    _, occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
+    occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
     amps = _product_form(alpha, occ, sqrt_multinomial)
     return FockState._from_vector(statistics, m, n, amps)
 
@@ -106,44 +122,45 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
         first = min(state.occupations())
         return Classification(False, None, math.inf, first)
     occ, amps = state._occ, state._amp
+    fermionic = state.statistics is FERMION
     mag = np.abs(amps)
-    peak = float(mag.max())
+    peak = float(np.maximum.reduce(mag))
     atol = tol * peak
-    on_support = occ[mag >= atol].any(axis=0)
-    support = np.flatnonzero(on_support)
+    on_support = np.logical_or.reduce(occ.compress(mag >= atol, axis=0))
+    support = on_support.nonzero()[0]
+    size = len(support)
     # the sector of the support modes; terms off the support are not compared
-    rank, sub, sqrt_multinomial = _sector(len(support), n, state.statistics is FERMION)
-    inside = ~occ[:, ~on_support].any(axis=1)
+    sub, sqrt_multinomial = _sector(size, n, fermionic)
+    if size < m:
+        inside = ~np.logical_or.reduce(occ.compress(~on_support, axis=1), axis=1)
+        occ, amps = occ.compress(inside, axis=0).take(support, axis=1), amps.compress(inside)
     vec = np.zeros(len(sub), dtype=complex)
-    vec[[rank[o] for o in map(tuple, occ[inside][:, support].tolist())]] = amps[inside]
+    vec[_ranks(size, n, fermionic, occ)] = amps
 
     def occupation(row):
         full = np.zeros(m, dtype=np.intp)
         full[support] = sub[row]
         return tuple(full.tolist())
 
-    # row of all N particles in support mode j, for each j
-    tops = vec[sub.argmax(axis=0)]
-    ref = int(np.argmax(np.abs(tops)))
-    top = tops[ref]
+    pure, fit = _fit_rows(size, n, fermionic)
+    tops = vec.take(pure)
+    ref = int(np.abs(tops).argmax())
+    top = tops.item(ref)
     if abs(top) < atol:
         # no pure coefficient reaches the threshold, as for the pair state
         # |1,1>; the product form is not fitted from a root of float dust
-        smallest = np.flatnonzero(np.abs(vec) >= atol)[-1]
+        smallest = (np.abs(vec) >= atol).nonzero()[0][-1]
         return Classification(False, None, math.inf, occupation(smallest))
     u_ref = abs(top) ** (1.0 / n) * cmath.exp(1j * cmath.phase(top) / n)
-    alpha = np.zeros(len(support), dtype=complex)
-    alpha[ref] = u_ref
     denom = math.sqrt(n) * u_ref ** (n - 1)
-    # rows with N-1 particles in the reference mode hold one particle in each
-    # other support mode, in ascending mode order (rank order, fixed column)
-    alpha[np.arange(len(support)) != ref] = vec[sub[:, ref] == n - 1] / denom
+    # the rows with N-1 particles in the reference mode fix the other entries
+    alpha = vec.take(fit[ref]) / denom
+    alpha[ref] = u_ref
     dev = np.abs(vec - _product_form(alpha, sub, sqrt_multinomial))
-    worst = float(dev.max())
+    worst = float(np.maximum.reduce(dev))
     if worst < atol:
         full = np.zeros(m, dtype=complex)
         full[support] = alpha / np.linalg.norm(alpha)
         return Classification(True, full, worst / peak, None)
     # rank order is descending lexicographic: the last miss is the smallest
-    return Classification(False, None, worst / peak, occupation(np.flatnonzero(dev >= atol)[-1]))
-
+    return Classification(False, None, worst / peak, occupation((dev >= atol).nonzero()[0][-1]))

@@ -7,11 +7,15 @@ vector over the whole sector instead, one gate at a time (the strong
 simulation of SLOS, Heurtel et al., arXiv:2206.10549):
 
 * **Rank indexing.**  The basis of the N-particle, M-mode sector is listed
-  once per (M, N, statistics) and cached with its rank map.  Basis states are
-  ranked by the lexicographic order of their occupied modes, one entry per
-  particle: the modes with repetition (bosons) or the sorted distinct modes
-  (fermions).  That is the descending lexicographic order of the occupation
-  tuples.  Amplitude r of the vector belongs to basis state r.
+  once per (M, N, statistics) and cached.  Basis states are ranked by the
+  lexicographic order of their occupied modes, one entry per particle: the
+  modes with repetition (bosons) or the sorted distinct modes (fermions).
+  That is the descending lexicographic order of the occupation tuples.
+  Amplitude r of the vector belongs to basis state r.  A rank is arithmetic,
+  not a lookup (:func:`_ranks`): over the modes, it sums the basis states
+  that agree with the row on the modes before and hold more particles in
+  this one, counts read from a cached table of binomials (Knuth, TAOCP 4A,
+  7.2.1.3).  Terms of any number are ranked in one gather and one sum.
 * **Block action.**  A two-mode gate g on modes (s, t) keeps n = n_s + n_t and
   the occupations of all other modes.  Basis states that share both form one
   block, and the gate acts on it as one small matrix on |n_s, n_t>.  For
@@ -273,8 +277,9 @@ def _read_only(a):
 
 @functools.lru_cache(maxsize=SECTOR_CACHE)
 def _sector(n_modes, n_particles, fermionic):
-    """Rank map of one sector's basis, its occupation array in rank order and
-    sqrt(N! / prod_j n_j!) per basis state."""
+    """One sector's occupation array in rank order and
+    sqrt(N! / prod_j n_j!) per basis state.  :func:`_ranks` finds a row's
+    rank by arithmetic, so no rank map is kept."""
     if fermionic:
         picks = itertools.combinations(range(n_modes), n_particles)
     else:
@@ -284,12 +289,70 @@ def _sector(n_modes, n_particles, fermionic):
         occ = [0] * n_modes
         for j in pick:
             occ[j] += 1
-        basis.append(tuple(occ))
-    rank = {occ: r for r, occ in enumerate(basis)}
+        basis.append(occ)
     occupations = np.array(basis, dtype=np.intp).reshape(len(basis), n_modes)
     top = math.factorial(n_particles)
     multinomials = _floats(top // math.prod(map(math.factorial, occ)) for occ in basis)
-    return rank, _read_only(occupations), _read_only(np.sqrt(multinomials))
+    return _read_only(occupations), _read_only(np.sqrt(multinomials))
+
+
+@functools.lru_cache(maxsize=SECTOR_CACHE)
+def _rank_table(n_modes, n_particles, fermionic):
+    """The table of :func:`_ranks`, flattened, and the matrix that maps a row
+    to its entries' indices in it.
+
+    Entry (j, c, o) counts the basis states that agree with a row on the
+    modes before j, which hold c particles, and hold more than o particles in
+    mode j; the rank order puts exactly those first.  With R = N - c
+    particles left and k = M - j - 1 modes after j, the hockey-stick identity
+    sums them to C(R - o - 1 + k, k) for bosons (R > o) and to C(k, R - 1)
+    for fermions (o = 0, R >= 1).  Both are read from one table
+    P[y, x] = C(x + y, y), whose row y is the running sum of row y - 1, in
+    O(M N^2) for the whole table.  P is cut to the entries a row of the
+    sector can reach, each at most the sector size, so int64 holds them for
+    any sector that can be listed.
+
+    Entry (j, c, o) sits at j * stride + width * c + o, where width = N + 1
+    for bosons and 2 for fermions.  Every row sums to N, so with a stride
+    divisible by N the mode offset j * stride is (j * stride / N) * sum_i o_i,
+    and one matrix product gives all indices.
+    """
+    m, n = n_modes, n_particles
+    width = 2 if fermionic else n + 1
+    j, c, o = np.ogrid[:m, : n + 1, :width]
+    if fermionic:
+        # C(k, R - 1) = P[R - 1, k - R + 1]; a reachable row has c <= j
+        x, y, live = m - n - j + c, n - c - 1, o == 0
+        shape = (max(n, 1), max(m - n + 1, 1))
+    else:
+        x, y, live = n - c - o - 1, m - j - 1, True
+        shape = (m, max(n, 1))
+    live = live & (x >= 0) & (y >= 0) & (x < shape[1])
+    pascal = np.ones(shape, dtype=np.int64)
+    for row in range(1, shape[0]):
+        np.cumsum(pascal[row - 1], out=pascal[row])
+    # per mode, (N + 1) * width entries padded to a multiple of N (N = 0: of 1)
+    per = -(-(n + 1) * width // max(n, 1))
+    table = np.zeros((m, per * max(n, 1)), dtype=np.int64)
+    table[:, : (n + 1) * width] = np.where(
+        live, pascal[y.clip(0, shape[0] - 1), x.clip(0, shape[1] - 1)], 0
+    ).reshape(m, -1)
+    # entry (i, j): each particle in mode i adds width to a later mode j's
+    # index, 1 to its own, and per * j to every mode's, N of them j * stride
+    index = np.triu(np.full((m, m), width), 1) + np.eye(m, dtype=np.intp)
+    index += np.arange(m) * per
+    return _read_only(table.ravel()), _read_only(index)
+
+
+def _ranks(n_modes, n_particles, fermionic, occ):
+    """The rank of each row of ``occ`` in the sector's basis: the sum over
+    modes j of entry (j, c_j, o_j) of :func:`_rank_table`, where o_j is the
+    row's count in mode j and c_j its count in the modes before j.
+
+    Rows are trusted to belong to the sector.
+    """
+    table, index = _rank_table(n_modes, n_particles, fermionic)
+    return np.add.reduce(table.take(occ.dot(index)), axis=1)
 
 
 def _floats(exact):
@@ -314,7 +377,7 @@ def _pair_blocks(n_modes, n_particles, fermionic, s, t):
     order in which they first appear in rank order.  Each row holds every n_s
     from max(0, n - cap) to min(n, cap), so one sort lays the blocks out.
     """
-    occupations = _sector(n_modes, n_particles, fermionic)[1]
+    occupations = _sector(n_modes, n_particles, fermionic)[0]
     ranks = np.flatnonzero(occupations[:, s] + occupations[:, t])
     occ = occupations[ranks]
     n = occ[:, s] + occ[:, t]
@@ -370,7 +433,7 @@ def _sector_terms(n_modes, n_particles, fermionic, vec):
     one are float dust and dropped."""
     mag = np.abs(vec)
     keep = mag > PRUNE_REL * mag.max()
-    return _sector(n_modes, n_particles, fermionic)[1].compress(keep, axis=0), vec[keep]
+    return _sector(n_modes, n_particles, fermionic)[0].compress(keep, axis=0), vec[keep]
 
 
 def _evolve_terms(fermionic, m, n, occ, amp, gates):
@@ -384,9 +447,9 @@ def _evolve_terms(fermionic, m, n, occ, amp, gates):
     """
     if not gates:
         return occ, amp
-    rank, sector = _sector(m, n, fermionic)[:2]
+    sector = _sector(m, n, fermionic)[0]
     vec = np.zeros(len(sector), dtype=complex)
-    vec[[rank[o] for o in map(tuple, occ.tolist())]] = amp
+    vec[_ranks(m, n, fermionic, occ)] = amp
     for modes, value in gates:
         if len(modes) == 1:
             vec *= np.exp(1j * value * sector[:, modes[0]])

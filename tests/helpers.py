@@ -57,6 +57,28 @@ def sector_occupations(n, m, statistics):
     return boson_occupations(n, m)
 
 
+def _sector_size(n, m, fermionic):
+    """Basis states of n particles on m modes, zero modes included."""
+    if fermionic:
+        return math.comb(m, n)
+    return math.comb(n + m - 1, n) if m else int(n == 0)
+
+
+def oracle_rank(occ, fermionic):
+    """Rank of ``occ`` in its sector by counting its predecessors: for each
+    mode j and each count p above occ[j] that fits there, the basis states
+    that agree with ``occ`` before j and hold p particles in j, one smaller
+    sector over the modes after j."""
+    rank = 0
+    left = sum(occ)
+    for j, o in enumerate(occ):
+        top = min(left, 1) if fermionic else left
+        for p in range(o + 1, top + 1):
+            rank += _sector_size(left - p, len(occ) - j - 1, fermionic)
+        left -= o
+    return rank
+
+
 def random_state(rng, n, m, statistics=fo.BOSON):
     basis = sector_occupations(n, m, statistics)
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
@@ -519,7 +541,7 @@ def oracle_single_mode(state, tol=1e-8):
 def oracle_pair_blocks(n_modes, n_particles, fermionic, s, t):
     """``states._pair_blocks`` by a walk over the sector: each rank joins the
     row of its (n, odd, other-mode occupation) key at column n_s - lo."""
-    occupations = fo.states._sector(n_modes, n_particles, fermionic)[1]
+    occupations = fo.states._sector(n_modes, n_particles, fermionic)[0]
     cap = 1 if fermionic else n_particles
     groups = {}
     for r, occ in enumerate(map(tuple, occupations.tolist())):

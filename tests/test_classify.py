@@ -290,15 +290,55 @@ class TestClassifierMatchesTermLoop:
 
     def test_sparse_noon_of_many_modes(self, monkeypatch):
         # 12 particles on 2 of 16 modes: only the 13 states of the support's
-        # sector are built, not the C(27, 12) states of the register
+        # sector are built, not the C(27, 12) states of the register, and
+        # only that sector's rank table
         built = []
         sector = fo.classify._sector
         monkeypatch.setattr(fo.classify, "_sector", lambda *key: built.append(key) or sector(*key))
+        tables = []
+        table = fo.states._rank_table
+        monkeypatch.setattr(fo.states, "_rank_table", lambda *key: tables.append(key) or table(*key))
         rest = (0,) * 14
         noon = fo.FockState(fo.BOSON, 16, {(12, 0) + rest: 1, (0, 12) + rest: 1}, False)
         assert not classifier_matches_oracle(noon.normalized())
         assert fo.is_single_mode_type(noon.normalized()).violation == (0, 12) + rest
         assert built == [(2, 12, False)] * 2
+        assert tables and set(tables) == {(2, 12, False)}
+
+    def test_support_inside_a_larger_register(self, rng):
+        # a random and a single-mode state on a random strict subset of the
+        # modes, bare and with float dust on terms that reach every mode
+        verdicts = []
+        for _ in range(20):
+            m = int(rng.integers(3, 8))
+            n = int(rng.integers(1, 6))
+            k = int(rng.integers(1, m))
+            positions = sorted(rng.choice(m, k, replace=False).tolist())
+            for inner in (random_state(rng, n, k), fo.single_mode_state(random_alpha(rng, k), n)):
+                wide = fo.embed(inner, m, positions)
+                verdicts.append(classifier_matches_oracle(wide))
+                dusty = superpose([(1.0, wide), (1e-10, random_state(rng, n, m))])
+                verdicts.append(classifier_matches_oracle(dusty))
+        assert 20 <= sum(verdicts) <= len(verdicts) - 20
+
+    def test_single_mode_state_with_a_zero_entry(self, rng):
+        # the zero entry's mode carries no term, so it is off the support
+        for _ in range(20):
+            m = int(rng.integers(2, 7))
+            alpha = random_alpha(rng, m)
+            alpha[rng.integers(m)] = 0.0
+            alpha /= np.linalg.norm(alpha)
+            state = fo.single_mode_state(alpha, int(rng.integers(1, 6)))
+            assert classifier_matches_oracle(state)
+            assert phase_distance(fo.is_single_mode_type(state).alpha, alpha) < 1e-9
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
+    def test_one_particle(self, rng, statistics):
+        # every one-particle state is a_alpha^dag |0>
+        for m in range(1, 7):
+            state = random_state(rng, 1, m, statistics)
+            assert classifier_matches_oracle(state)
+            assert classifier_matches_oracle(fo.embed(state, m + 2, range(1, m + 1)))
 
     def test_sparse_single_mode_state_of_many_modes(self):
         a, b = 0.6, 0.8j

@@ -159,6 +159,60 @@ def test_one_evolution_kernel():
     assert not found, f"the kernel reached outside states.py and circuits.py: {found}"
 
 
+def _calls_to(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _tuple_keys(node):
+    """Names that a loop or comprehension binds to the items of
+    ``map(tuple, ...)``: occupation tuples."""
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        loops = node.generators
+    elif isinstance(node, ast.For):
+        loops = [node]
+    else:
+        return set()
+    return {
+        name.id
+        for loop in loops
+        if _calls_to(loop.iter, "map")
+        and loop.iter.args
+        and isinstance(loop.iter.args[0], ast.Name)
+        and loop.iter.args[0].id == "tuple"
+        for name in ast.walk(loop.target)
+        if isinstance(name, ast.Name)
+    }
+
+
+def test_one_rank_rule():
+    # a basis state's rank is arithmetic (states._ranks): no module looks a
+    # rank up in a dict keyed by occupation tuples, as rank[o] for o in
+    # map(tuple, ...) or rank[tuple(o)], and _sector, which lists the basis,
+    # returns its occupations and multinomials and no rank map
+    found = []
+    for path, tree in _parsed_sources():
+        for node in ast.walk(tree):
+            keys = _tuple_keys(node)
+            found += [
+                f"{path.name}:{sub.lineno} subscript by an occupation tuple"
+                for sub in (ast.walk(node) if keys else ())
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.slice, ast.Name)
+                and sub.slice.id in keys
+            ]
+            if isinstance(node, ast.Subscript) and _calls_to(node.slice, "tuple"):
+                found.append(f"{path.name}:{node.lineno} subscript by an occupation tuple")
+            if isinstance(node, ast.Subscript) and _calls_to(node.value, "_sector"):
+                if not (isinstance(node.slice, ast.Constant) and node.slice.value in (0, 1)):
+                    found.append(f"{path.name}:{node.lineno} _sector read past its two arrays")
+            if isinstance(node, ast.Assign) and _calls_to(node.value, "_sector"):
+                if any(isinstance(t, ast.Tuple) and len(t.elts) != 2 for t in node.targets):
+                    found.append(f"{path.name}:{node.lineno} _sector unpacked past its two arrays")
+    assert not found, f"ranks looked up outside states._ranks: {sorted(set(found))}"
+    sector = importlib.import_module("fockopt.states")._sector(3, 2, False)
+    assert len(sector) == 2 and not any(isinstance(part, dict) for part in sector)
+
+
 def test_replay_takes_no_search_shortcut():
     # replay checks that a recorded experiment violates by running its
     # circuits through the kernel: neither replay_witness nor any name of

@@ -29,6 +29,7 @@ from helpers import (
     oracle_evolve,
     oracle_herald,
     oracle_pair_blocks,
+    oracle_rank,
     oracle_reck_gates,
     random_state,
     random_unitary,
@@ -399,6 +400,35 @@ class TestSectorKernel:
                     assert blocks.keys() == walk.keys()
                     for key, idx in blocks.items():
                         assert set(map(tuple, idx.tolist())) == set(map(tuple, walk[key].tolist()))
+
+
+class TestRanks:
+    """``states._ranks`` against the listed basis and a counting oracle."""
+
+    @pytest.mark.parametrize("fermionic", [False, True])
+    def test_every_small_sector_in_listed_order(self, fermionic):
+        for m in range(1, 8):
+            for n in range(m + 1 if fermionic else 9):
+                basis = fo.states._sector(m, n, fermionic)[0]
+                ranks = fo.states._ranks(m, n, fermionic, basis)
+                np.testing.assert_array_equal(ranks, np.arange(len(basis)))
+
+    @pytest.mark.parametrize("fermionic, m", [(False, 16), (True, 40)])
+    def test_sectors_too_large_to_list(self, rng, fermionic, m):
+        # 12 particles: seeded random rows, and the first and last basis states
+        n = 12
+        size = math.comb(m, n) if fermionic else math.comb(n + m - 1, n)
+        if fermionic:
+            rows = np.zeros((200, m), dtype=np.intp)
+            for row in rows:
+                row[rng.choice(m, n, replace=False)] = 1
+        else:
+            rows = rng.multinomial(n, np.full(m, 1.0 / m), size=200).astype(np.intp)
+        first = [1] * n + [0] * (m - n) if fermionic else [n] + [0] * (m - 1)
+        rows = np.vstack([rows, first, first[::-1]])
+        ranks = fo.states._ranks(m, n, fermionic, rows).tolist()
+        assert ranks == [oracle_rank(row, fermionic) for row in rows.tolist()]
+        assert ranks[-2:] == [0, size - 1]
 
 
 class TestReckGates:
