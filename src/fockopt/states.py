@@ -20,7 +20,11 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   the occupations of all other modes.  Basis states that share both form one
   block, and the gate acts on it as one small matrix on |n_s, n_t>.  For
   bosons this is the n-th symmetric power of the 2x2 matrix g.  The index
-  sets of the blocks are cached per (M, N, statistics, s, t).
+  sets of the blocks are cached per (M, N, statistics, s, t).  With N <= 2
+  the blocks are read off g's four entries: the n = 1 block is the
+  transposed gate, shared with the fermions, and the n = 2 block is the 3x3
+  Sym^2 g, products of two entries with sqrt(2) factors.  Only sectors of
+  N >= 3 look their blocks up in the per-gate cache of symmetric powers.
 * **Fermion sign rule.**  Fermion amplitudes refer to creation operators
   applied in increasing mode order.  A particle moved between s and t passes
   the occupied modes strictly between them, so the n = 1 block takes the
@@ -62,8 +66,8 @@ from .errors import (
 )
 from .tolerances import FILE_NORM_TOL, HERALD_CUTOFF, NORM_TOL, PRUNE_REL, RECK_TOL, ZERO_NORM
 
-# cached sectors and two-mode index sets; a fixed bound keeps memory flat when
-# many shapes pass through
+# cached sectors, two-mode index sets and the symmetric powers of N >= 3 boson
+# gates; a fixed bound keeps memory flat when many shapes pass through
 SECTOR_CACHE = 64
 PAIR_CACHE = 512
 
@@ -409,9 +413,11 @@ def _symmetric_powers(g_bytes, n_max):
 
     Column k of the n-th matrix holds the coefficients of
     (g01 + g00 x)^k (g11 + g10 x)^(n-k) in powers of x, rescaled from
-    monomials to normalized number states.  The same gates recur across
-    calls (Hadamards, the splitter stage, a mesh run again), so the blocks
-    are kept per gate.
+    monomials to normalized number states.  The kernel asks for them in
+    sectors of N >= 3 only; there the same gates recur across calls
+    (Hadamards, the splitter stage, a mesh run again), so the blocks are kept
+    per gate.  Two-particle sectors, replay's settings among them, read their
+    blocks off the gate and never fill the cache.
     """
     g = np.frombuffer(g_bytes, dtype=complex).reshape(2, 2)
     c = np.ones((1, 1), dtype=complex)
@@ -458,20 +464,27 @@ def _evolve_terms(fermionic, m, n, occ, amp, gates):
         if s > t:
             s, t, g = t, s, g[::-1, ::-1]
         blocks = _pair_blocks(m, n, fermionic, s, t)
-        if not fermionic:
+        if not fermionic and n > 2:
             powers = _symmetric_powers(np.asarray(g, dtype=complex).tobytes(), n)
             for k, _, idx in blocks:
                 vec[idx] = vec[idx] @ powers[k].T
             continue
-        # one block per (n, parity): the transposed n = 1 blocks, and det g
+        # one block per (n, parity), read off g's four entries: the transposed
+        # n = 1 blocks, and for a pair det g (fermions) or Sym^2 g (bosons)
         (g00, g01), (g10, g11) = g.tolist()
         for k, odd, idx in blocks:
-            if k == 2:
+            if k == 1:
+                b = [[g11, -g10], [-g01, g00]] if odd else [[g11, g10], [g01, g00]]
+                vec[idx] = vec[idx] @ np.array(b)
+            elif fermionic:
                 vec[idx] *= g00 * g11 - g01 * g10
-            elif odd:
-                vec[idx] = vec[idx] @ np.array([[g11, -g10], [-g01, g00]])
             else:
-                vec[idx] = vec[idx] @ np.array([[g11, g10], [g01, g00]])
+                r = math.sqrt(2.0)
+                vec[idx] = vec[idx] @ np.array([
+                    [g11 * g11, g10 * g11 * r, g10 * g10],
+                    [g01 * g11 * r, g00 * g11 + g01 * g10, g00 * g10 * r],
+                    [g01 * g01, g00 * g01 * r, g00 * g00],
+                ])
     return _sector_terms(m, n, fermionic, vec)
 
 

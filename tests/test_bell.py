@@ -419,7 +419,9 @@ class TestRunErasureYS:
         noon = two_mode_state([0.6, 0, 0, 0, 0.8])
         wit = fo.find_witness(noon)
         assert repr(wit.circuit) == repr(erasure_stage(noon))
-        assert wit.result.chsh == stage_test(noon, erasure_stage(noon)).chsh
+        # the stage maps and the circuit run round differently in the last bit
+        chsh = stage_test(noon, erasure_stage(noon)).chsh
+        assert abs(wit.result.chsh - chsh) <= 4 * math.ulp(chsh)
 
 
 class TestFindWitness:

@@ -110,6 +110,13 @@ def _references(tree):
             yield node.value
 
 
+def _names(tree):
+    """The identifiers a module refers to or imports."""
+    names = set(_references(tree))
+    names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.alias))
+    return names
+
+
 def _definitions(tree):
     """(name, defining statement) of each top-level name of a module."""
     for node in tree.body:
@@ -153,10 +160,20 @@ def test_one_evolution_kernel():
     for path, tree in _parsed_sources():
         if path.name in ("states.py", "circuits.py"):
             continue
-        names = set(_references(tree))
-        names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.alias))
-        found += [f"{path.name}: {name}" for name in sorted(names & {"_evolve_terms", "_project"})]
+        kernel = _names(tree) & {"_evolve_terms", "_project"}
+        found += [f"{path.name}: {name}" for name in sorted(kernel)]
     assert not found, f"the kernel reached outside states.py and circuits.py: {found}"
+
+
+def test_block_cache_stays_in_the_kernel():
+    # two-particle gates read their blocks off the gate; only the kernel's
+    # larger boson sectors use the cached symmetric powers
+    found = [
+        path.name
+        for path, tree in _parsed_sources()
+        if path.name != "states.py" and "_symmetric_powers" in _names(tree)
+    ]
+    assert not found, f"the block cache named outside states.py: {found}"
 
 
 def _calls_to(node, name):

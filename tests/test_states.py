@@ -326,8 +326,10 @@ class TestSectorKernel:
 
     @pytest.mark.parametrize("statistics", STATS)
     # (2, 6) and (3, 6) reach both fermion parities of the n = 1 block and
-    # the determinant block on reversed pairs
-    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 6), (3, 6)])
+    # the determinant block on reversed pairs; (2, 8) is replay's register
+    @pytest.mark.parametrize(
+        "n,m", [(1, 2), (2, 3), (3, 3), (2, 5), (3, 4), (2, 6), (3, 6), (2, 8)]
+    )
     def test_gate_lists_match_oracle(self, rng, statistics, n, m):
         s = random_state(rng, n, m, statistics)
         gates = random_gates(rng, m, 10)
@@ -400,6 +402,64 @@ class TestSectorKernel:
                     assert blocks.keys() == walk.keys()
                     for key, idx in blocks.items():
                         assert set(map(tuple, idx.tolist())) == set(map(tuple, walk[key].tolist()))
+
+
+def kernel_block(g, n):
+    """The kernel's block of the two-mode gate ``g`` on ``n`` bosons: row j
+    is the image of |j, n - j>, read off that evolved basis state."""
+    block = np.zeros((n + 1, n + 1), dtype=complex)
+    for j in range(n + 1):
+        occ, amp = fo.states._evolve_terms(
+            False, 2, n, np.array([[j, n - j]]), np.ones(1, dtype=complex), [((0, 1), g)]
+        )
+        block[j, occ[:, 0]] = amp
+    return block
+
+
+class TestTwoParticleBlocks:
+    """Boson gates on N <= 2 read their blocks off the gate, not the cache."""
+
+    def test_blocks_match_symmetric_powers(self, rng):
+        phase = np.diag(np.exp([0.3j, -1.1j]))
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        gates = [random_unitary(rng, 2) for _ in range(200)] + [fo.hadamard(), swap, phase]
+        for g in gates + [g[::-1, ::-1] for g in gates]:
+            powers = fo.states._symmetric_powers(np.ascontiguousarray(g).tobytes(), 2)
+            for n in (1, 2):
+                np.testing.assert_allclose(kernel_block(g, n), powers[n].T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("statistics", STATS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_replay_needs_no_cache_on_two_particles(self, monkeypatch, rng, statistics, n):
+        # replay's switched circuit holds two particles; a boson witness of
+        # N >= 3 prepares its pair on the N-particle sector, which keeps the
+        # cache, and fermions never use it
+        state = random_state(rng, n, 4, statistics)
+        wit = fo.find_witness(state)
+        expected = fo.replay_witness(state, wit)
+        cached = fo.states._symmetric_powers
+        larger = []
+
+        def refuse_small(g_bytes, n_max):
+            if n_max <= 2:
+                raise AssertionError("a two-particle gate reached the block cache")
+            larger.append(n_max)
+            return cached(g_bytes, n_max)
+
+        monkeypatch.setattr(fo.states, "_symmetric_powers", refuse_small)
+        assert fo.replay_witness(state, wit) == expected
+        assert bool(larger) == (statistics is fo.BOSON and n > 2)
+
+    def test_mesh_needs_no_cache_on_two_particles(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("a two-particle gate reached the block cache")
+
+        state = random_state(rng, 2, 5)
+        u = random_unitary(rng, 5)
+        monkeypatch.setattr(fo.states, "_symmetric_powers", refuse)
+        out, prob = fo.run_circuit(state, fo.reck_decompose(u))
+        assert prob == 1.0
+        assert_matches_oracle(out, state, u)
 
 
 class TestRanks:
