@@ -21,8 +21,12 @@ on |k-s, s+2-k>, with weight sqrt(C(k, s) C(N-k, N-2-s) / 2^N): each live
 mode splits binomially onto its ancilla.  The erasure stage is the sum over s
 of sqrt(C(N-2, s) / 2^(N-2)) times filter s.  Every weight is positive,
 because the real Hadamard feeds the kept terms only through its +1/sqrt(2)
-entries.  The search tests each candidate through these maps and builds a
-circuit for the witness it returns alone.
+entries.  A fermion state needs no stage: heralding the companions of an
+occupied pair leaves |1,1>.  Every candidate of either statistics is one
+triple ``(pair, p, elements)``: the heralded two-particle two-mode state as
+its unit-norm sector vector in rank order, the joint herald probability, and
+the circuit elements.  The search post-selects each pair through the
+splitter map and builds a circuit for the witness it returns alone.
 
 :func:`replay_witness` re-runs a finished experiment through circuits and the
 kernel alone, none of the maps above: the preparation, then all four setting
@@ -61,7 +65,6 @@ from .errors import (
     ZeroOutcome,
 )
 from .states import (
-    BOSON,
     FERMION,
     SECTOR_CACHE,
     _complex_array,
@@ -74,7 +77,7 @@ from .states import (
     herald,
     make_number_state,
 )
-from .tolerances import HERALD_CUTOFF, NORM_TOL, PRUNE_REL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
+from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 
 ALICE_RAILS = (0, 2)
 BOB_RAILS = (3, 1)
@@ -139,11 +142,11 @@ def _splitter_map(statistics):
     return _read_only(np.array(columns).T)
 
 
-def _postselect(statistics, columns, amp):
-    """The splitter stage as :func:`_splitter_map` on the terms ``amp`` of a
-    two-particle two-mode state at sector ranks ``columns``: the shared
+def _postselect(statistics, pair):
+    """The splitter stage as :func:`_splitter_map` on ``pair``, the sector
+    vector of a two-particle two-mode state in rank order: the shared
     two-qubit state and the post-selection probability."""
-    amps = _splitter_map(statistics)[:, columns] @ amp
+    amps = _splitter_map(statistics) @ pair
     prob = float(np.vdot(amps, amps).real)
     return TwoQubitState(amps / math.sqrt(prob)), prob
 
@@ -159,8 +162,10 @@ def yurke_stoler_postselect(phi):
     """
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
-    columns = _ranks(2, 2, phi.statistics is FERMION, phi._occ)
-    return _postselect(phi.statistics, columns, phi._amp)
+    fermionic = phi.statistics is FERMION
+    pair = np.zeros(len(_sector(2, 2, fermionic)[0]), dtype=complex)
+    pair[_ranks(2, 2, fermionic, phi._occ)] = phi._amp
+    return _postselect(phi.statistics, pair)
 
 
 def _chsh(probs):
@@ -270,40 +275,20 @@ class WitnessExperiment:
         return self.circuit.heralds
 
 
-def _heralded_pair(vec):
-    """The splitter stage on the heralded two-particle boson state whose
-    rank-order sector vector is ``vec``, of unit norm: entries below
-    ``PRUNE_REL`` of the largest are dropped as :class:`FockState` drops
-    them, and the rest must keep the norm within ``NORM_TOL``."""
-    mag = np.abs(vec)
-    keep = mag > PRUNE_REL * mag.max()
-    amp = vec[keep]
-    norm = math.hypot(*map(abs, amp.tolist()))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise InvalidParameter(f"heralded pair norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-    return _postselect(BOSON, np.flatnonzero(keep), amp)
-
-
 def _boson_candidates(phi, live, prefix, total_modes):
     """Candidates for a NOT-SINGLE-MODE boson state, so N >= 2, on
     ``len(live)`` >= 2 modes; every branch passed on is NOT-SINGLE-MODE too.
 
-    Yields ``((chi, p_ys), p, elements)``: the two-qubit state and
-    post-selection probability of the splitter stage on the two-particle
-    state that the heralds of ``elements`` leave on their output modes, and
-    the joint probability of those heralds on ``phi``.  The elements form a
-    circuit on ``total_modes + 2`` modes, which is built only for a witness.
-    Each herald runs once, on the branch the earlier ones left.  At two modes
-    all N stages are one contraction of the branch's coefficients with
-    :func:`_stage_maps`; their weights, sqrt(C(k, s) C(N-k, N-2-s) / 2^N) for
-    filter s and those summed with sqrt(C(N-2, s) / 2^(N-2)) for erasure,
-    are positive because only the Hadamard's +1/sqrt(2) entries reach the
-    kept terms.  A stage below ``HERALD_CUTOFF`` is skipped.
+    The elements of a candidate form a circuit on ``total_modes + 2`` modes.
+    Each herald runs once, on the branch the earlier ones left, and its
+    probability is multiplied in on the way up.  At two modes all N stages
+    are one contraction of the branch's coefficients with
+    :func:`_stage_maps`; a stage below ``HERALD_CUTOFF`` is skipped.
 
     Enumeration order: ancilla filters with ascending ``s``, then erasure, at
     two modes; otherwise the zero-count herald on all but the first two
-    modes, the per-count heralds after rotating the surviving two-mode
-    component away from mode 1, and finally the empty-mode reduction.
+    modes, the per-count heralds on mode 1 after rotating the surviving
+    two-mode component away from it, and finally the empty-mode reduction.
     """
     n = phi.n_particles
     if len(live) == 2:
@@ -314,7 +299,7 @@ def _boson_candidates(phi, live, prefix, total_modes):
         placed = two_mode_preparations(n, live, (total_modes, total_modes + 1))
         for elements, amps, p in zip(placed, stages, probs.tolist()):
             if p >= HERALD_CUTOFF:
-                yield _heralded_pair(amps / math.sqrt(p)), p, prefix + elements
+                yield amps / math.sqrt(p), p, prefix + elements
         return
     rest_local = list(range(2, len(live)))
     try:
@@ -322,7 +307,7 @@ def _boson_candidates(phi, live, prefix, total_modes):
         verdict = is_single_mode_type(chi)
     except ZeroOutcome:
         verdict = None
-    rotated, prefix_b = phi, prefix
+    rotated = phi
     if verdict is not None:
         if not verdict.single_mode:
             zeros = tuple(Detector(live[i], 0) for i in rest_local)
@@ -333,42 +318,33 @@ def _boson_candidates(phi, live, prefix, total_modes):
         rot = np.array([[u2.conjugate(), -u1.conjugate()], [u1, u2]]).conj().T
         splitter = BeamSplitter((live[0], live[1]), rot)
         rotated = evolve(phi, [((0, 1), splitter.matrix)])
-        prefix_b = prefix + (splitter,)
-    for k in range(n):
+        prefix += (splitter,)
+    # per-count heralds on mode 1; once all reduce to a single mode, the
+    # rotated state is forced off mode 1 entirely, so the last step drops it
+    for j, k in [(1, k) for k in range(n)] + [(0, 0)]:
         try:
-            branch, p_k = herald(rotated, {1: k})
+            branch, p_branch = herald(rotated, {j: k})
         except ZeroOutcome:
             continue
         if not is_single_mode_type(branch).single_mode:
+            rest = live[:j] + live[j + 1 :]
             for pair, p, elements in _boson_candidates(
-                branch, [live[0]] + live[2:], prefix_b + (Detector(live[1], k),), total_modes
+                branch, rest, prefix + (Detector(live[j], k),), total_modes
             ):
-                yield pair, p_k * p, elements
-    # all per-count branches reduced to a single mode, which forces the
-    # rotated state off mode 1 entirely; drop that mode and continue
-    try:
-        residual, p_res = herald(rotated, {0: 0})
-    except ZeroOutcome:
-        return
-    if not is_single_mode_type(residual).single_mode:
-        for pair, p, elements in _boson_candidates(
-            residual, live[1:], prefix_b + (Detector(live[0], 0),), total_modes
-        ):
-            yield pair, p_res * p, elements
+                yield pair, p_branch * p, elements
 
 
 def _fermion_candidates(phi):
-    """Herald every companion mode of the first occupied pair of a term;
-    yields ``((chi, p_ys), p, elements)`` like :func:`_boson_candidates`,
-    for a circuit on ``phi.n_modes`` modes."""
+    """Herald every companion mode of the first occupied pair of a term; the
+    elements form a circuit on ``phi.n_modes`` modes."""
     for occ in sorted(phi.occupations()):
-        pair = [j for j, c in enumerate(occ) if c][:2]
-        circuit = Circuit(phi.n_modes, [Detector(j, c) for j, c in enumerate(occ) if j not in pair])
+        live = [j for j, c in enumerate(occ) if c][:2]
+        companions = {j: c for j, c in enumerate(occ) if j not in live}
         try:
-            two, p = run_circuit(phi, circuit)
+            two, p = herald(phi, companions)
         except ZeroOutcome:
             continue
-        yield yurke_stoler_postselect(two), p, circuit.elements
+        yield two._amp, p, tuple(Detector(j, c) for j, c in companions.items())
 
 
 def find_witness(state):
@@ -378,15 +354,12 @@ def find_witness(state):
     returns None before any candidate runs.  Otherwise candidates are tried
     in a fixed order, so the result is deterministic; None means that none
     violates by more than ``VIOLATION_MARGIN``.  No prefix is simulated
-    twice: each herald runs on the branch the earlier ones left.  The stages
-    of a two-mode boson branch evolve nothing: each is a constant map of
-    binomial weights on its coefficients (:func:`_stage_maps`), all positive
-    since only the Hadamard's +1/sqrt(2) entries reach the kept terms.  Each
-    candidate's two-particle state then costs the splitter stage as its
-    constant map and one CHSH optimum; the circuit is built for the witness
-    alone.  A joint herald probability below ``HERALD_CUTOFF`` skips the
-    candidate, as its whole circuit never fires even when every conditional
-    herald does.
+    twice: each herald runs on the branch the earlier ones left, and the
+    stages of a two-mode boson branch evolve nothing.  Each candidate's pair
+    then costs the splitter stage as its constant map and one CHSH optimum;
+    the circuit is built for the witness alone.  A joint herald probability
+    below ``HERALD_CUTOFF`` skips the candidate, as its whole circuit never
+    fires even when every conditional herald does.
     """
     if is_single_mode_type(state).single_mode:
         return None
@@ -396,9 +369,10 @@ def find_witness(state):
     else:
         # every boson candidate ends in a two-mode stage on the ancillas (m, m+1)
         candidates, n_modes = _boson_candidates(state, list(range(m)), (), m), m + 2
-    for (chi, p_ys), prob, elements in candidates:
+    for pair, prob, elements in candidates:
         if prob < HERALD_CUTOFF:
             continue
+        chi, p_ys = _postselect(state.statistics, pair)
         result = chsh_max(chi)
         if result.violated:
             return WitnessExperiment(

@@ -458,7 +458,8 @@ def _evolve_terms(fermionic, m, n, occ, amp, gates):
     vec[_ranks(m, n, fermionic, occ)] = amp
     for modes, value in gates:
         if len(modes) == 1:
-            vec *= np.exp(1j * value * sector[:, modes[0]])
+            # N + 1 distinct phases, gathered by each state's occupation
+            vec *= np.exp(1j * value * np.arange(n + 1))[sector[:, modes[0]]]
             continue
         (s, t), g = modes, value
         if s > t:

@@ -476,12 +476,12 @@ class TestFindWitness:
     )
     def test_single_mode_states_run_no_candidate(self, monkeypatch, state):
         # the classifier's verdict alone answers: no herald prefix and no
-        # candidate runs.  A fermion candidate runs its circuit, a boson
-        # stage its stage map.
+        # candidate runs.  A fermion candidate is a herald, a boson stage its
+        # stage map, and every candidate is post-selected.
         def refuse(*args):
             raise AssertionError("the search ran for a single-mode state")
 
-        for name in ("herald", "run_circuit", "_stage_maps"):
+        for name in ("herald", "run_circuit", "_stage_maps", "_postselect"):
             monkeypatch.setattr(bell, name, refuse)
         assert fo.find_witness(state) is None
 
@@ -515,6 +515,18 @@ class TestFindWitness:
         assert min(p_zero, p_stage) >= HERALD_CUTOFF > p_zero * p_stage
         assert abs(stage_test(branch, stage).chsh - CHSH_TSIRELSON) < 1e-9
         assert fo.find_witness(state) is None
+
+    def test_fermion_herald_below_cutoff_is_skipped(self):
+        # the first term's companion herald, {0: 0, 1: 0}, fires with 1e-16:
+        # the search skips it and heralds the second term's companions
+        terms = {(0, 0, 1, 1): 1e-8, (1, 1, 0, 0): 1.0}
+        state = fo.FockState(fo.FERMION, 4, terms, normalized=False).normalized()
+        with pytest.raises(ZeroOutcome):
+            fo.herald(state, {0: 0, 1: 0})
+        wit = fo.find_witness(state)
+        assert wit.heralds == {2: 0, 3: 0}
+        assert abs(wit.result.chsh - CHSH_TSIRELSON) < 1e-9
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
 
     def test_many_particles_need_no_sector_evolution(self, monkeypatch):
         # N = 40 on two modes: the stage maps find the first filter's witness
@@ -809,8 +821,9 @@ class TestShortcutsMatchTheCircuits:
             assert len(found) == len(expected) >= 1
             if top and n >= 4:
                 assert len(found) < n
-            for (circuit, res), ((chi, p_ys), p_herald, elements) in zip(expected, found):
+            for (circuit, res), (pair, p_herald, elements) in zip(expected, found):
                 assert repr(fo.Circuit(4, elements)) == repr(circuit)
+                chi, p_ys = bell._postselect(fo.BOSON, pair)
                 assert abs(fo.chsh_max(chi).chsh - res.chsh) <= 1e-12
                 p = res.success_probability
                 assert abs(p_herald * p_ys - p) <= 1e-12 * p

@@ -240,7 +240,6 @@ def test_replay_takes_no_search_shortcut():
         "_splitter_map",
         "_stage_maps",
         "_postselect",
-        "_heralded_pair",
         "_KEPT",
         "yurke_stoler_postselect",
         "chsh_max",
@@ -254,6 +253,19 @@ def test_replay_takes_no_search_shortcut():
     assert "_chsh" in reached
     found = sorted(reached & shortcuts)
     assert not found, f"replay reaches the search's shortcuts: {found}"
+
+
+def test_candidates_build_no_circuit():
+    # a candidate is a heralded pair vector: the generators herald branches
+    # and read stage maps, and find_witness builds a circuit for the witness
+    # alone
+    definitions = dict(_definitions(ast.parse((SOURCE / "bell.py").read_text(encoding="utf-8"))))
+    found = [
+        f"{generator}: {name}"
+        for generator in ("_boson_candidates", "_fermion_candidates")
+        for name in sorted(set(_references(definitions[generator])) & {"Circuit", "run_circuit"})
+    ]
+    assert not found, f"candidate generators build or run circuits: {found}"
 
 
 def test_integers_are_checked_not_truncated():
