@@ -12,7 +12,10 @@ the settings of the Horodecki criterion in the Schmidt frame.
 The classifier decides which states have no witness: those reducible to a
 single mode.  For every other state :func:`find_witness` assembles an
 explicit violating experiment.  Herald prefixes reduce the state to two
-modes, and :func:`two_mode_preparations` supplies the final stage: the
+modes.  Modes that no term occupies go first, in one zero-count herald that
+fires with probability 1 and leaves the verdict alone, since the classifier
+works on the support; every branch a later herald leaves is reduced the same
+way.  :func:`two_mode_preparations` supplies the final stage: the
 heralded two-mode filters, then the quantum-erasure filter.  Each herald is
 simulated once, on the branch the earlier heralds left.  On a two-mode branch
 c_k |k, N-k> every stage is linear and fixes the ancilla counts, so it too is
@@ -285,12 +288,26 @@ def _boson_candidates(phi, live, prefix, total_modes):
     are one contraction of the branch's coefficients with
     :func:`_stage_maps`; a stage below ``HERALD_CUTOFF`` is skipped.
 
-    Enumeration order: ancilla filters with ascending ``s``, then erasure, at
-    two modes; otherwise the zero-count herald on all but the first two
-    modes, the per-count heralds on mode 1 after rotating the surviving
-    two-mode component away from it, and finally the empty-mode reduction.
+    Enumeration order: first, if any mode is empty, one zero-count herald on
+    all of them, and the search goes on with the occupied modes alone.  Then
+    ancilla filters with ascending ``s``, then erasure, at two modes;
+    otherwise the zero-count herald on all but the first two modes, the
+    per-count heralds k < N on mode 1 after rotating the surviving two-mode
+    component onto it, and finally the zero-count herald on mode 0.  Empty
+    modes are dropped on entry, so that last step is no longer the
+    empty-mode reduction: its branch keeps mode 1 beside modes 2.., which
+    every per-count branch drops.
     """
     n = phi.n_particles
+    occupied = np.logical_or.reduce(phi._occ, axis=0).tolist()
+    if not all(occupied):
+        empty = [i for i, used in enumerate(occupied) if not used]
+        chi, p_empty = herald(phi, dict.fromkeys(empty, 0))
+        zeros = tuple(Detector(live[i], 0) for i in empty)
+        rest = [mode for mode, used in zip(live, occupied) if used]
+        for pair, p, elements in _boson_candidates(chi, rest, prefix + zeros, total_modes):
+            yield pair, p_empty * p, elements
+        return
     if len(live) == 2:
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[phi._occ[:, 0]] = phi._amp
@@ -319,8 +336,6 @@ def _boson_candidates(phi, live, prefix, total_modes):
         splitter = BeamSplitter((live[0], live[1]), rot)
         rotated = evolve(phi, [((0, 1), splitter.matrix)])
         prefix += (splitter,)
-    # per-count heralds on mode 1; once all reduce to a single mode, the
-    # rotated state is forced off mode 1 entirely, so the last step drops it
     for j, k in [(1, k) for k in range(n)] + [(0, 0)]:
         try:
             branch, p_branch = herald(rotated, {j: k})

@@ -109,6 +109,23 @@ def superpose(terms):
     return fo.FockState(first.statistics, first.n_modes, amps, normalized=False).normalized()
 
 
+def state_with_empty_modes(rng):
+    """A boson state with N in 2..5 on M in 3..6 modes, some of them empty:
+    ``(state, reduced, positions)``, where ``reduced`` is a random state or
+    a superposition of two single-mode states on 2..M-1 modes, every one
+    occupied, and ``state`` is it placed on the modes ``positions``."""
+    m = int(rng.integers(3, 7))
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(2, m))
+    if rng.random() < 0.5:
+        reduced = random_state(rng, n, k)
+    else:
+        a, b = (fo.single_mode_state(random_alpha(rng, k), n) for _ in range(2))
+        reduced = superpose([(1, a), (complex(*rng.normal(size=2)), b)])
+    positions = sorted(rng.choice(m, k, replace=False).tolist())
+    return fo.embed(reduced, m, positions), reduced, positions
+
+
 def two_mode_stages(phi):
     """The witness search's two-mode stages for ``phi`` as circuits on modes
     (0, 1) with ancillas (2, 3): filters s = 0..N-2, then the erasure stage."""

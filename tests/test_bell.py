@@ -29,6 +29,7 @@ from helpers import (
     random_state,
     random_unitary,
     stage_test,
+    state_with_empty_modes,
     superpose,
     two_mode_stages,
 )
@@ -602,6 +603,73 @@ class TestFindWitness:
         }
 
 
+def relabeled(element, modes):
+    """``element`` with each mode j moved to ``modes[j]``."""
+    if isinstance(element, fo.Detector):
+        return fo.Detector(modes[element.mode], element.herald)
+    return fo.BeamSplitter(tuple(modes[j] for j in element.modes), element.matrix)
+
+
+def same_element(a, b):
+    """Equal elements, splitter matrices within 1e-12."""
+    if isinstance(a, fo.BeamSplitter):
+        return (
+            isinstance(b, fo.BeamSplitter)
+            and a.modes == b.modes
+            and np.abs(a.matrix - b.matrix).max() <= 1e-12
+        )
+    return a == b
+
+
+class TestEmptyModes:
+    """A mode that no term occupies heralds 0 with probability 1, so the
+    boson search heralds all such modes in one step and goes on with the
+    occupied modes alone."""
+
+    def test_witness_is_the_reduced_states(self):
+        # the witness of the state with its empty modes dropped, behind one
+        # zero-count detector per empty mode and moved onto the original
+        # modes and ancillas
+        rng = np.random.default_rng(2606)
+        found = 0
+        for _ in range(40):
+            state, reduced, positions = state_with_empty_modes(rng)
+            wit, expected = fo.find_witness(state), fo.find_witness(reduced)
+            assert (wit is None) == (expected is None)
+            if wit is None:
+                continue
+            found += 1
+            for field in ("chsh", "success_probability"):
+                value = getattr(expected.result, field)
+                assert abs(getattr(wit.result, field) - value) <= 4 * math.ulp(value)
+            m = state.n_modes
+            empty = sorted(set(range(m)) - set(positions))
+            modes = positions + [m, m + 1]
+            want = [fo.Detector(j, 0) for j in empty]
+            want += [relabeled(el, modes) for el in expected.circuit.elements]
+            assert wit.circuit.n_modes == m + 2
+            assert len(wit.circuit.elements) == len(want)
+            assert all(map(same_element, wit.circuit.elements, want))
+            assert abs(fo.replay_witness(state, wit) - wit.result.chsh) <= 1e-9
+        assert found >= 30
+
+    def test_empty_modes_cost_one_herald(self, monkeypatch):
+        # N = 8 on modes 3 and 5 of 6: the search's one herald drops the four
+        # empty modes, and the two-mode stages classify nothing
+        calls = dict.fromkeys(("is_single_mode_type", "herald"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(bell, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bell, name, counted)
+        state = fo.embed(random_state(np.random.default_rng(8), 8, 2), 6, (3, 5))
+        assert fo.find_witness(state) is not None
+        assert calls["is_single_mode_type"] <= 2
+        assert calls["herald"] <= 1
+
+
 # settings per party (Alice, Bob) other than two each
 SETTING_COUNTS = [(1, 1), (0, 0), (3, 3), (1, 2), (2, 3)]
 
@@ -741,12 +809,16 @@ class TestWitnessProperties:
 @st.composite
 def witness_states(draw):
     """A random boson state with M and N in 2..5, or a fermion state with
-    2 <= N <= M <= 5."""
+    2 <= N <= M <= 5, placed on M of its own M to M + 2 modes: the others
+    stay empty."""
     fermion = draw(st.booleans())
     m = draw(st.integers(2, 5))
     n = draw(st.integers(2, m if fermion else 5))
+    extra = draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_state(rng, n, m, fo.FERMION if fermion else fo.BOSON)
+    state = random_state(rng, n, m, fo.FERMION if fermion else fo.BOSON)
+    positions = sorted(rng.choice(m + extra, m, replace=False).tolist())
+    return fo.embed(state, m + extra, positions)
 
 
 class TestWitnessMatchesItsCircuit:
