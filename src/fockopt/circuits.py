@@ -4,31 +4,12 @@ A circuit is an ordered list of elements; the first element acts first.  Mode
 indices are 0-based in memory and 1-based in the JSON file format.  Detectors
 terminate their mode: no later element may touch it.
 
-Execution evolves only what the circuit reaches, in the spirit of SLOS
-(Heurtel et al., arXiv:2206.10549): compute only the part of the sector that
-the output depends on.  One plan, :func:`_execute`, serves both
-:func:`run_circuit` and :func:`detector_statistics`:
-
-* **Herald early.**  A heralded detector on a mode that no gate touches is
-  applied to the input terms before any gate; a detection commutes with gates
-  on other modes.
-* **Drop idle modes.**  A mode that is empty in every remaining term and that
-  no gate touches stays out of the evolved register.  It comes back as
-  vacuum: an output mode through ``embed``, a readout as a count of 0.
-* **Evolve, then herald late.**  The gates, re-indexed onto the kept modes,
-  run through the sector kernel of :mod:`fockopt.states`; the heralds on
-  touched modes then mask the evolved rows.  Both masks are the row mask and
-  sign rule of :func:`~fockopt.states.herald`, with no cutoff.  The amplitudes
-  are never renormalized on the way, so their squared norm is the joint
-  herald probability p_early * p_late.
-* **Fermion sign.**  No gate needs a parity change: the early-heralded
-  creation operators stand in front of the string, and a gate, a bilinear in
-  the other modes, commutes past them.  Heralding early and then late orders
-  the measured operators early block first, where one joint herald orders
-  them by mode.  The two differ by the global sign (-1)^(sum c_l c_e) over
-  late-heralded modes l below early-heralded modes e, with c the herald
-  counts; the plan applies that sign, so amplitudes keep the convention of
-  one joint herald.
+Execution runs the herald plan of :mod:`fockopt.states` (the "Herald" bullet
+of its docstring), the same plan as :func:`~fockopt.states.herald`: it
+heralds early where it can, drops idle modes and evolves only what the output
+depends on.  Both :func:`run_circuit` and :func:`detector_statistics` run it;
+a mode the plan left out comes back as vacuum, an output mode through
+``embed`` and a readout as a count of 0.
 """
 
 import math
@@ -42,24 +23,21 @@ from .errors import (
     InvalidParameter,
     NotUnitary,
     ShapeMismatch,
-    ZeroOutcome,
 )
 from .states import (
-    FERMION,
     FockState,
-    _evolve_terms,
     _file_count,
     _file_number,
+    _fired,
     _integer,
     _number,
-    _project,
+    _plan,
     _read_json,
     _write_json,
     embed,
     reck_gates,
     require_unitary,
 )
-from .tolerances import HERALD_CUTOFF
 
 _SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SWAP_MATRIX.flags.writeable = False
@@ -222,50 +200,13 @@ class Circuit:
 
 
 def _execute(state, circuit):
-    """Run ``circuit`` on ``state`` over the modes it reaches (see the module
-    docstring).
-
-    Returns ``(survivors, occ, amp)``: the undetected modes that the kernel
-    kept, ascending, and the terms on them that pass every herald.  The
-    amplitudes are not renormalized, so their squared norm is the joint herald
-    probability.  Returns None when a herald count exceeds N.
-    """
+    """The herald plan of ``circuit`` on ``state``: ``states._plan`` of its
+    gates and heralds, after checking that the mode counts agree."""
     if state.n_modes != circuit.n_modes:
         raise ShapeMismatch(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
         )
-    heralds = circuit._heralds
-    n = state.n_particles
-    # a count above N never fires and would not fit the integer comparison
-    if any(c > n for c in heralds.values()):
-        return None
-    fermionic = state.statistics is FERMION
-    gates = _kernel_gates(circuit.elements)
-    touched = {m for modes, _ in gates for m in modes}
-    early = sorted(m for m in heralds if m not in touched)
-    late = sorted(m for m in heralds if m in touched)
-    occ, amp = _project(
-        state._occ, state._amp, early, [heralds[m] for m in early], fermionic
-    )
-    left = [m for m in range(state.n_modes) if m not in early]
-    busy = occ.any(axis=0).tolist()
-    keep = [i for i, m in enumerate(left) if busy[i] or m in touched]
-    kept = [left[i] for i in keep]
-    if len(kept) < state.n_modes:
-        # re-index the terms and the gates onto the kept modes
-        occ = occ.take(keep, axis=1)
-        local = {m: i for i, m in enumerate(kept)}
-        gates = [(tuple(local[m] for m in modes), value) for modes, value in gates]
-    # with no term left the early counts may even sum past N: nothing to evolve
-    if len(amp):
-        n_kept = n - sum(heralds[m] for m in early)
-        occ, amp = _evolve_terms(fermionic, len(kept), n_kept, occ, amp, gates)
-    occ, amp = _project(
-        occ, amp, [kept.index(m) for m in late], [heralds[m] for m in late], fermionic
-    )
-    if fermionic and sum(heralds[e] * heralds[l] for e in early for l in late if l < e) % 2:
-        amp = -amp
-    return [m for m in kept if m not in heralds], occ, amp
+    return _plan(state, _kernel_gates(circuit.elements), circuit._heralds)
 
 
 def run_circuit(state, circuit):
@@ -273,9 +214,8 @@ def run_circuit(state, circuit):
 
     Every detector must carry a herald count.  The probability is that of the
     joint herald; ZeroOutcome is raised when it is below ``HERALD_CUTOFF``.
-    Heralds on modes no gate touches are applied before the gates, the others
-    after them, and output modes the kernel left out come back as vacuum
-    (see the module docstring).
+    Without heralds it is exactly 1.  Output modes the plan left out come back
+    as vacuum (see the module docstring).
     """
     if circuit.readout_modes:
         raise InvalidCircuit(
@@ -287,24 +227,15 @@ def run_circuit(state, circuit):
         raise ShapeMismatch("heralding away every mode leaves no state")
     heralds = circuit._heralds
     reached = _execute(state, circuit)
-    if reached is None:
-        raise ZeroOutcome(f"herald {heralds} cannot fire on {state.n_particles} particles")
-    survivors, occ, amp = reached
-    prob = 1.0
     if heralds:
-        prob = float(np.vdot(amp, amp).real)
-        if prob < HERALD_CUTOFF:
-            raise ZeroOutcome(f"herald {heralds} fires with probability {prob:.3e}")
-        amp = amp / math.sqrt(prob)
-    out = FockState._trusted(
-        state.statistics,
-        len(survivors),
-        state.n_particles - sum(heralds.values()),
-        occ,
-        amp,
-    )
-    if len(survivors) < len(outputs):
-        out = embed(out, len(outputs), [outputs.index(m) for m in survivors])
+        out, prob = _fired(state, heralds, reached)
+    else:
+        # nothing is measured: no renormalization, and p is 1 exactly
+        survivors, occ, amp = reached
+        out = FockState._trusted(state.statistics, len(survivors), state.n_particles, occ, amp)
+        prob = 1.0
+    if out.n_modes < len(outputs):
+        out = embed(out, len(outputs), [outputs.index(m) for m in reached[0]])
     return out, prob
 
 

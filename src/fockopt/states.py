@@ -38,11 +38,37 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   modes and M phases, and runs those through the kernel.  The loop reads each
   pivot pair as two Python numbers and rotates only the columns from the
   pivot's on, so a rotation costs one small matrix product.
-* **Herald.**  A row mask on the state's own terms, not on the sector, so
-  its cost follows the number of terms; dropping the measured columns leaves
-  the smaller state's occupations.  The fermion sign of pulling the measured
-  creation operators to the front is the parity of the unmeasured particles
-  below each measured one.
+* **Herald.**  One plan, :func:`_plan`, runs heralds and gates together: it
+  serves :func:`herald`, the plan with no gates, and the circuits of
+  :mod:`fockopt.circuits`.  It evolves only what the output depends on, in
+  the spirit of SLOS:
+
+  - *Projection.*  A herald is a row mask on the terms, not on the sector,
+    so its cost follows the number of terms; dropping the measured columns
+    leaves the smaller state's occupations.  The fermion sign of pulling the
+    measured creation operators to the front is the parity of the unmeasured
+    particles below each measured one.
+  - *Herald early.*  A herald on a mode that no gate touches masks the input
+    terms before any gate; a detection commutes with gates on other modes.
+  - *Drop idle modes.*  When there are gates and terms, a mode that is empty
+    in every remaining term and that no gate touches stays out of the
+    evolved register, and the gates are re-indexed onto the kept modes.  The
+    caller brings such a mode back as vacuum.
+  - *Evolve, then herald late.*  The gates run through the sector kernel;
+    the heralds on touched modes then mask the evolved rows.  The amplitudes
+    are not renormalized on the way, so their squared norm is the joint
+    herald probability p_early * p_late.
+  - *Fermion order.*  No gate needs a parity change: the early-heralded
+    creation operators stand in front of the string, and a gate, a bilinear
+    in the other modes, commutes past them.  Heralding early and then late
+    orders the measured operators early block first, where one joint herald
+    orders them by mode.  The two differ by the global sign
+    (-1)^(sum c_l c_e) over late-heralded modes l below early-heralded modes
+    e, with c the herald counts; the plan applies it, so amplitudes keep the
+    convention of one joint herald.
+  - *Fire.*  :func:`_fired` turns the plan's terms into the renormalized
+    state and its probability, or raises ZeroOutcome below
+    ``HERALD_CUTOFF``.
 """
 
 import cmath
@@ -229,10 +255,10 @@ def _statistics(value):
 
 def _number(value, what, kind=complex):
     """``value`` as a Python ``kind``, complex or float.  InvalidParameter
-    for text, which the builtin would parse; for a complex value where a
-    float is asked, whose imaginary part numpy would drop; and where the
-    builtin raises."""
-    wrong = (str, bytes) if kind is complex else (str, bytes, complex, np.complexfloating)
+    for a bool, which the builtin would read as 0 or 1; for text, which it
+    would parse; for a complex value where a float is asked, whose imaginary
+    part numpy would drop; and where the builtin raises."""
+    wrong = (str, bytes, bool, np.bool_) + ((complex, np.complexfloating) if kind is float else ())
     if not isinstance(value, wrong):
         try:
             return kind(value)
@@ -242,18 +268,20 @@ def _number(value, what, kind=complex):
 
 
 def _complex_array(values, what):
-    """``values`` as a complex array: InvalidParameter for text, which numpy
-    would parse, for None, which numpy casts to nan, and where numpy raises a
-    bare error, for an entry that is not a number or for ragged nesting."""
+    """``values`` as a complex array: InvalidParameter for booleans, which
+    numpy casts to 0 and 1, for text, which numpy would parse, for None, which
+    numpy casts to nan, and where numpy raises a bare error, for an entry that
+    is not a number or for ragged nesting."""
     try:
         a = np.asarray(values)
         if a.dtype.kind == "O" and any(x is None for x in a.flat):
             raise InvalidParameter(f"{what} must be an array of numbers, got None in {values!r}")
-        if a.dtype.kind not in "SU":
+        if a.dtype.kind not in "SUb":
             return a.astype(complex, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"{what} must be an array of numbers: {exc}") from exc
-    raise InvalidParameter(f"{what} must be an array of numbers, got text {values!r}")
+    got = "booleans" if a.dtype.kind == "b" else "text"
+    raise InvalidParameter(f"{what} must be an array of numbers, got {got} {values!r}")
 
 
 def require_unitary(u):
@@ -577,6 +605,62 @@ def _project(occ, amp, measured, counts, fermionic):
     return occ.take([j for j in range(occ.shape[1]) if j not in measured], axis=1), amp
 
 
+def _plan(state, gates, heralds):
+    """Run kernel ``gates`` and the ``heralds`` (mode -> count) on ``state``
+    over the modes the output depends on (see the module docstring).
+
+    Returns ``(survivors, occ, amp)``: the unmeasured modes that the plan
+    kept, ascending, and the terms on them that pass every herald.  The
+    amplitudes are not renormalized, so their squared norm is the joint herald
+    probability.  Returns None when a count lies outside 0..N.
+    """
+    n = state.n_particles
+    # such a count never fires and would not fit the integer comparison
+    if not all(0 <= c <= n for c in heralds.values()):
+        return None
+    fermionic = state.statistics is FERMION
+    touched = {m for modes, _ in gates for m in modes}
+    early = sorted(m for m in heralds if m not in touched)
+    late = sorted(m for m in heralds if m in touched)
+    occ, amp = _project(state._occ, state._amp, early, [heralds[m] for m in early], fermionic)
+    kept = [m for m in range(state.n_modes) if m not in early]
+    # without gates, or with no term left (whose early counts may even sum
+    # past N), there is nothing to evolve and no mode to drop
+    if gates and len(amp):
+        busy = occ.any(axis=0).tolist()
+        keep = [i for i, m in enumerate(kept) if busy[i] or m in touched]
+        kept = [kept[i] for i in keep]
+        if len(kept) < state.n_modes:
+            # re-index the terms and the gates onto the kept modes
+            occ = occ.take(keep, axis=1)
+            local = {m: i for i, m in enumerate(kept)}
+            gates = [(tuple(local[m] for m in modes), value) for modes, value in gates]
+        n_kept = n - sum(heralds[m] for m in early)
+        occ, amp = _evolve_terms(fermionic, len(kept), n_kept, occ, amp, gates)
+    occ, amp = _project(
+        occ, amp, [kept.index(m) for m in late], [heralds[m] for m in late], fermionic
+    )
+    if fermionic and sum(heralds[e] * heralds[l] for e in early for l in late if l < e) % 2:
+        amp = -amp
+    return [m for m in kept if m not in heralds], occ, amp
+
+
+def _fired(state, heralds, reached):
+    """The heralded state on the survivors of ``reached``, a :func:`_plan`
+    result, and its probability; ZeroOutcome when the heralds cannot fire or
+    fire below ``HERALD_CUTOFF``."""
+    if reached is None:
+        raise ZeroOutcome(f"herald {heralds} cannot fire on {state.n_particles} particles")
+    survivors, occ, amp = reached
+    prob = float(np.vdot(amp, amp).real)
+    if prob < HERALD_CUTOFF:
+        raise ZeroOutcome(f"herald {heralds} fires with probability {prob:.3e}")
+    # the kept terms are a rescaled subset of pruned ones, so none is dust
+    n = state.n_particles - sum(heralds.values())
+    out = FockState._trusted(state.statistics, len(survivors), n, occ, amp / math.sqrt(prob))
+    return out, prob
+
+
 def herald(state, required_counts):
     """Condition on exact detector counts: ``required_counts`` maps each
     measured mode to its count.
@@ -590,27 +674,12 @@ def herald(state, required_counts):
         _integer(k, "measured mode"): _integer(v, "herald count")
         for k, v in required_counts.items()
     }
-    measured = sorted(required)
-    for m in measured:
+    for m in sorted(required):
         if not 0 <= m < state.n_modes:
             raise ShapeMismatch(f"measured mode {m} out of range")
-    if len(measured) >= state.n_modes:
+    if len(required) >= state.n_modes:
         raise ShapeMismatch("heralding away every mode leaves no state")
-    n = state.n_particles
-    if not all(0 <= required[m] <= n for m in measured):
-        # never fires; the counts are compared as machine integers below
-        raise ZeroOutcome(f"herald {required} cannot fire on {n} particles")
-    counts = [required[m] for m in measured]
-    rest, kept = _project(
-        state._occ, state._amp, measured, counts, state.statistics is FERMION
-    )
-    prob = float(np.vdot(kept, kept).real)
-    if prob < HERALD_CUTOFF:
-        raise ZeroOutcome(f"herald {required} fires with probability {prob:.3e}")
-    # the kept terms are a rescaled subset of pruned ones, so none is dust
-    kept = kept / math.sqrt(prob)
-    remaining = state.n_modes - len(measured)
-    return FockState._trusted(state.statistics, remaining, n - sum(counts), rest, kept), prob
+    return _fired(state, required, _plan(state, (), required))
 
 
 def embed(state, n_modes, positions):

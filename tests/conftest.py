@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -7,24 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-_CRITERION_RE = re.compile(r"test_criterion_(\d+)")
-_criterion_results = {}
-
-
-def pytest_runtest_logreport(report):
-    match = _CRITERION_RE.search(report.nodeid)
-    if match and report.when == "call":
-        _criterion_results[int(match.group(1))] = (report.outcome, report.nodeid)
-
-
-def pytest_terminal_summary(terminalreporter):
-    if not _criterion_results:
-        return
-    terminalreporter.section("acceptance criteria")
-    for num in sorted(_criterion_results):
-        outcome, nodeid = _criterion_results[num]
-        status = "PASS" if outcome == "passed" else "FAIL"
-        name = nodeid.split("::")[-1]
-        terminalreporter.write_line(f"{status} criterion {num}: {name}")

@@ -445,11 +445,6 @@ def is_product(chi, tol=1e-9):
     return abs(np.linalg.det(chi.amplitudes.reshape(2, 2))) < tol
 
 
-def state_from_occupation_map(amps, statistics=fo.BOSON):
-    m = len(next(iter(amps)))
-    return fo.FockState(statistics, m, amps)
-
-
 def assert_states_close(a, b, atol=1e-9):
     """Phase-insensitive state comparison."""
     assert a.n_modes == b.n_modes and a.n_particles == b.n_particles

@@ -540,8 +540,7 @@ class TestFindWitness:
         # the splitter map is built through the kernel once, on first use
         bell._splitter_map(fo.BOSON)
         with monkeypatch.context() as patch:
-            for module in (fo.states, fo.circuits):
-                patch.setattr(module, "_evolve_terms", refuse)
+            patch.setattr(fo.states, "_evolve_terms", refuse)
             wit = fo.find_witness(state)
         first = next(fo.two_mode_preparations(40, (0, 1), (2, 3)))
         assert repr(wit.circuit) == repr(fo.Circuit(4, first))
@@ -550,6 +549,30 @@ class TestFindWitness:
         assert abs(wit.result.success_probability - p) <= 1e-12 * p
         # replay runs the whole circuit through the kernel
         assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
+
+    @pytest.mark.parametrize(
+        "alpha, n, other, weight, p",
+        [
+            ([0.6, 0.8], 2, (0, 1, 1), 1.0, 0.0225),
+            ([0.6, 0.8j], 3, (1, 1, 1), 0.7, 0.01894228187919462),
+        ],
+    )
+    def test_single_mode_zero_branch_is_rotated(self, alpha, n, other, weight, p):
+        # heralding mode 2 empty leaves the single-mode branch of alpha, so
+        # the search rotates that mode onto mode 1 before the per-count
+        # heralds on it: the witness starts with the rotation, which takes
+        # the branch to |0, N>
+        state = superpose(
+            [(1, fo.single_mode_state(alpha + [0], n)), (weight, fo.make_number_state(other))]
+        )
+        wit = fo.find_witness(state)
+        rot = wit.circuit.elements[0]
+        assert isinstance(rot, fo.BeamSplitter) and rot.modes == (0, 1)
+        branch = fo.states.evolve(fo.single_mode_state(alpha, n), [((0, 1), rot.matrix)])
+        assert abs(abs(branch.amplitude((0, n))) - 1.0) < 1e-12
+        assert abs(wit.result.chsh - CHSH_TSIRELSON) < 1e-12
+        assert abs(wit.result.success_probability - p) < 1e-12 * p
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-12
 
     def test_single_particle_no_witness(self, rng):
         assert fo.find_witness(random_state(rng, 1, 3)) is None
@@ -763,6 +786,33 @@ class TestReplay:
             replayed = fo.replay_witness(state, wit)
             assert abs(replayed - oracle_replay_witness(state, wit)) <= 1e-12
             assert abs(replayed - wit.result.chsh) <= SETTINGS_CHECK_TOL
+
+    def test_single_mode_states_stay_local(self):
+        # the paper's local half: a single-mode state stays (b^dag)^N under
+        # passive optics and heralds, so one particle per party leaves a
+        # product state, and no witness circuit violates on it.  A herald
+        # that never fires may skip a replay, never most of them.
+        rng = np.random.default_rng(2404)
+        replays = 0
+        for i in range(60):
+            n, m = (int(k) for k in rng.integers(2, 5, size=2))
+            if i % 2:
+                state = random_state(rng, n, m)
+            else:
+                a, b = (fo.single_mode_state(random_alpha(rng, m), n) for _ in range(2))
+                state = superpose([(1, a), (0.3, b)])
+            wit = fo.find_witness(state)
+            if wit is None:
+                continue
+            for _ in range(3):
+                local = fo.single_mode_state(random_alpha(rng, m), n)
+                try:
+                    chsh = fo.replay_witness(local, wit)
+                except ZeroOutcome:
+                    continue
+                assert chsh <= 2.0 + VIOLATION_MARGIN
+                replays += 1
+        assert replays >= 150
 
     def test_rejects_a_state_the_circuit_does_not_fit(self, monkeypatch):
         # the witness of a three-particle state heralds one particle; on four

@@ -153,16 +153,15 @@ def test_every_top_level_name_is_used():
 
 
 def test_one_evolution_kernel():
-    # the sector kernel and its herald mask have their callers in states.py
-    # and in the circuit plan of circuits.py: no other module imports or
-    # names them
+    # the sector kernel and its herald mask have their callers in states.py,
+    # the herald plan among them: no other module imports or names them
     found = []
     for path, tree in _parsed_sources():
-        if path.name in ("states.py", "circuits.py"):
+        if path.name == "states.py":
             continue
         kernel = _names(tree) & {"_evolve_terms", "_project"}
         found += [f"{path.name}: {name}" for name in sorted(kernel)]
-    assert not found, f"the kernel reached outside states.py and circuits.py: {found}"
+    assert not found, f"the kernel reached outside states.py: {found}"
 
 
 def test_block_cache_stays_in_the_kernel():

@@ -64,13 +64,28 @@ _PAIR = fo.make_number_state((1, 1))
         pytest.param(lambda: fo.FockState("anyon", 2, {(1, 1): 1}), id="statistics-anyon"),
         pytest.param(lambda: fo.single_mode_state([1, 0], 2, "anyon"), id="single-mode-anyon"),
         pytest.param(lambda: fo.is_single_mode_type(_PAIR, tol="x"), id="tolerance-text"),
+        pytest.param(lambda: fo.PhaseShifter(0, True), id="phase-bool"),
+        pytest.param(lambda: fo.FockState("boson", 1, {(1,): True}), id="amplitude-bool"),
+        pytest.param(
+            lambda: fo.FockState("boson", 1, {(1,): np.True_}), id="amplitude-numpy-bool"
+        ),
+        pytest.param(
+            lambda: fo.BeamSplitter((0, 1), [[True, False], [False, True]]), id="splitter-bool"
+        ),
+        pytest.param(lambda: fo.EpistemicSpec([True], 1), id="epistemic-bool"),
+        pytest.param(lambda: fo.single_mode_state([True, False], 2), id="single-mode-bool"),
     ],
 )
 def test_wrongly_typed_numbers_raise_invalid_parameter(call):
     # numpy and the builtins raise a bare ValueError or TypeError here, parse
-    # text, or drop an imaginary part
+    # text, drop an imaginary part, or read a bool as 0 or 1
     with pytest.raises(InvalidParameter):
         call()
+
+
+def test_boolean_array_is_named_in_the_error():
+    with pytest.raises(InvalidParameter, match="got booleans"):
+        fo.single_mode_state([True, False], 2)
 
 
 class TestFockState:
