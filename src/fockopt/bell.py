@@ -32,12 +32,16 @@ the circuit elements.  The search post-selects each pair through the
 splitter map and builds a circuit for the witness it returns alone.
 
 :func:`replay_witness` re-runs a finished experiment through circuits and the
-kernel alone, none of the maps above: the preparation, then all four setting
-pairs in one switched circuit on 8 modes, where balanced beam splitters copy
-each party's rail pair onto a second station (Alice's (0, 2) onto (4, 5),
-Bob's (3, 1) onto (6, 7)) and setting a sits on station a, as in a Bell test
-with passive basis choice.  Each correlator is normalized by its own readout
-patterns, so the weight 1/4 of a pair of stations cancels.
+kernel alone, none of the maps above: the preparation circuit, then all four
+setting pairs in one switched stage on 8 modes, where balanced beam splitters
+copy each party's rail pair onto a second station (Alice's (0, 2) onto
+(4, 5), Bob's (3, 1) onto (6, 7)) and setting a sits on station a, as in a
+Bell test with passive basis choice.  The fixed part of that stage is one
+circuit, validated and compiled once; the kernel runs its gates and the four
+setting gates, and the readout patterns are read off the output amplitudes:
+a full readout without heralds is the output itself.  Each correlator is
+normalized by its own patterns, so the weight 1/4 of a pair of stations
+cancels.
 """
 
 import functools
@@ -54,7 +58,6 @@ from .circuits import (
     _matrix_to_json,
     circuit_from_dict,
     circuit_to_dict,
-    detector_statistics,
     hadamard,
     run_circuit,
     yurke_stoler_circuit,
@@ -333,9 +336,8 @@ def _boson_candidates(phi, live, prefix, total_modes):
             return
         u1, u2 = verdict.alpha
         rot = np.array([[u2.conjugate(), -u1.conjugate()], [u1, u2]]).conj().T
-        splitter = BeamSplitter((live[0], live[1]), rot)
-        rotated = evolve(phi, [((0, 1), splitter.matrix)])
-        prefix += (splitter,)
+        rotated = evolve(phi, [((0, 1), rot)])
+        prefix += (BeamSplitter((live[0], live[1]), rot),)
     for j, k in [(1, k) for k in range(n)] + [(0, 0)]:
         try:
             branch, p_branch = herald(rotated, {j: k})
@@ -455,16 +457,16 @@ def _settings(result):
     return bases
 
 
-# replay's stations: each party's rail pair and the pair it is copied onto;
-# its fixed elements are the splitter stage and the balanced beam splitters
-# that copy each rail onto its second station
+# replay's stations: each party's rail pair and the pair it is copied onto
 _STATIONS = ((ALICE_RAILS, (4, 5)), (BOB_RAILS, (6, 7)))
-_SWITCH = yurke_stoler_circuit().elements + tuple(
+# the fixed part of replay's switched stage, validated and compiled once: the
+# splitter stage, then the balanced beam splitters that copy each rail onto
+# its second station
+_SWITCH = Circuit(8, yurke_stoler_circuit().elements + tuple(
     BeamSplitter._trusted((rail, copy), hadamard())
     for first, second in _STATIONS
     for rail, copy in zip(first, second)
-)
-_READOUT = tuple(Detector(m) for m in range(8))
+))
 # replay's readout pattern of outcome (i, j) under settings (a, b), in that
 # index order: Alice's particle on rail i of her station a, Bob's on rail j of
 # his station b
@@ -478,22 +480,26 @@ _PATTERNS = [
 
 
 def replay_witness(state, experiment):
-    """Re-run a witness through circuits alone and return the CHSH value.
+    """Re-run a witness through circuits and the kernel and return the CHSH
+    value.
 
     The settings are checked once (shape and unitarity) and the preparation
-    circuit runs on the state once; ShapeMismatch unless it leaves two
-    particles on two modes.  All four setting pairs then run in one switched
-    circuit on 8 modes, as a Bell test with passive basis choice does: the
-    pair enters modes (0, 1), the splitter stage follows, and one balanced
-    beam splitter per rail copies each party's rail pair onto a second
-    station, Alice's (0, 2) onto (4, 5) and Bob's (3, 1) onto (6, 7).
-    Setting a is a beam splitter on Alice's station a carrying the conjugated
+    circuit runs on the state once, through ``run_circuit``; ShapeMismatch
+    unless it leaves two particles on two modes.  All four setting pairs then
+    run in one switched stage on 8 modes, as a Bell test with passive basis
+    choice does: the pair enters modes (0, 1), the splitter stage follows,
+    and one balanced beam splitter per rail copies each party's rail pair
+    onto a second station, Alice's (0, 2) onto (4, 5) and Bob's (3, 1) onto
+    (6, 7).  That fixed part is the circuit ``_SWITCH``, compiled once.
+    Setting a is a two-mode gate on Alice's station a carrying the conjugated
     basis matrix, setting b likewise on Bob's station b; after it a particle
-    on the pair's first rail means the basis's first outcome.  One readout of
-    the 8 modes gives correlator (a, b) from the patterns with Alice's
-    particle in station a and Bob's in station b.  Those patterns carry the
-    stations' weight 1/4, which cancels: :func:`_chsh`, the rule ``chsh_max``
-    checks its value with, divides each correlator by the sum of its patterns.
+    on the pair's first rail means the basis's first outcome.  The kernel
+    runs the switch's gates, then the four settings, and the squared output
+    amplitudes are the readout of the 8 modes: correlator (a, b) comes from
+    the patterns with Alice's particle in station a and Bob's in station b.
+    Those patterns carry the stations' weight 1/4, which cancels:
+    :func:`_chsh`, the rule ``chsh_max`` checks its value with, divides each
+    correlator by the sum of its patterns.
     """
     bases = _settings(experiment.result).conj()
     circuit = experiment.circuit
@@ -503,10 +509,6 @@ def replay_witness(state, experiment):
             f"the witness circuit leaves {prepared.n_particles} particles on "
             f"{prepared.n_modes} modes, not two on two"
         )
-    settings = tuple(
-        BeamSplitter._trusted(rails, basis)
-        for rails, basis in zip(_STATIONS[0] + _STATIONS[1], bases)
-    )
-    switched = Circuit(8, _SWITCH + settings + _READOUT)
-    dist = detector_statistics(embed(prepared, 8, (0, 1)), switched).distribution
-    return _chsh(np.reshape([dist.get(k, 0.0) for k in _PATTERNS], (2, 2, 2, 2)))
+    settings = tuple(zip(_STATIONS[0] + _STATIONS[1], bases))
+    amps = dict(evolve(embed(prepared, 8, (0, 1)), _SWITCH._gates + settings).items())
+    return _chsh(np.reshape([abs(amps.get(k, 0j)) ** 2 for k in _PATTERNS], (2, 2, 2, 2)))

@@ -2,7 +2,9 @@
 
 A circuit is an ordered list of elements; the first element acts first.  Mode
 indices are 0-based in memory and 1-based in the JSON file format.  Detectors
-terminate their mode: no later element may touch it.
+terminate their mode: no later element may touch it.  A circuit is compiled
+when it is built: the loop that checks its elements also collects its heralds
+and its kernel gates, and no executor converts elements again.
 
 Execution runs the herald plan of :mod:`fockopt.states` (the "Herald" bullet
 of its docstring), the same plan as :func:`~fockopt.states.herald`: it
@@ -129,28 +131,19 @@ def element_modes(element):
     return (element.mode,)
 
 
-def _kernel_gates(elements):
-    """The gates among ``elements`` in the form ``states.evolve`` takes."""
-    gates = []
-    for el in elements:
-        if isinstance(el, BeamSplitter):
-            gates.append((el.modes, el.matrix))
-        elif isinstance(el, Swap):
-            gates.append((el.modes, _SWAP_MATRIX))
-        elif isinstance(el, PhaseShifter):
-            gates.append(((el.mode,), el.phi))
-    return gates
-
-
 class Circuit:
     """Ordered optical elements on a fixed number of modes.
 
-    The detector views are computed once, when the circuit is built:
+    The views are computed once, in the one loop that checks the elements:
     ``readout_modes`` holds the modes of the unheralded detectors in element
-    order and ``output_modes`` the undetected modes, ascending.
+    order and ``output_modes`` the undetected modes, ascending.  The private
+    ``_heralds`` maps each heralded mode to its count, and ``_gates`` holds
+    the kernel gates of the other elements in element order, in the form
+    :func:`~fockopt.states.evolve` takes: the circuit is compiled once and
+    every run reads it.
     """
 
-    __slots__ = ("n_modes", "elements", "readout_modes", "output_modes", "_heralds")
+    __slots__ = ("n_modes", "elements", "readout_modes", "output_modes", "_heralds", "_gates")
 
     def __init__(self, n_modes, elements=()):
         n_modes = _integer(n_modes, "mode count")
@@ -160,6 +153,7 @@ class Circuit:
         readout = []
         detected = set()
         heralds = {}
+        gates = []
         for el in elements:
             if not isinstance(el, (BeamSplitter, PhaseShifter, Swap, Detector)):
                 raise InvalidCircuit(f"not a circuit element: {el!r}")
@@ -174,6 +168,10 @@ class Circuit:
                     readout.append(el.mode)
                 else:
                     heralds[el.mode] = el.herald
+            elif isinstance(el, PhaseShifter):
+                gates.append(((el.mode,), el.phi))
+            else:
+                gates.append((el.modes, _SWAP_MATRIX if isinstance(el, Swap) else el.matrix))
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "readout_modes", tuple(readout))
@@ -181,6 +179,7 @@ class Circuit:
             self, "output_modes", tuple(m for m in range(n_modes) if m not in detected)
         )
         object.__setattr__(self, "_heralds", heralds)
+        object.__setattr__(self, "_gates", tuple(gates))
 
     def __setattr__(self, name, value):
         raise AttributeError("Circuit is immutable")
@@ -201,12 +200,12 @@ class Circuit:
 
 def _execute(state, circuit):
     """The herald plan of ``circuit`` on ``state``: ``states._plan`` of its
-    gates and heralds, after checking that the mode counts agree."""
+    compiled gates and heralds, after checking that the mode counts agree."""
     if state.n_modes != circuit.n_modes:
         raise ShapeMismatch(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
         )
-    return _plan(state, _kernel_gates(circuit.elements), circuit._heralds)
+    return _plan(state, circuit._gates, circuit._heralds)
 
 
 def run_circuit(state, circuit):

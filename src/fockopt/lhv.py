@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _kernel_gates, detector_statistics
+from .circuits import detector_statistics
 from .classify import single_mode_state
 from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
 from .states import _complex_array, _integer
@@ -93,7 +93,7 @@ def _splits(alpha, circuit):
     """
     amps = np.array(alpha, dtype=complex)
     splits = []
-    for modes, value in _kernel_gates(circuit.elements):
+    for modes, value in circuit._gates:
         if len(modes) == 1:
             amps[modes[0]] *= cmath.exp(1j * value)
             continue

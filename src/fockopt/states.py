@@ -428,12 +428,6 @@ def _pair_blocks(n_modes, n_particles, fermionic, s, t):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=SECTOR_CACHE)
-def _number_scale(n):
-    f = np.sqrt(_floats(math.factorial(k) * math.factorial(n - k) for k in range(n + 1)))
-    return _read_only(f[:, None] / f[None, :])
-
-
 @functools.lru_cache(maxsize=PAIR_CACHE)
 def _symmetric_powers(g_bytes, n_max):
     """Boson blocks of the gate with bytes ``g_bytes``: its action on
@@ -457,7 +451,8 @@ def _symmetric_powers(g_bytes, n_max):
         nxt[:-1, -1] = g[0, 1] * c[:, -1]
         nxt[1:, -1] += g[0, 0] * c[:, -1]
         c = nxt
-        out.append(_read_only(c * _number_scale(n)))
+        f = np.sqrt(_floats(math.factorial(k) * math.factorial(n - k) for k in range(n + 1)))
+        out.append(_read_only(c * (f[:, None] / f[None, :])))
     return tuple(out)
 
 
@@ -477,10 +472,8 @@ def _evolve_terms(fermionic, m, n, occ, amp, gates):
     The terms are scattered into the dense sector vector, each gate acts on
     it block by block, and the significant entries come back as
     :func:`_sector_terms`.  The amplitudes need not have unit norm; the
-    kernel is linear.  Without gates the terms come back unchanged.
+    kernel is linear.
     """
-    if not gates:
-        return occ, amp
     sector = _sector(m, n, fermionic)[0]
     vec = np.zeros(len(sector), dtype=complex)
     vec[_ranks(m, n, fermionic, occ)] = amp

@@ -153,6 +153,11 @@ class TestProductCondition:
         with pytest.raises(InvalidParameter):
             fo.TwoQubitState([math.nan, 0, 0, 0])
 
+    @pytest.mark.parametrize("amplitudes", [[1, 0, 0], [1, 0, 0, 0, 0], [[1, 0], [0, 0]]])
+    def test_other_than_four_amplitudes_rejected(self, amplitudes):
+        with pytest.raises(ShapeMismatch):
+            fo.TwoQubitState(amplitudes)
+
     def test_single_mode_relation(self, rng):
         # beta^2 = 2*alpha*gamma makes the post-selected state factorize
         u1, u2 = random_alpha(rng, 2)
@@ -574,6 +579,27 @@ class TestFindWitness:
         assert abs(wit.result.success_probability - p) < 1e-12 * p
         assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-12
 
+    def test_heralds_that_never_fire_are_skipped(self, monkeypatch):
+        # the top-level herald of mode 1 at count 0 leaves |1, 1, 2> on modes
+        # 0, 2 and 3.  There the rest herald {2: 0} never fires, so the branch
+        # has no verdict, and the per-count herald {1: 0} never fires either
+        # and is skipped before {1: 1} gives the witness
+        state = fo.FockState(fo.BOSON, 4, {(0, 4, 0, 0): 0.8, (1, 0, 1, 2): 0.6})
+        raised = []
+
+        def counting(phi, required):
+            try:
+                return fo.herald(phi, required)
+            except ZeroOutcome:
+                raised.append((phi.n_modes, dict(required)))
+                raise
+
+        monkeypatch.setattr(bell, "herald", counting)
+        wit = fo.find_witness(state)
+        assert raised == [(3, {2: 0}), (3, {1: 0})]
+        assert abs(wit.result.chsh - CHSH_TSIRELSON) < 1e-12
+        assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
+
     def test_single_particle_no_witness(self, rng):
         assert fo.find_witness(random_state(rng, 1, 3)) is None
 
@@ -762,7 +788,8 @@ class TestReplaySettings:
 
 
 class TestReplay:
-    """Replay runs all four setting pairs in one switched circuit."""
+    """Replay runs all four setting pairs in one switched stage: the compiled
+    switch's gates and the four setting gates, through the kernel."""
 
     def test_matches_one_run_per_setting_pair(self):
         # random states and unitarily rotated ones (the image of a number
@@ -823,7 +850,7 @@ class TestReplay:
 
         wit = fo.find_witness(fo.FockState(fo.BOSON, 3, {(2, 1, 0): 0.6, (0, 1, 2): 0.8}))
         other = fo.FockState(fo.BOSON, 3, {(3, 1, 0): 0.6, (0, 1, 3): 0.8})
-        monkeypatch.setattr(bell, "detector_statistics", refuse)
+        monkeypatch.setattr(bell, "evolve", refuse)
         with pytest.raises(ShapeMismatch):
             fo.replay_witness(other, wit)
 

@@ -24,6 +24,7 @@ from helpers import (
     circuit_unitary,
     fidelity,
     oracle_detector_statistics,
+    oracle_gates,
     oracle_run_circuit,
     random_state,
     random_unitary,
@@ -68,6 +69,37 @@ class TestRunCircuit:
     def test_gate_on_detected_mode_rejected(self):
         with pytest.raises(InvalidCircuit):
             fo.Circuit(2, [fo.Detector(0, 0), fo.PhaseShifter(0, 0.3)])
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: fo.BeamSplitter((0, 1), np.eye(3)), ShapeMismatch),
+            (lambda: fo.BeamSplitter((0, 1), np.ones((1, 1))), ShapeMismatch),
+            (lambda: fo.Detector(1, -1), InvalidParameter),
+            (lambda: fo.Circuit(0), InvalidCircuit),
+            (lambda: fo.Circuit(2, [fo.Swap((0, 2))]), InvalidCircuit),
+            (lambda: fo.Circuit(2, [fo.PhaseShifter(-1, 0.3)]), InvalidCircuit),
+            (lambda: fo.Circuit(2, [fo.Detector(2, 0)]), InvalidCircuit),
+        ],
+        ids=[
+            "splitter-3x3",
+            "splitter-1x1",
+            "negative-herald",
+            "no-modes",
+            "swap-out-of-range",
+            "phase-negative-mode",
+            "detector-out-of-range",
+        ],
+    )
+    def test_invalid_element_or_circuit_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    @pytest.mark.parametrize("run", [fo.run_circuit, fo.detector_statistics])
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_state_of_other_mode_count_rejected(self, run, n_modes):
+        with pytest.raises(ShapeMismatch, match=f"state has 2 modes, circuit {n_modes}"):
+            run(fo.make_number_state((1, 1)), fo.Circuit(n_modes))
 
     def test_unheralded_detector_rejected_by_run(self):
         circuit = fo.Circuit(2, [fo.Detector(0)])
@@ -531,6 +563,18 @@ class TestDetectorViews:
             assert circuit.readout_modes == tuple(d.mode for d in detectors if d.herald is None)
             detected = {d.mode for d in detectors}
             assert circuit.output_modes == tuple(j for j in range(m) if j not in detected)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_compiled_gates_match_the_elements(self, m, seed):
+        # the gates compiled once, when the circuit is built, equal the
+        # gates read off the elements' public fields
+        circuit = random_circuit(np.random.default_rng(seed), m)
+        compiled, expected = circuit._gates, oracle_gates(circuit)
+        assert type(compiled) is tuple and len(compiled) == len(expected)
+        for (modes, value), (want_modes, want) in zip(compiled, expected):
+            assert modes == want_modes
+            np.testing.assert_array_equal(value, want)
 
     def test_heralds_are_a_fresh_dict(self):
         circuit = fo.Circuit(3, [fo.Detector(2, 1), fo.Detector(0)])

@@ -175,6 +175,12 @@ class TestClassify:
         path.write_text('{"statistics": "boson",')
         assert main(["classify", str(path)]) == 2
 
+    def test_vacuum_has_no_alpha(self, tmp_path, capsys):
+        code = main(["classify", state_file(tmp_path, fo.make_number_state((0, 0, 0)))])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["SINGLE-MODE-TYPE", "alpha: undefined (vacuum)"]
+
 
 class TestEvolve:
     def test_runs_circuit_exits_0(self, tmp_path, capsys, generic, mesh):
@@ -188,6 +194,29 @@ class TestEvolve:
         assert abs(payload["probability"] - prob) < 1e-12
         out = fo.state_from_dict(payload["state"])
         assert abs(fidelity(out, expected) - 1.0) < 1e-12
+
+    def test_table_prints_the_output_terms(self, tmp_path, capsys, generic, mesh):
+        circuit = mesh.extended([fo.Detector(2, 1)])
+        code = main(["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected, prob = fo.run_circuit(generic, circuit)
+        assert lines[0] == f"herald probability: {prob:.12g}"
+        assert lines[1:] == [
+            f"  {occ}: {amp.real:.12g}{amp.imag:+.12g}j" for occ, amp in sorted(expected.items())
+        ]
+
+    def test_state_on_fewer_modes_is_padded_with_vacuum(self, tmp_path, capsys, generic, mesh):
+        # a 3-mode state on a 4-mode circuit enters modes 1..3, vacuum on 4
+        circuit = fo.Circuit(4, mesh.elements + (fo.BeamSplitter((2, 3)), fo.Detector(3, 0)))
+        code = main(
+            ["evolve", state_file(tmp_path, generic), circuit_file(tmp_path, circuit), "--format", "json"]
+        )
+        assert code == 0
+        payload = printed_json(capsys)
+        expected, prob = fo.run_circuit(fo.embed(generic, 4, range(3)), circuit)
+        assert abs(payload["probability"] - prob) < 1e-12
+        assert abs(fidelity(fo.state_from_dict(payload["state"]), expected) - 1.0) < 1e-12
 
     def test_readout_circuit_json_exits_0(self, tmp_path, capsys, generic, mesh):
         circuit = mesh.extended([fo.Detector(0, 1), fo.Detector(2), fo.Detector(1)])
@@ -375,6 +404,29 @@ class TestLhvCompare:
 
     def test_tiny_support_entry_exits_0(self, tmp_path, mesh):
         assert self.lhv(str(FAULTY_SINGLE), circuit_file(tmp_path, readout(mesh))) == 0
+
+    def test_vacuum_exits_0(self, tmp_path, capsys, mesh):
+        # the vacuum has no alpha; any unit vector describes it
+        vacuum = state_file(tmp_path, fo.make_number_state((0, 0, 0)))
+        code = self.lhv(vacuum, circuit_file(tmp_path, readout(mesh)), "--format", "json")
+        assert code == 0
+        payload = printed_json(capsys)
+        assert payload["passed"] and payload["accepted"] == int(SHOTS)
+        assert [row["outcome"] for row in payload["rows"]] == [[0, 0, 0]]
+
+    def test_csv_format_exits_0(self, tmp_path, capsys, single, mesh):
+        argv = [state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
+        assert self.lhv(*argv, "--format", "json") == 0
+        report = printed_json(capsys)
+        assert self.lhv(*argv, "--format", "csv") == 0
+        header, *lines = capsys.readouterr().out.strip().splitlines()
+        fields = ("quantum_prob", "lhv_freq", "stderr", "z_score")
+        assert header == ",".join(("outcome",) + fields)
+        assert len(lines) == len(report["rows"])
+        for line, row in zip(lines, report["rows"]):
+            label, *numbers = line.split(",")
+            assert label == " ".join(map(str, row["outcome"]))
+            assert [float(x) for x in numbers] == [row[k] for k in fields]
 
     def test_herald_that_never_fires_exits_10(self, tmp_path, capsys, single, mesh):
         # no shot is accepted on either side: nothing was tested, so no PASS

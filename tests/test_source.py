@@ -267,6 +267,16 @@ def test_candidates_build_no_circuit():
     assert not found, f"candidate generators build or run circuits: {found}"
 
 
+def test_replay_builds_no_circuit():
+    # the switched stage is compiled once, at import: a replay runs the
+    # preparation circuit it is given, then the kernel on the compiled
+    # switch's gates, and builds or reads out no circuit of its own
+    definitions = dict(_definitions(ast.parse((SOURCE / "bell.py").read_text(encoding="utf-8"))))
+    names = set(_references(definitions["replay_witness"]))
+    found = sorted(names & {"Circuit", "BeamSplitter", "detector_statistics"})
+    assert not found, f"replay_witness builds or reads out a circuit: {found}"
+
+
 def test_integers_are_checked_not_truncated():
     # int(2.7) is 2: a count, mode, seed or particle number passed in by a
     # caller goes through states._integer, which rejects non-integral values.

@@ -115,6 +115,20 @@ class TestFockState:
         with pytest.raises(InvalidParameter):
             fo.FockState(fo.BOSON, n_modes, {(1, 1): 1.0})
 
+    @pytest.mark.parametrize(
+        "n_modes, terms, error",
+        [(0, {}, ShapeMismatch), (2, {(2, -1): 1.0}, InvalidOccupation)],
+        ids=["no-modes", "negative-occupation"],
+    )
+    def test_invalid_shape_or_occupation_rejected(self, n_modes, terms, error):
+        with pytest.raises(error):
+            fo.FockState(fo.BOSON, n_modes, terms)
+
+    def test_numerically_zero_state_does_not_normalize(self):
+        tiny = fo.FockState(fo.BOSON, 2, {(1, 0): 1e-13}, normalized=False)
+        with pytest.raises(ZeroState):
+            tiny.normalized()
+
     def test_integral_numbers_accepted(self):
         s = fo.FockState(fo.BOSON, np.int64(2), {(np.int32(1), 1.0): 1.0})
         assert s.n_modes == 2 and type(s.n_modes) is int
@@ -133,6 +147,9 @@ class TestFockState:
         assert s.occupations() == set(terms)
         for occ in basis:
             assert s.amplitude(occ) == terms.get(occ, 0j)
+        # an occupation of another length names no basis state
+        assert s.amplitude(basis[0] + (0,)) == 0j
+        assert s.amplitude(basis[0][1:]) == 0j
 
     def test_terms_are_read_only(self, rng):
         s = random_state(rng, 2, 3, fo.FERMION)
@@ -446,7 +463,7 @@ class TestTwoParticleBlocks:
     @pytest.mark.parametrize("statistics", STATS)
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_replay_needs_no_cache_on_two_particles(self, monkeypatch, rng, statistics, n):
-        # replay's switched circuit holds two particles; a boson witness of
+        # replay's switched stage holds two particles; a boson witness of
         # N >= 3 prepares its pair on the N-particle sector, which keeps the
         # cache, and fermions never use it
         state = random_state(rng, n, 4, statistics)
@@ -734,6 +751,15 @@ class TestEmbedAndOverlap:
         # truncating [0, 1.7] would silently place mode 1 at 1
         with pytest.raises(InvalidParameter):
             fo.embed(fo.make_number_state((1, 0)), n_modes, positions)
+
+    @pytest.mark.parametrize(
+        "positions",
+        [[0], [0, 1, 2], [1, 0], [1, 1], [-1, 1], [0, 3]],
+        ids=["too-few", "too-many", "decreasing", "repeated", "negative", "past-the-end"],
+    )
+    def test_bad_positions_rejected(self, positions):
+        with pytest.raises(ShapeMismatch):
+            fo.embed(fo.make_number_state((1, 0)), 3, positions)
 
     def test_integral_float_embedding_accepted(self):
         wide = fo.embed(fo.make_number_state((1, 0)), 3.0, [0.0, np.int64(2)])
