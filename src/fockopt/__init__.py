@@ -47,7 +47,6 @@ from .errors import (
     InvalidOccupation,
     InvalidParameter,
     NotUnitary,
-    PauliForbidden,
     ShapeMismatch,
     ZeroOutcome,
     ZeroState,

@@ -64,9 +64,7 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import (
-    InvalidFile,
     InvalidParameter,
-    NotUnitary,
     ShapeMismatch,
     ZeroOutcome,
 )
@@ -74,6 +72,7 @@ from .states import (
     FERMION,
     SECTOR_CACHE,
     _complex_array,
+    _decoding,
     _file_number,
     _ranks,
     _read_only,
@@ -82,6 +81,7 @@ from .states import (
     evolve,
     herald,
     make_number_state,
+    require_unitary,
 )
 from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
 
@@ -276,10 +276,6 @@ class WitnessExperiment:
     circuit: Circuit
     result: BellTestResult
 
-    @property
-    def heralds(self):
-        return self.circuit.heralds
-
 
 def _boson_candidates(phi, live, prefix, total_modes):
     """Candidates for a NOT-SINGLE-MODE boson state, so N >= 2, on
@@ -419,28 +415,22 @@ def witness_to_dict(experiment):
 def witness_from_dict(data):
     """Inverse of :func:`witness_to_dict`; InvalidFile unless each party has
     exactly two unitary 2x2 settings."""
-    try:
+    with _decoding("witness description"):
         circuit = circuit_from_dict(data["circuit"])
-        settings_a = tuple(_matrix_from_json(b) for b in data["settings"]["party_A"])
-        settings_b = tuple(_matrix_from_json(b) for b in data["settings"]["party_B"])
-        chsh = _file_number(data["chsh"])
-        prob = _file_number(data["success_probability"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidFile(f"malformed witness description: {exc}") from exc
-    result = BellTestResult(
-        chsh=chsh, settings_a=settings_a, settings_b=settings_b, success_probability=prob
-    )
-    try:
+        result = BellTestResult(
+            chsh=_file_number(data["chsh"]),
+            settings_a=tuple(_matrix_from_json(b) for b in data["settings"]["party_A"]),
+            settings_b=tuple(_matrix_from_json(b) for b in data["settings"]["party_B"]),
+            success_probability=_file_number(data["success_probability"]),
+        )
         _settings(result)
-    except (InvalidParameter, NotUnitary, ShapeMismatch) as exc:
-        raise InvalidFile(f"invalid witness settings: {exc}") from exc
     return WitnessExperiment(circuit=circuit, result=result)
 
 
 def _settings(result):
     """The settings of ``result``, Alice's two then Bob's two, as one checked
-    (4, 2, 2) array: ShapeMismatch for any other shape, InvalidParameter for
-    a non-numeric entry, NotUnitary for a non-finite or non-unitary one."""
+    (4, 2, 2) array: ShapeMismatch for any other shape, and the errors of
+    :func:`fockopt.states.require_unitary` for the stack."""
     parties = [
         [_complex_array(b, "a setting") for b in party]
         for party in (result.settings_a, result.settings_b)
@@ -448,13 +438,7 @@ def _settings(result):
     shapes = [[m.shape for m in party] for party in parties]
     if shapes != [[(2, 2), (2, 2)]] * 2:
         raise ShapeMismatch(f"expected two 2x2 settings per party, got shapes {shapes}")
-    bases = np.stack(parties[0] + parties[1])
-    if not np.isfinite(bases).all():
-        raise NotUnitary("a setting has non-finite entries")
-    dev = np.abs(bases.conj().transpose(0, 2, 1) @ bases - np.eye(2)).max()
-    if dev > NORM_TOL:
-        raise NotUnitary(f"a setting deviates from unitarity by {dev:.3e}")
-    return bases
+    return require_unitary(np.stack(parties[0] + parties[1]))
 
 
 # replay's stations: each party's rail pair and the pair it is copied onto

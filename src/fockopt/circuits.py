@@ -23,11 +23,11 @@ from .errors import (
     InvalidCircuit,
     InvalidFile,
     InvalidParameter,
-    NotUnitary,
     ShapeMismatch,
 )
 from .states import (
     FockState,
+    _decoding,
     _file_count,
     _file_number,
     _fired,
@@ -283,6 +283,8 @@ def reck_decompose(u):
     recover ``u``.
     """
     u = require_unitary(u)
+    if u.ndim != 2:
+        raise ShapeMismatch(f"expected a square matrix, got shape {u.shape}")
     return Circuit(
         u.shape[0],
         [
@@ -366,7 +368,7 @@ def circuit_to_dict(circuit):
 
 
 def circuit_from_dict(data):
-    try:
+    with _decoding("circuit description"):
         n_modes = _file_count(data["modes"])
         elements = []
         for entry in data["elements"]:
@@ -393,17 +395,10 @@ def circuit_from_dict(data):
                 raise InvalidFile(f"unknown element type {kind!r}")
         circuit = Circuit(n_modes, elements)
         declared = data.get("outputs")
-        if declared is not None:
-            declared = sorted(_file_count(x) for x in declared)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InvalidFile(f"malformed circuit description: {exc}") from exc
-    except (InvalidCircuit, NotUnitary, ShapeMismatch, InvalidParameter) as exc:
-        raise InvalidFile(f"invalid circuit content: {exc}") from exc
-    if declared is not None:
         actual = [m + 1 for m in circuit.output_modes]
-        if declared != actual:
+        if declared is not None and sorted(_file_count(x) for x in declared) != actual:
             raise InvalidFile(
-                f"declared outputs {data['outputs']} disagree with undetected modes {actual}"
+                f"declared outputs {declared} disagree with undetected modes {actual}"
             )
     return circuit
 

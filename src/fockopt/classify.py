@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, PauliForbidden, ShapeMismatch
+from .errors import InvalidParameter, ShapeMismatch
 from .states import (
     BOSON,
     FERMION,
@@ -26,7 +26,6 @@ from .states import (
     _ranks,
     _read_only,
     _sector,
-    _statistics,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -48,19 +47,15 @@ def _fit_rows(n_modes, n_particles, fermionic):
     return _read_only(fit.diagonal().copy()), _read_only(fit)
 
 
-def single_mode_state(alpha, n_particles, statistics=BOSON):
-    """Product-form state for amplitude vector ``alpha`` and N particles.
+def single_mode_state(alpha, n_particles):
+    """Product-form boson state for amplitude vector ``alpha`` and N particles.
 
-    Only bosons admit N >= 2 here; a fermion request raises PauliForbidden.
     ``alpha`` is normalized internally and must be finite.
     """
     alpha = _complex_array(alpha, "alpha")
-    statistics = _statistics(statistics)
     n = _integer(n_particles, "particle number")
     if n < 0:
         raise InvalidParameter(f"particle number must be >= 0, got {n}")
-    if statistics is FERMION and n >= 2:
-        raise PauliForbidden("no multi-particle fermion state fits in one mode")
     if not np.isfinite(alpha).all():
         raise InvalidParameter("alpha must be finite")
     # divided by its largest real or imaginary part first, so that neither
@@ -71,9 +66,9 @@ def single_mode_state(alpha, n_particles, statistics=BOSON):
     alpha = alpha / peak
     alpha = alpha / np.linalg.norm(alpha)
     m = alpha.shape[0]
-    occ, sqrt_multinomial = _sector(m, n, statistics is FERMION)
+    occ, sqrt_multinomial = _sector(m, n, False)
     amps = _product_form(alpha, occ, sqrt_multinomial)
-    return FockState._from_vector(statistics, m, n, amps)
+    return FockState._from_vector(BOSON, m, n, amps)
 
 
 @dataclass

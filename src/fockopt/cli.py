@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 for success (violation found, test
 passed, classification positive), 10 for a negative result, 11 when the
 input state fails a by-construction precondition (no hidden-variable model
-exists for it), and 2 for malformed input.
+exists for it), and 2 for malformed input: an unreadable file, or a file
+that is malformed in any way, be it not JSON, not UTF-8, nested too deep,
+missing a field, or holding a number past the float range.
 """
 
 import argparse
@@ -29,9 +31,10 @@ from .circuits import (
     save_circuit,
 )
 from .classify import is_single_mode_type
-from .errors import FockoptError, InvalidFile, InvalidParameter, ZeroOutcome
+from .errors import FockoptError, InvalidParameter, ZeroOutcome
 from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
 from .states import (
+    _decoding,
     _read_json,
     _write_json,
     embed,
@@ -57,10 +60,8 @@ def _print_json(payload):
 
 def _load_unitary(path):
     data = _read_json(path)
-    try:
+    with _decoding("unitary description"):
         return _matrix_from_json(data["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidFile(f"malformed unitary description: {exc}") from exc
 
 
 def _cmd_classify(args):
@@ -192,7 +193,7 @@ def _cmd_witness(args):
     else:
         print(f"chsh: {_fmt(experiment.result.chsh)}")
         print(f"success probability: {_fmt(experiment.result.success_probability)}")
-        print(f"heralds: { {m + 1: c for m, c in sorted(experiment.heralds.items())} }")
+        print(f"heralds: { {m + 1: c for m, c in sorted(experiment.circuit.heralds.items())} }")
         print(f"witness written to {args.output}")
     return EXIT_OK
 

@@ -33,16 +33,12 @@ class InvalidParameter(FockoptError):
     """Parameter outside its documented range."""
 
 
-class PauliForbidden(FockoptError):
-    """Requested a multi-particle single-mode fermion state."""
-
-
 class DegenerateAmplitude(FockoptError):
     """Hidden-variable beam splitter hit vanishing amplitudes with particles present."""
 
 
 class InvalidFile(FockoptError):
-    """Malformed state/circuit/unitary file.
+    """Malformed state, circuit, unitary or witness file.
 
     ``line`` and ``column`` are set when the underlying JSON parse failed.
     """

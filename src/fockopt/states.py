@@ -72,6 +72,7 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
 """
 
 import cmath
+import contextlib
 import functools
 import itertools
 import json
@@ -82,6 +83,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    FockoptError,
     InvalidFile,
     InvalidOccupation,
     InvalidParameter,
@@ -119,7 +121,10 @@ class FockState:
     __slots__ = ("statistics", "n_modes", "n_particles", "_occ", "_amp")
 
     def __init__(self, statistics, n_modes, amplitudes, normalized=True):
-        statistics = _statistics(statistics)
+        try:
+            statistics = Statistics(statistics)
+        except ValueError as exc:
+            raise InvalidParameter(f"statistics must be boson or fermion: {exc}") from exc
         n_modes = _integer(n_modes, "mode count")
         if n_modes < 1:
             raise ShapeMismatch("a state needs at least one mode")
@@ -244,15 +249,6 @@ def _integer(value, what):
     return k
 
 
-def _statistics(value):
-    """``value`` as a Statistics member: InvalidParameter for anything else,
-    where the Enum raises a bare ValueError."""
-    try:
-        return Statistics(value)
-    except ValueError as exc:
-        raise InvalidParameter(f"statistics must be boson or fermion: {exc}") from exc
-
-
 def _number(value, what, kind=complex):
     """``value`` as a Python ``kind``, complex or float.  InvalidParameter
     for a bool, which the builtin would read as 0 or 1; for text, which it
@@ -285,13 +281,16 @@ def _complex_array(values, what):
 
 
 def require_unitary(u):
-    """Validate ``u`` as a square unitary matrix; return it as complex ndarray."""
+    """Validate ``u`` as a square unitary matrix, or a stack ``(..., n, n)``
+    of them; return it as complex ndarray.  InvalidParameter for entries that
+    are not numbers, ShapeMismatch for any other shape, NotUnitary for a
+    non-finite entry or a matrix off unitarity by more than ``NORM_TOL``."""
     u = _complex_array(u, "a unitary")
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NotUnitary("matrix has non-finite entries")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    dev = np.abs(u.swapaxes(-1, -2).conj() @ u - np.eye(u.shape[-1])).max()
     if dev > NORM_TOL:
         raise NotUnitary(f"matrix deviates from unitarity by {dev:.3e}")
     return u
@@ -571,8 +570,8 @@ def apply_mode_unitary(state, u):
     """
     u = require_unitary(u)
     m = state.n_modes
-    if u.shape[0] != m:
-        raise ShapeMismatch(f"unitary is {u.shape[0]}x{u.shape[0]}, state has {m} modes")
+    if u.shape != (m, m):
+        raise ShapeMismatch(f"unitary has shape {u.shape}, state has {m} modes")
     return evolve(state, reck_gates(u))
 
 
@@ -697,6 +696,10 @@ def embed(state, n_modes, positions):
 # ---------------------------------------------------------------------------
 # state files: {"statistics": "boson"|"fermion", "modes": M,
 #               "terms": [{"occ": [n1..nM], "re": x, "im": y}, ...]}
+#
+# Every input file (state, circuit, unitary, witness) is parsed by _read_json
+# and decoded by its reader inside _decoding, the one rule for what makes a
+# file malformed.  A malformed file raises InvalidFile and nothing else.
 # ---------------------------------------------------------------------------
 
 def state_to_dict(state):
@@ -722,9 +725,22 @@ def _file_count(value):
     return _integer(_file_number(value), "count")
 
 
-def state_from_dict(data):
+@contextlib.contextmanager
+def _decoding(what):
+    """Decode a JSON document inside this block: a missing key, a wrong type
+    or value, an index past the end, a number past the float range (Python
+    reads any JSON integer) or a FockoptError of the content becomes
+    ``InvalidFile("invalid <what>: ...")``.  An InvalidFile passes through."""
     try:
-        statistics = Statistics(data["statistics"])
+        yield
+    except InvalidFile:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, FockoptError) as exc:
+        raise InvalidFile(f"invalid {what}: {exc}") from exc
+
+
+def state_from_dict(data):
+    with _decoding("state description"):
         n_modes = _file_count(data["modes"])
         amps = {}
         for term in data["terms"]:
@@ -732,12 +748,7 @@ def state_from_dict(data):
             amps[occ] = amps.get(occ, 0j) + complex(
                 _file_number(term["re"]), _file_number(term.get("im", 0.0))
             )
-    except (KeyError, TypeError, ValueError, OverflowError, InvalidParameter) as exc:
-        raise InvalidFile(f"malformed state description: {exc}") from exc
-    try:
-        raw = FockState(statistics, n_modes, amps, normalized=False)
-    except (InvalidOccupation, ShapeMismatch, ZeroState) as exc:
-        raise InvalidFile(f"invalid state content: {exc}") from exc
+        raw = FockState(data["statistics"], n_modes, amps, normalized=False)
     if abs(raw.norm - 1.0) > FILE_NORM_TOL:
         warnings.warn(
             f"state file norm {raw.norm:.9g} deviates from 1; renormalizing",
@@ -747,16 +758,18 @@ def state_from_dict(data):
 
 
 def _read_json(path):
-    """The JSON document in ``path``; a parse error is ``InvalidFile`` with
-    its line and column."""
+    """The JSON document in ``path``: InvalidFile for text that is not UTF-8,
+    nesting past the recursion limit, or a parse error, which carries its
+    line and column."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidFile(
-            f"JSON parse error: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
+        try:
+            return json.loads(fh.read())
+        except json.JSONDecodeError as exc:
+            raise InvalidFile(
+                f"JSON parse error: {exc.msg}", line=exc.lineno, column=exc.colno
+            ) from exc
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise InvalidFile(f"unreadable JSON: {exc}") from exc
 
 
 def load_state(path):

@@ -142,7 +142,10 @@ class TestProductCondition:
         assert not is_product(chi)
 
     def test_basis_product(self):
-        assert is_product(fo.TwoQubitState([1, 0, 0, 0]))
+        chi = fo.TwoQubitState([1, 0, 0, 0])
+        assert is_product(chi)
+        with pytest.raises(AttributeError, match="immutable"):
+            chi.amplitudes = np.zeros(4)
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -530,7 +533,7 @@ class TestFindWitness:
         with pytest.raises(ZeroOutcome):
             fo.herald(state, {0: 0, 1: 0})
         wit = fo.find_witness(state)
-        assert wit.heralds == {2: 0, 3: 0}
+        assert wit.circuit.heralds == {2: 0, 3: 0}
         assert abs(wit.result.chsh - CHSH_TSIRELSON) < 1e-9
         assert abs(fo.replay_witness(state, wit) - wit.result.chsh) < 1e-9
 
@@ -864,7 +867,9 @@ def small_states(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     statistics = fo.FERMION if fermion else fo.BOSON
     if draw(st.booleans()) and (n == 1 or not fermion):
-        return fo.single_mode_state(random_alpha(rng, m), n, statistics)
+        single = fo.single_mode_state(random_alpha(rng, m), n)
+        # one particle has the same amplitudes under either statistics
+        return fo.FockState(statistics, m, dict(single.items())) if fermion else single
     return random_state(rng, n, m, statistics)
 
 

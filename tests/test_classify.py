@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockopt as fo
-from fockopt.errors import InvalidParameter, PauliForbidden, ShapeMismatch
+from fockopt.errors import InvalidParameter, ShapeMismatch
 from helpers import (
     boson_occupations,
     detection_distribution,
@@ -38,16 +38,6 @@ class TestSingleModeState:
         s = fo.single_mode_state((1 / SQ2, 1j / SQ2), 1)
         assert abs(s.amplitude((1, 0)) - 1 / SQ2) < 1e-12
         assert abs(s.amplitude((0, 1)) - 1j / SQ2) < 1e-12
-
-    def test_fermion_multi_particle_forbidden(self):
-        with pytest.raises(PauliForbidden):
-            fo.single_mode_state((1 / SQ2, 1 / SQ2), 2, fo.FERMION)
-
-    def test_statistics_by_name(self):
-        # read as FockState reads it, not taken for bosons
-        with pytest.raises(PauliForbidden):
-            fo.single_mode_state((1 / SQ2, 1 / SQ2), 2, "fermion")
-        assert fo.single_mode_state((1, 0), 2, "boson").statistics is fo.BOSON
 
     def test_zero_particles_is_vacuum(self):
         s = fo.single_mode_state((0.6, 0.8j), 0)
@@ -88,10 +78,6 @@ class TestSingleModeState:
         # truncating 2.7 would silently give N = 2
         with pytest.raises(InvalidParameter):
             fo.single_mode_state((1.0, 1.0), n)
-
-    def test_fermion_single_particle_allowed(self):
-        s = fo.single_mode_state((0.6, 0.8), 1, fo.FERMION)
-        assert abs(s.amplitude((0, 1)) - 0.8) < 1e-12
 
     def test_matches_evolved_reference(self, rng):
         # same state via explicit evolution of |N,0,...,0>

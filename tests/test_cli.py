@@ -3,7 +3,7 @@
 Exit codes: 0 success, 10 negative result, 11 failed precondition, 2 malformed
 input.  Files are written under ``tmp_path``; the committed inputs used are
 the benchmark's single-mode state with a tiny amplitude entry and, mutated,
-every benchmark input in the exit-code fuzz.
+every benchmark input in the exit-code fuzz and the malformed-file tests.
 """
 
 import json
@@ -517,7 +517,7 @@ class TestDecompose:
 
 
 FUZZ_INPUTS = ("single", "generic", "pair", "herald_circuit", "readout_circuit", "unitary")
-FUZZ_VALUES = (math.nan, 1.9, True, "x", [1], 1e308)
+FUZZ_VALUES = (math.nan, 1.9, True, "x", [1], 1e308, 10**400)
 
 
 def json_paths(node, path=()):
@@ -575,3 +575,83 @@ class TestExitCodeFuzz:
             warnings.simplefilter("ignore")
             for argv in invocations:
                 assert main(argv) in (0, 2, 10, 11), argv
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    parent = doc
+    for step in parents:
+        parent = parent[step]
+    parent[key] = value
+    return doc
+
+
+def numbers(doc):
+    """Paths to the numbers of ``doc``; a bool is not a number here."""
+    for path in json_paths(doc):
+        value = doc
+        for step in path:
+            value = value[step]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path
+
+
+@pytest.fixture(scope="module")
+def witness_document():
+    state = fo.load_state(INPUTS / "generic.json")
+    return json.loads(json.dumps(fo.witness_to_dict(fo.find_witness(state))))
+
+
+class TestMalformedFiles:
+    """The four readers raise InvalidFile for every malformed document, and
+    every subcommand exits 2 on every input file it cannot parse."""
+
+    @pytest.mark.parametrize(
+        "name", ["generic", "herald_circuit", "readout_circuit", "unitary", "witness"]
+    )
+    def test_numbers_past_the_float_range(self, tmp_path, witness_document, name):
+        # Python reads any JSON integer; 10**400 overflows a float
+        readers = {
+            "generic": fo.state_from_dict,
+            "herald_circuit": fo.circuit_from_dict,
+            "readout_circuit": fo.circuit_from_dict,
+            "unitary": lambda doc: cli._load_unitary(write(tmp_path, "u.json", doc)),
+            "witness": fo.witness_from_dict,
+        }
+        if name == "witness":
+            doc = witness_document
+        else:
+            doc = json.loads((INPUTS / f"{name}.json").read_text())
+        # the reader does not read the parties: the rails are fixed
+        paths = [path for path in numbers(doc) if path[0] != "parties"]
+        assert len(paths) > 30
+        for path in paths:
+            with pytest.raises(fo.InvalidFile):
+                readers[name](replaced(doc, path, 10**400))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+            pytest.param('{"statistics": "bos\u00e9on"}'.encode("latin-1"), id="not-utf-8"),
+        ],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        state = str(INPUTS / "single.json")
+        circuit = str(INPUTS / "readout_circuit.json")
+        for argv in (
+            ["classify", bad],
+            ["evolve", bad, circuit],
+            ["evolve", state, bad],
+            ["ys-test", bad],
+            ["witness", bad],
+            ["lhv-compare", bad, circuit],
+            ["lhv-compare", state, bad],
+            ["decompose", bad],
+        ):
+            assert main([str(arg) for arg in argv]) == 2, argv
+            assert "input error" in capsys.readouterr().err, argv

@@ -39,8 +39,8 @@ def _parsed_sources():
 def test_library_errors_are_fockopt_errors():
     # the CLI maps FockoptError to its exit codes; a ValueError or an
     # AssertionError escapes as exit 1.  The file-number reader raises
-    # ValueError on purpose: the state, circuit and unitary readers turn it
-    # into InvalidFile.
+    # ValueError on purpose: every reader decodes inside states._decoding,
+    # which turns it into InvalidFile.
     allowed = {("_file_number", "ValueError")}
     found = []
     for path, tree in _parsed_sources():
@@ -275,6 +275,41 @@ def test_replay_builds_no_circuit():
     names = set(_references(definitions["replay_witness"]))
     found = sorted(names & {"Circuit", "BeamSplitter", "detector_statistics"})
     assert not found, f"replay_witness builds or reads out a circuit: {found}"
+
+
+def test_one_decoder_for_every_file():
+    # what makes a file malformed is decided in one place: every reader
+    # decodes inside states._decoding and catches nothing itself,
+    # states._read_json is the one JSON parser, and the witness settings
+    # leave unitarity to states.require_unitary
+    readers = {
+        "states.py": "state_from_dict",
+        "circuits.py": "circuit_from_dict",
+        "bell.py": "witness_from_dict",
+        "cli.py": "_load_unitary",
+    }
+    trees = dict(_parsed_sources())
+    definitions = {path.name: dict(_definitions(tree)) for path, tree in trees.items()}
+    found = []
+    for file, name in readers.items():
+        nodes = list(ast.walk(definitions[file][name]))
+        if any(isinstance(node, ast.Try) for node in nodes):
+            found.append(f"{file}: {name} has a try statement")
+        if not any(
+            isinstance(node, ast.With)
+            and any(_calls_to(item.context_expr, "_decoding") for item in node.items)
+            for node in nodes
+        ):
+            found.append(f"{file}: {name} decodes outside _decoding")
+    if "require_unitary" not in set(_references(definitions["bell.py"]["_settings"])):
+        found.append("bell.py: _settings checks unitarity itself")
+    found += [
+        f"{path.name}:{node.lineno} JSON parsed in {function}"
+        for path, tree in trees.items()
+        for function, node in _function_nodes(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "loads" and function != "_read_json"
+    ]
+    assert not found, f"files decoded outside the one decoder: {found}"
 
 
 def test_integers_are_checked_not_truncated():

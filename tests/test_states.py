@@ -62,7 +62,6 @@ _PAIR = fo.make_number_state((1, 1))
         pytest.param(lambda: fo.PhaseShifter(0, np.complex128(1j)), id="phase-numpy-complex"),
         pytest.param(lambda: fo.FockState("boson", 2, {(1, 1): "a"}), id="amplitude-text"),
         pytest.param(lambda: fo.FockState("anyon", 2, {(1, 1): 1}), id="statistics-anyon"),
-        pytest.param(lambda: fo.single_mode_state([1, 0], 2, "anyon"), id="single-mode-anyon"),
         pytest.param(lambda: fo.is_single_mode_type(_PAIR, tol="x"), id="tolerance-text"),
         pytest.param(lambda: fo.PhaseShifter(0, True), id="phase-bool"),
         pytest.param(lambda: fo.FockState("boson", 1, {(1,): True}), id="amplitude-bool"),
@@ -166,6 +165,7 @@ class TestMakeNumberState:
         s = fo.make_number_state((2, 0))
         assert s.amplitude((2, 0)) == 1.0
         assert s.n_particles == 2 and s.n_modes == 2
+        assert repr(s) == "FockState(boson, N=2, M=2, {(2, 0): 1+0j})"
 
     def test_fermion_basis_state(self):
         s = fo.make_number_state((1, 1), fo.FERMION)
@@ -243,6 +243,12 @@ class TestApplyModeUnitary:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeMismatch):
             fo.apply_mode_unitary(fo.make_number_state((1, 1)), np.eye(3))
+        # require_unitary accepts a stack of unitaries; a mode unitary is one
+        stack = np.stack([np.eye(2)] * 2)
+        with pytest.raises(ShapeMismatch):
+            fo.apply_mode_unitary(fo.make_number_state((1, 1)), stack)
+        with pytest.raises(ShapeMismatch):
+            fo.reck_decompose(stack)
 
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
