@@ -64,6 +64,7 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import (
+    InvalidFile,
     InvalidParameter,
     ShapeMismatch,
     ZeroOutcome,
@@ -73,7 +74,8 @@ from .states import (
     SECTOR_CACHE,
     _complex_array,
     _decoding,
-    _file_number,
+    _integer,
+    _number,
     _ranks,
     _read_only,
     _sector,
@@ -106,9 +108,7 @@ class TwoQubitState:
         # written so that a NaN norm fails it too
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise InvalidParameter("two-qubit amplitudes must be finite and normalized")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _read_only(amps.copy()))
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoQubitState is immutable")
@@ -394,15 +394,17 @@ def find_witness(state):
     return None
 
 
+def _parties():
+    """The rail assignment of a witness file, 1-based: the fixed rails."""
+    return {"alice": [m + 1 for m in ALICE_RAILS], "bob": [m + 1 for m in BOB_RAILS]}
+
+
 def witness_to_dict(experiment):
     """Serialize prep circuit, rail assignment, settings, and CHSH value."""
     res = experiment.result
     return {
         "circuit": circuit_to_dict(experiment.circuit),
-        "parties": {
-            "alice": [m + 1 for m in ALICE_RAILS],
-            "bob": [m + 1 for m in BOB_RAILS],
-        },
+        "parties": _parties(),
         "settings": {
             "party_A": [_matrix_to_json(b) for b in res.settings_a],
             "party_B": [_matrix_to_json(b) for b in res.settings_b],
@@ -414,14 +416,19 @@ def witness_to_dict(experiment):
 
 def witness_from_dict(data):
     """Inverse of :func:`witness_to_dict`; InvalidFile unless each party has
-    exactly two unitary 2x2 settings."""
+    exactly two unitary 2x2 settings and the parties hold the fixed rails,
+    since replay applies the settings to those."""
     with _decoding("witness description"):
+        parties = data["parties"]
+        rails = {party: [_integer(m, "rail") for m in parties[party]] for party in parties}
+        if rails != _parties():
+            raise InvalidFile(f"parties must hold the rails {_parties()}, got {parties!r}")
         circuit = circuit_from_dict(data["circuit"])
         result = BellTestResult(
-            chsh=_file_number(data["chsh"]),
+            chsh=_number(data["chsh"], "CHSH value", float),
             settings_a=tuple(_matrix_from_json(b) for b in data["settings"]["party_A"]),
             settings_b=tuple(_matrix_from_json(b) for b in data["settings"]["party_B"]),
-            success_probability=_file_number(data["success_probability"]),
+            success_probability=_number(data["success_probability"], "probability", float),
         )
         _settings(result)
     return WitnessExperiment(circuit=circuit, result=result)

@@ -22,27 +22,27 @@ import numpy as np
 from .errors import (
     InvalidCircuit,
     InvalidFile,
-    InvalidParameter,
     ShapeMismatch,
 )
 from .states import (
     FockState,
     _decoding,
-    _file_count,
-    _file_number,
     _fired,
     _integer,
     _number,
     _plan,
     _read_json,
+    _read_only,
     _write_json,
     embed,
     reck_gates,
     require_unitary,
 )
 
-_SWAP_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SWAP_MATRIX.flags.writeable = False
+# the widest circuit: a register is listed mode by mode, so a mode count read
+# from a file must not reach the size of memory
+MAX_MODES = 2**16
+_SWAP_MATRIX = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
 def hadamard():
@@ -69,9 +69,7 @@ class BeamSplitter:
         m = require_unitary(self.matrix)
         if m.shape != (2, 2):
             raise ShapeMismatch("beam splitter matrix must be 2x2")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(m.copy()))
 
     @classmethod
     def _trusted(cls, modes, matrix):
@@ -79,8 +77,7 @@ class BeamSplitter:
         modes are checked, the matrix is neither checked nor copied."""
         bs = object.__new__(cls)
         object.__setattr__(bs, "modes", _check_pair(modes))
-        matrix.flags.writeable = False
-        object.__setattr__(bs, "matrix", matrix)
+        object.__setattr__(bs, "matrix", _read_only(matrix))
         return bs
 
 
@@ -90,11 +87,8 @@ class PhaseShifter:
     phi: float
 
     def __post_init__(self):
-        phi = _number(self.phi, "phase", float)
-        if not math.isfinite(phi):
-            raise InvalidParameter(f"phase must be finite, got {phi!r}")
         object.__setattr__(self, "mode", _integer(self.mode, "mode"))
-        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
+        object.__setattr__(self, "phi", _number(self.phi, "phase", float) % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -119,10 +113,7 @@ class Detector:
     def __post_init__(self):
         object.__setattr__(self, "mode", _integer(self.mode, "mode"))
         if self.herald is not None:
-            h = _integer(self.herald, "herald count")
-            if h < 0:
-                raise InvalidParameter("herald count must be >= 0")
-            object.__setattr__(self, "herald", h)
+            object.__setattr__(self, "herald", _integer(self.herald, "herald count", least=0))
 
 
 def element_modes(element):
@@ -147,8 +138,8 @@ class Circuit:
 
     def __init__(self, n_modes, elements=()):
         n_modes = _integer(n_modes, "mode count")
-        if n_modes < 1:
-            raise InvalidCircuit("circuit needs at least one mode")
+        if not 1 <= n_modes <= MAX_MODES:
+            raise InvalidCircuit(f"a circuit needs 1 to {MAX_MODES} modes, got {n_modes}")
         elements = tuple(elements)
         readout = []
         detected = set()
@@ -336,10 +327,8 @@ def _matrix_to_json(m):
 
 def _matrix_from_json(rows):
     """Inverse of ``_matrix_to_json``; every part must be a finite number."""
-    return np.array(
-        [[complex(_file_number(re), _file_number(im)) for re, im in row] for row in rows],
-        dtype=complex,
-    )
+    parts = [[[_number(x, "matrix entry", float) for x in z] for z in row] for row in rows]
+    return np.array([[complex(re, im) for re, im in row] for row in parts], dtype=complex)
 
 
 def circuit_to_dict(circuit):
@@ -369,34 +358,26 @@ def circuit_to_dict(circuit):
 
 def circuit_from_dict(data):
     with _decoding("circuit description"):
-        n_modes = _file_count(data["modes"])
         elements = []
         for entry in data["elements"]:
             kind = entry["type"]
             if kind == "bs":
-                s, t = (_file_count(x) - 1 for x in entry["modes"])
+                s, t = (_integer(x, "mode") - 1 for x in entry["modes"])
                 elements.append(BeamSplitter((s, t), _matrix_from_json(entry["matrix"])))
             elif kind == "ps":
-                elements.append(
-                    PhaseShifter(_file_count(entry["mode"]) - 1, _file_number(entry["phi"]))
-                )
+                elements.append(PhaseShifter(_integer(entry["mode"], "mode") - 1, entry["phi"]))
             elif kind == "swap":
-                s, t = (_file_count(x) - 1 for x in entry["modes"])
+                s, t = (_integer(x, "mode") - 1 for x in entry["modes"])
                 elements.append(Swap((s, t)))
             elif kind == "detect":
-                herald_count = entry.get("herald")
-                elements.append(
-                    Detector(
-                        _file_count(entry["mode"]) - 1,
-                        None if herald_count is None else _file_count(herald_count),
-                    )
-                )
+                mode = _integer(entry["mode"], "mode") - 1
+                elements.append(Detector(mode, entry.get("herald")))
             else:
                 raise InvalidFile(f"unknown element type {kind!r}")
-        circuit = Circuit(n_modes, elements)
+        circuit = Circuit(data["modes"], elements)
         declared = data.get("outputs")
         actual = [m + 1 for m in circuit.output_modes]
-        if declared is not None and sorted(_file_count(x) for x in declared) != actual:
+        if declared is not None and sorted(_integer(x, "output") for x in declared) != actual:
             raise InvalidFile(
                 f"declared outputs {declared} disagree with undetected modes {actual}"
             )

@@ -53,9 +53,7 @@ def single_mode_state(alpha, n_particles):
     ``alpha`` is normalized internally and must be finite.
     """
     alpha = _complex_array(alpha, "alpha")
-    n = _integer(n_particles, "particle number")
-    if n < 0:
-        raise InvalidParameter(f"particle number must be >= 0, got {n}")
+    n = _integer(n_particles, "particle number", least=0)
     if not np.isfinite(alpha).all():
         raise InvalidParameter("alpha must be finite")
     # divided by its largest real or imaginary part first, so that neither

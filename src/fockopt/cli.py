@@ -5,7 +5,8 @@ passed, classification positive), 10 for a negative result, 11 when the
 input state fails a by-construction precondition (no hidden-variable model
 exists for it), and 2 for malformed input: an unreadable file, or a file
 that is malformed in any way, be it not JSON, not UTF-8, nested too deep,
-missing a field, or holding a number past the float range.
+missing a field, holding a number past the float range, or describing a
+circuit wider than ``circuits.MAX_MODES`` modes.
 """
 
 import argparse

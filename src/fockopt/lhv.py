@@ -40,7 +40,7 @@ import numpy as np
 from .circuits import detector_statistics
 from .classify import single_mode_state
 from .errors import DegenerateAmplitude, InvalidParameter, ShapeMismatch
-from .states import _complex_array, _integer
+from .states import _complex_array, _integer, _read_only
 from .tolerances import EMPTY_PAIR, NORM_TOL
 
 DEFAULT_SEED = 20240901
@@ -68,12 +68,8 @@ class EpistemicSpec:
             raise ShapeMismatch(
                 "epistemic amplitude vector must be a finite, normalized 1-D vector"
             )
-        alpha = alpha.copy()
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        n = _integer(self.n_particles, "particle number")
-        if n < 0:
-            raise InvalidParameter(f"particle number must be >= 0, got {n}")
+        object.__setattr__(self, "alpha", _read_only(alpha.copy()))
+        n = _integer(self.n_particles, "particle number", least=0)
         object.__setattr__(self, "n_particles", n)
 
     @property
@@ -175,9 +171,7 @@ def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
-    shots = _integer(shots, "shot count")
-    if shots < 1:
-        raise InvalidParameter(f"an experiment needs at least one shot, got {shots}")
+    shots = _integer(shots, "shot count", least=1)
     seed = _integer(seed, "seed")
     splits = _splits(spec.alpha, circuit)
     counts = {}
@@ -363,9 +357,7 @@ def _postselection(readout_modes, groups):
         missing = [m for m in modes if m not in index]
         if missing:
             raise ShapeMismatch(f"post-selected modes {missing} are not read out")
-        required = _integer(required, "post-selected total")
-        if required < 0:
-            raise InvalidParameter(f"post-selected total must be >= 0, got {required}")
+        required = _integer(required, "post-selected total", least=0)
         rules.append(([index[m] for m in modes], required))
     return lambda outcome: all(
         sum(outcome[i] for i in cols) == required for cols, required in rules

@@ -77,6 +77,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 import warnings
 from enum import Enum
 
@@ -94,6 +95,8 @@ from .errors import (
 )
 from .tolerances import FILE_NORM_TOL, HERALD_CUTOFF, NORM_TOL, PRUNE_REL, RECK_TOL, ZERO_NORM
 
+# the largest integer _integer accepts: past it no count or mode fits a float
+_FLOAT_MAX = sys.float_info.max
 # cached sectors, two-mode index sets and the symmetric powers of N >= 3 boson
 # gates; a fixed bound keeps memory flat when many shapes pass through
 SECTOR_CACHE = 64
@@ -147,8 +150,6 @@ class FockState:
                     f"mixed particle numbers {n_particles} and {total} in one state"
                 )
             amp = _number(amp, "amplitude")
-            if not cmath.isfinite(amp):
-                raise InvalidParameter(f"amplitude of {occ} is not finite: {amp!r}")
             if amp != 0:
                 amps[occ] = amps.get(occ, 0j) + amp
         try:
@@ -235,32 +236,44 @@ def make_number_state(counts, statistics=BOSON):
     return FockState(statistics, len(counts), {counts: 1.0})
 
 
-def _integer(value, what):
-    """``value`` as an int: ints, numpy integers and integral floats pass;
-    anything else, bools included, is InvalidParameter rather than truncated."""
-    if type(value) is int:
-        return value
-    try:
-        k = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParameter(f"{what} must be an integer, got {value!r}") from exc
-    if isinstance(value, (bool, np.bool_)) or k != value:
-        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
-    return k
+def _integer(value, what, least=None):
+    """``value`` as an int, the one rule for an integer that a caller or a
+    file passes in: ints, numpy integers and integral floats pass.
+    InvalidParameter for anything else, bools included, rather than a
+    truncation; for an integer past the float range, which no count can
+    reach; and for one below ``least``."""
+    if type(value) is not int:
+        try:
+            k = int(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameter(f"{what} must be an integer, got {value!r}") from exc
+        if isinstance(value, (bool, np.bool_)) or k != value:
+            raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+        value = k
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise InvalidParameter(f"{what} exceeds the float range")
+    if least is not None and value < least:
+        raise InvalidParameter(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 def _number(value, what, kind=complex):
-    """``value`` as a Python ``kind``, complex or float.  InvalidParameter
-    for a bool, which the builtin would read as 0 or 1; for text, which it
-    would parse; for a complex value where a float is asked, whose imaginary
-    part numpy would drop; and where the builtin raises."""
+    """``value`` as a finite Python ``kind``, complex or float, the one rule
+    for a number that a caller or a file passes in.  InvalidParameter for a
+    bool, which the builtin would read as 0 or 1; for text, which it would
+    parse; for a complex value where a float is asked, whose imaginary part
+    numpy would drop; where the builtin raises; and for a value that is not
+    finite."""
     wrong = (str, bytes, bool, np.bool_) + ((complex, np.complexfloating) if kind is float else ())
     if not isinstance(value, wrong):
         try:
-            return kind(value)
+            number = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise InvalidParameter(f"{what} must be a number of type {kind.__name__}, got {value!r}")
+        else:
+            if cmath.isfinite(number):
+                return number
+    raise InvalidParameter(f"{what} must be a finite {kind.__name__}, got {value!r}")
 
 
 def _complex_array(values, what):
@@ -699,7 +712,10 @@ def embed(state, n_modes, positions):
 #
 # Every input file (state, circuit, unitary, witness) is parsed by _read_json
 # and decoded by its reader inside _decoding, the one rule for what makes a
-# file malformed.  A malformed file raises InvalidFile and nothing else.
+# file malformed.  A malformed file raises InvalidFile and nothing else.  A
+# reader checks no number itself: each count goes through _integer and each
+# number through _number, in the reader or in the constructor it calls, the
+# same rules a library caller meets, and _decoding maps their InvalidParameter.
 # ---------------------------------------------------------------------------
 
 def state_to_dict(state):
@@ -712,17 +728,6 @@ def state_to_dict(state):
         "modes": state.n_modes,
         "terms": terms,
     }
-
-
-def _file_number(value):
-    """A finite JSON number; bools are rejected (``true`` is not 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
-
-
-def _file_count(value):
-    return _integer(_file_number(value), "count")
 
 
 @contextlib.contextmanager
@@ -741,14 +746,14 @@ def _decoding(what):
 
 def state_from_dict(data):
     with _decoding("state description"):
-        n_modes = _file_count(data["modes"])
         amps = {}
         for term in data["terms"]:
-            occ = tuple(_file_count(n) for n in term["occ"])
+            occ = tuple(term["occ"])
             amps[occ] = amps.get(occ, 0j) + complex(
-                _file_number(term["re"]), _file_number(term.get("im", 0.0))
+                _number(term["re"], "real part", float),
+                _number(term.get("im", 0.0), "imaginary part", float),
             )
-        raw = FockState(data["statistics"], n_modes, amps, normalized=False)
+        raw = FockState(data["statistics"], data["modes"], amps, normalized=False)
     if abs(raw.norm - 1.0) > FILE_NORM_TOL:
         warnings.warn(
             f"state file norm {raw.norm:.9g} deviates from 1; renormalizing",
@@ -759,8 +764,8 @@ def state_from_dict(data):
 
 def _read_json(path):
     """The JSON document in ``path``: InvalidFile for text that is not UTF-8,
-    nesting past the recursion limit, or a parse error, which carries its
-    line and column."""
+    nesting past the recursion limit, an integer past Python's limit on
+    digits, or a parse error, which carries its line and column."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.loads(fh.read())
@@ -768,7 +773,7 @@ def _read_json(path):
             raise InvalidFile(
                 f"JSON parse error: {exc.msg}", line=exc.lineno, column=exc.colno
             ) from exc
-        except (UnicodeDecodeError, RecursionError) as exc:
+        except (UnicodeDecodeError, RecursionError, ValueError) as exc:
             raise InvalidFile(f"unreadable JSON: {exc}") from exc
 
 

@@ -588,13 +588,13 @@ def replaced(doc, path, value):
     return doc
 
 
-def numbers(doc):
-    """Paths to the numbers of ``doc``; a bool is not a number here."""
+def leaves(doc):
+    """Paths to the values of ``doc`` that are neither objects nor arrays."""
     for path in json_paths(doc):
         value = doc
         for step in path:
             value = value[step]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not isinstance(value, (dict, list)):
             yield path
 
 
@@ -608,34 +608,125 @@ class TestMalformedFiles:
     """The four readers raise InvalidFile for every malformed document, and
     every subcommand exits 2 on every input file it cannot parse."""
 
-    @pytest.mark.parametrize(
-        "name", ["generic", "herald_circuit", "readout_circuit", "unitary", "witness"]
-    )
-    def test_numbers_past_the_float_range(self, tmp_path, witness_document, name):
-        # Python reads any JSON integer; 10**400 overflows a float
+    @pytest.mark.parametrize("name", FUZZ_INPUTS + ("witness",))
+    def test_numbers_past_the_float_range(self, monkeypatch, witness_document, name):
+        # each value of FUZZ_VALUES at each leaf, one at a time: the reader
+        # returns or raises InvalidFile.  Python reads any JSON integer, and
+        # 10**400, past the float range, is read nowhere: it raises at every
+        # leaf.  The unitary reader decodes the document it is handed.
+        monkeypatch.setattr(cli, "_read_json", lambda doc: doc)
         readers = {
-            "generic": fo.state_from_dict,
             "herald_circuit": fo.circuit_from_dict,
             "readout_circuit": fo.circuit_from_dict,
-            "unitary": lambda doc: cli._load_unitary(write(tmp_path, "u.json", doc)),
+            "unitary": cli._load_unitary,
             "witness": fo.witness_from_dict,
         }
+        reader = readers.get(name, fo.state_from_dict)
         if name == "witness":
-            doc = witness_document
+            doc = json.loads(json.dumps(witness_document))
         else:
             doc = json.loads((INPUTS / f"{name}.json").read_text())
-        # the reader does not read the parties: the rails are fixed
-        paths = [path for path in numbers(doc) if path[0] != "parties"]
-        assert len(paths) > 30
-        for path in paths:
+        paths = list(leaves(doc))
+        assert len(paths) > 10
+        with warnings.catch_warnings():
+            # a state file off unit norm warns on renormalizing
+            warnings.simplefilter("ignore")
+            for *steps, key in paths:
+                parent = doc
+                for step in steps:
+                    parent = parent[step]
+                original = parent[key]
+                for value in FUZZ_VALUES:
+                    parent[key] = value
+                    try:
+                        reader(doc)
+                    except fo.InvalidFile:
+                        continue
+                    except Exception as exc:
+                        pytest.fail(f"{name} {steps + [key]} = {value!r}: {exc!r}")
+                    assert value != 10**400, f"{name} {steps + [key]} read 10**400"
+                parent[key] = original
+
+    def test_witness_on_other_rails_is_invalid(self, witness_document):
+        # replay applies the settings to the fixed rails, so a witness that
+        # names others cannot be read as written
+        for parties in (
+            {"alice": [1, 2], "bob": [3, 4]},
+            {"alice": [4, 2], "bob": [1, 3]},
+            {"alice": [1, 3]},
+            {"alice": [1, 3], "bob": [4, 2], "carol": [5, 6]},
+            {"alice": [1.0, 3.0], "bob": [4, 2.5]},
+            [[1, 3], [4, 2]],
+        ):
             with pytest.raises(fo.InvalidFile):
-                readers[name](replaced(doc, path, 10**400))
+                fo.witness_from_dict(replaced(witness_document, ("parties",), parties))
+        # the order of the keys is free, and integral floats read as integers
+        same = {"bob": [4, 2], "alice": [1.0, 3]}
+        fo.witness_from_dict(replaced(witness_document, ("parties",), same))
+
+    def test_circuit_wider_than_memory_exits_2(self, tmp_path, witness_document):
+        # a circuit lists its modes, so a mode count that fits a float but not
+        # memory is refused before anything is built.  The child runs under a
+        # 1.5 GB address-space limit, so a build that grows anyway fails there
+        # and not in this process.
+        script = (
+            "import json, resource, sys, time\n"
+            "limit = 1_500_000_000\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    limit = min(limit, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "import fockopt as fo\n"
+            "from fockopt.cli import main\n"
+            "argvs, witnesses = json.loads(sys.argv[1])\n"
+            "def witness(doc):\n"
+            "    try:\n"
+            "        fo.witness_from_dict(doc)\n"
+            "    except fo.InvalidFile:\n"
+            "        return 2\n"
+            "    return 0\n"
+            "out = []\n"
+            "for run, arg in [(main, a) for a in argvs] + [(witness, w) for w in witnesses]:\n"
+            "    start = time.perf_counter()\n"
+            "    out.append((run(arg), time.perf_counter() - start))\n"
+            "print(json.dumps(out))\n"
+        )
+        single, generic = (str(INPUTS / f"{name}.json") for name in ("single", "generic"))
+        argvs, witnesses = [], []
+        for i, modes in enumerate((1e12, 1e308, 10**400)):
+            herald = json.loads((INPUTS / "herald_circuit.json").read_text())
+            readout = json.loads((INPUTS / "readout_circuit.json").read_text())
+            herald["modes"] = readout["modes"] = modes
+            herald = write(tmp_path, f"herald-{i}.json", herald)
+            readout = write(tmp_path, f"readout-{i}.json", readout)
+            argvs += [
+                ["evolve", generic, herald],
+                ["evolve", single, readout],
+                ["lhv-compare", single, readout, "--shots", "200"],
+            ]
+            witnesses.append(replaced(witness_document, ("circuit", "modes"), modes))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([argvs, witnesses])],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert run.returncode == 0, run.stderr
+        results = json.loads(run.stdout)
+        cases = argvs + [["witness", doc["circuit"]["modes"]] for doc in witnesses]
+        assert len(results) == len(cases)
+        for case, (code, seconds) in zip(cases, results):
+            assert code == 2 and seconds < 1.0, (case, code, seconds)
 
     @pytest.mark.parametrize(
         "content",
         [
             pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
             pytest.param('{"statistics": "bos\u00e9on"}'.encode("latin-1"), id="not-utf-8"),
+            # Python refuses to read an integer of more than 4300 digits
+            pytest.param(b'{"modes": 1' + b"0" * 5000 + b"}", id="5001-digit-integer"),
         ],
     )
     def test_unreadable_file_exits_2(self, tmp_path, capsys, content):

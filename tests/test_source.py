@@ -38,21 +38,14 @@ def _parsed_sources():
 
 def test_library_errors_are_fockopt_errors():
     # the CLI maps FockoptError to its exit codes; a ValueError or an
-    # AssertionError escapes as exit 1.  The file-number reader raises
-    # ValueError on purpose: every reader decodes inside states._decoding,
-    # which turns it into InvalidFile.
-    allowed = {("_file_number", "ValueError")}
+    # AssertionError escapes as exit 1
     found = []
     for path, tree in _parsed_sources():
         for function, node in _function_nodes(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if (
-                isinstance(exc, ast.Name)
-                and exc.id in ("ValueError", "AssertionError")
-                and (function, exc.id) not in allowed
-            ):
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "AssertionError"):
                 found.append(f"{path.name}:{node.lineno} {exc.id} in {function}")
     assert not found, f"non-FockoptError raised by the library: {found}"
 
@@ -377,3 +370,38 @@ def test_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"fockopt.{home}"), name, None))
     ]
     assert not missing, f"traced names missing from the library: {missing}"
+
+
+def test_one_number_rule():
+    # a scalar that a caller or a file passes in meets one rule: the
+    # finiteness of a number is tested in states._number alone, a file reads
+    # its counts and numbers with _integer and _number, not with helpers of
+    # its own, and an array is frozen by states._read_only alone
+    def finite_checks(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "isfinite"
+            and getattr(node.value, "id", None) in ("math", "cmath")
+        ]
+
+    def freezes(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "attr", None) == "writeable" for t in node.targets)
+        ]
+
+    found = []
+    for path, tree in _parsed_sources():
+        definitions = dict(_definitions(tree))
+        for rule, home in ((finite_checks, "_number"), (freezes, "_read_only")):
+            inside = rule(definitions[home]) if path.name == "states.py" else []
+            found += [f"{path.name}:{n} {rule.__name__}" for n in rule(tree) if n not in inside]
+        found += [f"{path.name}: {name}" for name in _names(tree) & {"_file_number", "_file_count"}]
+        if path.name == "states.py":
+            number = definitions["_number"]
+    assert not found, f"numbers checked or arrays frozen outside the one rule: {sorted(found)}"
+    assert finite_checks(number), "states._number does not test finiteness"

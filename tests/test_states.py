@@ -158,6 +158,8 @@ class TestFockState:
             for terms in (state._occ, state._amp):
                 with pytest.raises(ValueError, match="read-only"):
                     terms[0] = 0
+            with pytest.raises(AttributeError, match="immutable"):
+                state.n_modes = 1
 
 
 class TestMakeNumberState:
