@@ -37,11 +37,15 @@ setting pairs in one switched stage on 8 modes, where balanced beam splitters
 copy each party's rail pair onto a second station (Alice's (0, 2) onto
 (4, 5), Bob's (3, 1) onto (6, 7)) and setting a sits on station a, as in a
 Bell test with passive basis choice.  The fixed part of that stage is one
-circuit, validated and compiled once; the kernel runs its gates and the four
-setting gates, and the readout patterns are read off the output amplitudes:
-a full readout without heralds is the output itself.  Each correlator is
-normalized by its own patterns, so the weight 1/4 of a pair of stations
-cancels.
+circuit, validated and compiled once, and linear: the kernel runs its gates
+once per statistics on each basis state of the pair sector placed on modes
+(0, 1), and the columns it leaves form the switch's transfer matrix
+(:func:`_switched`).  A replay multiplies the prepared pair's sector vector
+by that matrix, the kernel runs the four setting gates on the dense 8-mode
+vector, and the readout patterns are read off its amplitudes at their
+ranks: a full readout without heralds is the output itself.  Each
+correlator is normalized by its own patterns, so the weight 1/4 of a pair
+of stations cancels.
 """
 
 import functools
@@ -74,6 +78,7 @@ from .states import (
     SECTOR_CACHE,
     _complex_array,
     _decoding,
+    _evolve_vector,
     _integer,
     _number,
     _ranks,
@@ -148,6 +153,15 @@ def _splitter_map(statistics):
     return _read_only(np.array(columns).T)
 
 
+def _pair_vector(phi):
+    """The sector vector of ``phi``, a two-particle two-mode state, in rank
+    order."""
+    fermionic = phi.statistics is FERMION
+    pair = np.zeros(len(_sector(2, 2, fermionic)[0]), dtype=complex)
+    pair[_ranks(2, 2, fermionic, phi._occ)] = phi._amp
+    return pair
+
+
 def _postselect(statistics, pair):
     """The splitter stage as :func:`_splitter_map` on ``pair``, the sector
     vector of a two-particle two-mode state in rank order: the shared
@@ -168,10 +182,7 @@ def yurke_stoler_postselect(phi):
     """
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
-    fermionic = phi.statistics is FERMION
-    pair = np.zeros(len(_sector(2, 2, fermionic)[0]), dtype=complex)
-    pair[_ranks(2, 2, fermionic, phi._occ)] = phi._amp
-    return _postselect(phi.statistics, pair)
+    return _postselect(phi.statistics, _pair_vector(phi))
 
 
 def _chsh(probs):
@@ -470,6 +481,23 @@ _PATTERNS = [
 ]
 
 
+@functools.cache
+def _switched(statistics):
+    """``_SWITCH`` on the two-particle 8-mode sector, built on first use: the
+    read-only transfer matrix, whose column r is the kernel's output vector
+    from basis state r of the two-mode pair sector placed on modes (0, 1),
+    and the ranks of the readout patterns ``_PATTERNS`` in that sector."""
+    fermionic = statistics is FERMION
+    pairs = _sector(2, 2, fermionic)[0]
+    placed = np.zeros((len(pairs), 8), dtype=np.intp)
+    placed[:, :2] = pairs
+    units = np.zeros((len(pairs), len(_sector(8, 2, fermionic)[0])), dtype=complex)
+    units[range(len(pairs)), _ranks(8, 2, fermionic, placed)] = 1.0
+    columns = [_evolve_vector(fermionic, 8, 2, unit, _SWITCH._gates) for unit in units]
+    patterns = _ranks(8, 2, fermionic, np.array(_PATTERNS, dtype=np.intp))
+    return _read_only(np.stack(columns, axis=1)), _read_only(patterns)
+
+
 def replay_witness(state, experiment):
     """Re-run a witness through circuits and the kernel and return the CHSH
     value.
@@ -481,16 +509,18 @@ def replay_witness(state, experiment):
     choice does: the pair enters modes (0, 1), the splitter stage follows,
     and one balanced beam splitter per rail copies each party's rail pair
     onto a second station, Alice's (0, 2) onto (4, 5) and Bob's (3, 1) onto
-    (6, 7).  That fixed part is the circuit ``_SWITCH``, compiled once.
+    (6, 7).  That fixed part is the circuit ``_SWITCH``; the kernel has run
+    it once on each basis state of the pair sector, so on the prepared
+    pair's sector vector it is the transfer matrix of :func:`_switched`.
     Setting a is a two-mode gate on Alice's station a carrying the conjugated
     basis matrix, setting b likewise on Bob's station b; after it a particle
     on the pair's first rail means the basis's first outcome.  The kernel
-    runs the switch's gates, then the four settings, and the squared output
+    runs the four settings on the dense 8-mode vector, and its squared
     amplitudes are the readout of the 8 modes: correlator (a, b) comes from
-    the patterns with Alice's particle in station a and Bob's in station b.
-    Those patterns carry the stations' weight 1/4, which cancels:
-    :func:`_chsh`, the rule ``chsh_max`` checks its value with, divides each
-    correlator by the sum of its patterns.
+    the patterns with Alice's particle in station a and Bob's in station b,
+    read at their ranks.  Those patterns carry the stations' weight 1/4,
+    which cancels: :func:`_chsh`, the rule ``chsh_max`` checks its value
+    with, divides each correlator by the sum of its patterns.
     """
     bases = _settings(experiment.result).conj()
     circuit = experiment.circuit
@@ -500,6 +530,8 @@ def replay_witness(state, experiment):
             f"the witness circuit leaves {prepared.n_particles} particles on "
             f"{prepared.n_modes} modes, not two on two"
         )
+    transfer, patterns = _switched(prepared.statistics)
     settings = tuple(zip(_STATIONS[0] + _STATIONS[1], bases))
-    amps = dict(evolve(embed(prepared, 8, (0, 1)), _SWITCH._gates + settings).items())
-    return _chsh(np.reshape([abs(amps.get(k, 0j)) ** 2 for k in _PATTERNS], (2, 2, 2, 2)))
+    fermionic = prepared.statistics is FERMION
+    out = _evolve_vector(fermionic, 8, 2, transfer @ _pair_vector(prepared), settings)
+    return _chsh((np.abs(out.take(patterns)) ** 2).reshape(2, 2, 2, 2))

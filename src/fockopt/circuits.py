@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .states import (
+    MAX_MODES,
     FockState,
     _decoding,
     _fired,
@@ -39,9 +40,6 @@ from .states import (
     require_unitary,
 )
 
-# the widest circuit: a register is listed mode by mode, so a mode count read
-# from a file must not reach the size of memory
-MAX_MODES = 2**16
 _SWAP_MATRIX = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 

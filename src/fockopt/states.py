@@ -16,15 +16,18 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   that agree with the row on the modes before and hold more particles in
   this one, counts read from a cached table of binomials (Knuth, TAOCP 4A,
   7.2.1.3).  Terms of any number are ranked in one gather and one sum.
-* **Block action.**  A two-mode gate g on modes (s, t) keeps n = n_s + n_t and
-  the occupations of all other modes.  Basis states that share both form one
-  block, and the gate acts on it as one small matrix on |n_s, n_t>.  For
-  bosons this is the n-th symmetric power of the 2x2 matrix g.  The index
-  sets of the blocks are cached per (M, N, statistics, s, t).  With N <= 2
-  the blocks are read off g's four entries: the n = 1 block is the
-  transposed gate, shared with the fermions, and the n = 2 block is the 3x3
-  Sym^2 g, products of two entries with sqrt(2) factors.  Only sectors of
-  N >= 3 look their blocks up in the per-gate cache of symmetric powers.
+* **Block action.**  One loop, :func:`_evolve_vector`, runs the gates on the
+  dense sector vector; every evolution reaches it, terms through
+  :func:`_evolve_terms` and replay's switched stage directly.  A two-mode
+  gate g on modes (s, t) keeps n = n_s + n_t and the occupations of all
+  other modes.  Basis states that share both form one block, and the gate
+  acts on it as one small matrix on |n_s, n_t>.  For bosons this is the n-th
+  symmetric power of the 2x2 matrix g.  The index sets of the blocks are
+  cached per (M, N, statistics, s, t).  With N <= 2 the blocks are read off
+  g's four entries: the n = 1 block is the transposed gate, shared with the
+  fermions, and the n = 2 block is the 3x3 Sym^2 g, products of two entries
+  with sqrt(2) factors.  Only sectors of N >= 3 look their blocks up in the
+  per-gate cache of symmetric powers.
 * **Fermion sign rule.**  Fermion amplitudes refer to creation operators
   applied in increasing mode order.  A particle moved between s and t passes
   the occupied modes strictly between them, so the n = 1 block takes the
@@ -101,6 +104,12 @@ _FLOAT_MAX = sys.float_info.max
 # gates; a fixed bound keeps memory flat when many shapes pass through
 SECTOR_CACHE = 64
 PAIR_CACHE = 512
+# the widest register, of a circuit or an embedding: a register is listed mode
+# by mode, so a mode count from a caller or a file must not reach the size of
+# memory
+MAX_MODES = 2**16
+# the longest repr an error text quotes
+_SHOWN = 80
 
 
 class Statistics(Enum):
@@ -236,6 +245,24 @@ def make_number_state(counts, statistics=BOSON):
     return FockState(statistics, len(counts), {counts: 1.0})
 
 
+def _shown(value):
+    """``value`` in an error text, bounded: its repr, or where that is longer
+    than ``_SHOWN`` characters or cannot be made (Python prints no int past
+    4300 digits), its type, with the digit count of an int."""
+    try:
+        text = repr(value)
+    except ValueError:
+        text = ""
+    if 0 < len(text) <= _SHOWN:
+        return text
+    if isinstance(value, int):
+        # an int of b bits has floor(b log10 2) + 1 digits, or one fewer
+        digits = int(abs(value).bit_length() * math.log10(2)) + 1
+        digits -= abs(value) < 10 ** (digits - 1)
+        return f"an int of {digits} digits"
+    return f"a {type(value).__name__}"
+
+
 def _integer(value, what, least=None):
     """``value`` as an int, the one rule for an integer that a caller or a
     file passes in: ints, numpy integers and integral floats pass.
@@ -246,9 +273,9 @@ def _integer(value, what, least=None):
         try:
             k = int(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidParameter(f"{what} must be an integer, got {value!r}") from exc
+            raise InvalidParameter(f"{what} must be an integer, got {_shown(value)}") from exc
         if isinstance(value, (bool, np.bool_)) or k != value:
-            raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+            raise InvalidParameter(f"{what} must be an integer, got {_shown(value)}")
         value = k
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise InvalidParameter(f"{what} exceeds the float range")
@@ -273,7 +300,7 @@ def _number(value, what, kind=complex):
         else:
             if cmath.isfinite(number):
                 return number
-    raise InvalidParameter(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    raise InvalidParameter(f"{what} must be a finite {kind.__name__}, got {_shown(value)}")
 
 
 def _complex_array(values, what):
@@ -477,18 +504,12 @@ def _sector_terms(n_modes, n_particles, fermionic, vec):
     return _sector(n_modes, n_particles, fermionic)[0].compress(keep, axis=0), vec[keep]
 
 
-def _evolve_terms(fermionic, m, n, occ, amp, gates):
-    """The sector kernel: the terms ``(occ, amp)`` of ``n`` particles on
-    ``m`` modes after ``gates``.
-
-    The terms are scattered into the dense sector vector, each gate acts on
-    it block by block, and the significant entries come back as
-    :func:`_sector_terms`.  The amplitudes need not have unit norm; the
-    kernel is linear.
-    """
+def _evolve_vector(fermionic, m, n, vec, gates):
+    """The sector kernel's one gate loop: ``vec``, the dense vector of ``n``
+    particles on ``m`` modes in rank order, after ``gates``, each acting
+    block by block.  ``vec`` is updated in place and returned; the kernel is
+    linear, so it need not have unit norm."""
     sector = _sector(m, n, fermionic)[0]
-    vec = np.zeros(len(sector), dtype=complex)
-    vec[_ranks(m, n, fermionic, occ)] = amp
     for modes, value in gates:
         if len(modes) == 1:
             # N + 1 distinct phases, gathered by each state's occupation
@@ -519,7 +540,17 @@ def _evolve_terms(fermionic, m, n, occ, amp, gates):
                     [g01 * g11 * r, g00 * g11 + g01 * g10, g00 * g10 * r],
                     [g01 * g01, g00 * g01 * r, g00 * g00],
                 ])
-    return _sector_terms(m, n, fermionic, vec)
+    return vec
+
+
+def _evolve_terms(fermionic, m, n, occ, amp, gates):
+    """The sector kernel on terms: ``(occ, amp)`` of ``n`` particles on ``m``
+    modes after ``gates``.  The terms are scattered into the dense sector
+    vector, :func:`_evolve_vector` runs the gates on it, and the significant
+    entries come back as :func:`_sector_terms`."""
+    vec = np.zeros(len(_sector(m, n, fermionic)[0]), dtype=complex)
+    vec[_ranks(m, n, fermionic, occ)] = amp
+    return _sector_terms(m, n, fermionic, _evolve_vector(fermionic, m, n, vec, gates))
 
 
 def evolve(state, gates):
@@ -691,9 +722,12 @@ def embed(state, n_modes, positions):
     """Place ``state`` into a larger register, vacuum in the new modes.
 
     ``positions`` maps each existing mode to its new index and must be
-    strictly increasing so fermion ordering is preserved.
+    strictly increasing so fermion ordering is preserved.  ShapeMismatch for
+    a register wider than ``MAX_MODES``.
     """
     n_modes = _integer(n_modes, "mode count")
+    if n_modes > MAX_MODES:
+        raise ShapeMismatch(f"a register holds at most {MAX_MODES} modes, got {_shown(n_modes)}")
     positions = [_integer(p, "position") for p in positions]
     if len(positions) != state.n_modes:
         raise ShapeMismatch("one position per existing mode required")

@@ -549,6 +549,7 @@ class TestFindWitness:
         bell._splitter_map(fo.BOSON)
         with monkeypatch.context() as patch:
             patch.setattr(fo.states, "_evolve_terms", refuse)
+            patch.setattr(fo.states, "_evolve_vector", refuse)
             wit = fo.find_witness(state)
         first = next(fo.two_mode_preparations(40, (0, 1), (2, 3)))
         assert repr(wit.circuit) == repr(fo.Circuit(4, first))
@@ -847,15 +848,60 @@ class TestReplay:
     def test_rejects_a_state_the_circuit_does_not_fit(self, monkeypatch):
         # the witness of a three-particle state heralds one particle; on four
         # particles it leaves three on its output modes, and replay stops
-        # before the splitter stage
+        # before the switched stage: it neither reads the switch table nor
+        # runs a setting gate
         def refuse(*args):
-            raise AssertionError("replay ran the splitter stage")
+            raise AssertionError("replay ran the switched stage")
 
         wit = fo.find_witness(fo.FockState(fo.BOSON, 3, {(2, 1, 0): 0.6, (0, 1, 2): 0.8}))
         other = fo.FockState(fo.BOSON, 3, {(3, 1, 0): 0.6, (0, 1, 3): 0.8})
-        monkeypatch.setattr(bell, "evolve", refuse)
+        monkeypatch.setattr(bell, "_evolve_vector", refuse)
+        monkeypatch.setattr(bell, "_switched", refuse)
         with pytest.raises(ShapeMismatch):
             fo.replay_witness(other, wit)
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION], ids=["boson", "fermion"])
+    def test_switch_table_matches_evolve(self, statistics):
+        # column r is the compiled switch run by evolve on basis state r of
+        # the pair sector placed on modes (0, 1)
+        fermionic = statistics is fo.FERMION
+        transfer, _ = bell._switched(statistics)
+        pairs = fo.states._sector(2, 2, fermionic)[0].tolist()
+        assert transfer.shape == (len(fo.states._sector(8, 2, fermionic)[0]), len(pairs))
+        for column, occ in zip(transfer.T, pairs):
+            placed = fo.embed(fo.make_number_state(occ, statistics), 8, (0, 1))
+            out = fo.states.evolve(placed, bell._SWITCH._gates)
+            expected = np.zeros(len(column), dtype=complex)
+            expected[fo.states._ranks(8, 2, fermionic, out._occ)] = out._amp
+            assert np.abs(column - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION], ids=["boson", "fermion"])
+    def test_settings_step_matches_evolve(self, statistics):
+        # the second step of replay: the switch table, the four setting gates
+        # on the dense vector and the patterns read at their ranks, against
+        # evolve over the switch's gates and the settings, read through
+        # _PATTERNS
+        rng = np.random.default_rng(31)
+        fermionic = statistics is fo.FERMION
+        transfer, patterns = bell._switched(statistics)
+        stations = bell._STATIONS[0] + bell._STATIONS[1]
+        for _ in range(50):
+            pair = random_state(rng, 2, 2, statistics)
+            settings = tuple(zip(stations, (random_unitary(rng, 2) for _ in range(4))))
+            vec = np.zeros(transfer.shape[1], dtype=complex)
+            vec[fo.states._ranks(2, 2, fermionic, pair._occ)] = pair._amp
+            out = fo.states._evolve_vector(fermionic, 8, 2, transfer @ vec, settings)
+            placed = fo.embed(pair, 8, (0, 1))
+            amps = dict(fo.states.evolve(placed, bell._SWITCH._gates + settings).items())
+            expected = np.array([amps.get(k, 0j) for k in bell._PATTERNS])
+            assert np.abs(out.take(patterns) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION], ids=["boson", "fermion"])
+    def test_switch_table_is_built_once_and_read_only(self, statistics):
+        first = bell._switched(statistics)
+        again = bell._switched(statistics)
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(a.flags.writeable for a in first)
 
 
 @st.composite

@@ -157,6 +157,19 @@ def test_one_evolution_kernel():
     assert not found, f"the kernel reached outside states.py: {found}"
 
 
+def test_one_gate_loop():
+    # the block index sets and the symmetric powers are read by one loop,
+    # states._evolve_vector: every evolution runs its gates there, the term
+    # kernel and replay's switched stage alike
+    blocks = {"_pair_blocks", "_symmetric_powers"}
+    named = {}
+    for path, tree in _parsed_sources():
+        for function, node in _function_nodes(tree):
+            if isinstance(node, ast.Name) and node.id in blocks:
+                named.setdefault(f"{path.name}: {function}", set()).add(node.id)
+    assert named == {"states.py: _evolve_vector": blocks}, f"gate loops: {named}"
+
+
 def test_block_cache_stays_in_the_kernel():
     # two-particle gates read their blocks off the gate; only the kernel's
     # larger boson sectors use the cached symmetric powers

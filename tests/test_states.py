@@ -82,6 +82,20 @@ def test_wrongly_typed_numbers_raise_invalid_parameter(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: fo.PhaseShifter(0, 10**5000), id="phase"),
+        pytest.param(lambda: fo.is_single_mode_type(_PAIR, tol=10**5000), id="tolerance"),
+    ],
+)
+def test_huge_integers_raise_invalid_parameter(call):
+    # Python prints no int past 4300 digits, so the error text cannot quote
+    # its repr: it names the type and the digit count instead
+    with pytest.raises(InvalidParameter, match="got an int of 5001 digits$"):
+        call()
+
+
 def test_boolean_array_is_named_in_the_error():
     with pytest.raises(InvalidParameter, match="got booleans"):
         fo.single_mode_state([True, False], 2)
@@ -768,6 +782,12 @@ class TestEmbedAndOverlap:
     def test_bad_positions_rejected(self, positions):
         with pytest.raises(ShapeMismatch):
             fo.embed(fo.make_number_state((1, 0)), 3, positions)
+
+    @pytest.mark.parametrize("n_modes", [10**12, 10**300], ids=["1e12", "1e300"])
+    def test_register_wider_than_the_bound_rejected(self, n_modes):
+        # numpy raised MemoryError or a bare ValueError for the register
+        with pytest.raises(ShapeMismatch, match="at most 65536 modes"):
+            fo.embed(fo.make_number_state((1, 0)), n_modes, [0, 1])
 
     def test_integral_float_embedding_accepted(self):
         wide = fo.embed(fo.make_number_state((1, 0)), 3.0, [0.0, np.int64(2)])
