@@ -4,7 +4,11 @@ The splitter stage of :func:`fockopt.circuits.yurke_stoler_circuit` turns a
 two-particle two-mode state into a pair of dual-rail qubits once runs with one
 particle per rail pair are kept.  Stage and post-selection together are one
 constant linear map on the state's coefficients, 4x3 for bosons and 4x1 for
-fermions, built once from the circuit on the sector's basis states.  The
+fermions: the rows of the kept patterns in the stage's transfer matrix.  Both
+fixed stages of this module, this one and replay's switch below, come from
+one builder, :func:`_transfer`: the kernel runs a fixed circuit's gates once
+per statistics on each basis state of the two-particle pair sector placed on
+modes (0, 1), and the vectors it leaves are the matrix's columns.  The
 two-qubit state is pure, so its CHSH optimum is read off its Schmidt form
 l0|a0 b0> + l1|a1 b1>: the value is 2 sqrt(1 + (2 l0 l1)^2) (Gisin), reached by
 the settings of the Horodecki criterion in the Schmidt frame.
@@ -37,15 +41,13 @@ setting pairs in one switched stage on 8 modes, where balanced beam splitters
 copy each party's rail pair onto a second station (Alice's (0, 2) onto
 (4, 5), Bob's (3, 1) onto (6, 7)) and setting a sits on station a, as in a
 Bell test with passive basis choice.  The fixed part of that stage is one
-circuit, validated and compiled once, and linear: the kernel runs its gates
-once per statistics on each basis state of the pair sector placed on modes
-(0, 1), and the columns it leaves form the switch's transfer matrix
-(:func:`_switched`).  A replay multiplies the prepared pair's sector vector
-by that matrix, the kernel runs the four setting gates on the dense 8-mode
-vector, and the readout patterns are read off its amplitudes at their
-ranks: a full readout without heralds is the output itself.  Each
-correlator is normalized by its own patterns, so the weight 1/4 of a pair
-of stations cancels.
+circuit, validated and compiled once, and linear, so its transfer matrix
+comes from the same builder (:func:`_switched`).  A replay multiplies the
+prepared pair's sector vector by that matrix, the kernel runs the four
+setting gates on the dense 8-mode vector, and the readout patterns are read
+off its amplitudes at their ranks: a full readout without heralds is the
+output itself.  Each correlator is normalized by its own patterns, so the
+weight 1/4 of a pair of stations cancels.
 """
 
 import functools
@@ -84,10 +86,10 @@ from .states import (
     _ranks,
     _read_only,
     _sector,
+    _vector,
     embed,
     evolve,
     herald,
-    make_number_state,
     require_unitary,
 )
 from .tolerances import HERALD_CUTOFF, NORM_TOL, SETTINGS_CHECK_TOL, VIOLATION_MARGIN
@@ -139,27 +141,24 @@ class BellTestResult:
         return self.chsh > 2.0 + VIOLATION_MARGIN
 
 
+def _transfer(statistics, circuit):
+    """The kernel's matrix of ``circuit``'s gates on its two-particle sector:
+    column r is the output vector, in rank order, from basis state r of the
+    two-mode pair sector placed on modes (0, 1)."""
+    fermionic, m = statistics is FERMION, circuit.n_modes
+    placed = np.pad(_sector(2, 2, fermionic)[0], ((0, 0), (0, m - 2)))
+    units = (_vector(fermionic, m, 2, placed, unit) for unit in np.eye(len(placed)))
+    return np.stack([_evolve_vector(fermionic, m, 2, u, circuit._gates) for u in units], axis=1)
+
+
 @functools.cache
 def _splitter_map(statistics):
-    """The splitter stage with its post-selection as one matrix: column r
-    holds the kept amplitudes (uu, ud, du, dd) that
-    :func:`~fockopt.circuits.yurke_stoler_circuit` leaves from basis state r
-    of the two-particle two-mode sector, in the sector's rank order."""
-    columns = []
-    for occ in _sector(2, 2, statistics is FERMION)[0].tolist():
-        embedded = embed(make_number_state(occ, statistics), 4, (0, 1))
-        four, _ = run_circuit(embedded, yurke_stoler_circuit())
-        columns.append([four.amplitude(kept) for kept in _KEPT])
-    return _read_only(np.array(columns).T)
-
-
-def _pair_vector(phi):
-    """The sector vector of ``phi``, a two-particle two-mode state, in rank
-    order."""
-    fermionic = phi.statistics is FERMION
-    pair = np.zeros(len(_sector(2, 2, fermionic)[0]), dtype=complex)
-    pair[_ranks(2, 2, fermionic, phi._occ)] = phi._amp
-    return pair
+    """The splitter stage with its post-selection as one matrix, built on
+    first use: the rows of the :func:`_transfer` matrix of
+    :func:`~fockopt.circuits.yurke_stoler_circuit` at the ranks of the kept
+    amplitudes (uu, ud, du, dd)."""
+    kept = _ranks(4, 2, statistics is FERMION, np.array(_KEPT, dtype=np.intp))
+    return _read_only(_transfer(statistics, yurke_stoler_circuit()).take(kept, axis=0))
 
 
 def _postselect(statistics, pair):
@@ -182,7 +181,8 @@ def yurke_stoler_postselect(phi):
     """
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
-    return _postselect(phi.statistics, _pair_vector(phi))
+    pair = _vector(phi.statistics is FERMION, 2, 2, phi._occ, phi._amp)
+    return _postselect(phi.statistics, pair)
 
 
 def _chsh(probs):
@@ -311,12 +311,8 @@ def _boson_candidates(phi, live, prefix, total_modes):
     n = phi.n_particles
     occupied = np.logical_or.reduce(phi._occ, axis=0).tolist()
     if not all(occupied):
-        empty = [i for i, used in enumerate(occupied) if not used]
-        chi, p_empty = herald(phi, dict.fromkeys(empty, 0))
-        zeros = tuple(Detector(live[i], 0) for i in empty)
-        rest = [mode for mode, used in zip(live, occupied) if used]
-        for pair, p, elements in _boson_candidates(chi, rest, prefix + zeros, total_modes):
-            yield pair, p_empty * p, elements
+        empty = dict.fromkeys((i for i, used in enumerate(occupied) if not used), 0)
+        yield from _descend(*herald(phi, empty), empty, live, prefix, total_modes)
         return
     if len(live) == 2:
         coeffs = np.zeros(n + 1, dtype=complex)
@@ -328,18 +324,16 @@ def _boson_candidates(phi, live, prefix, total_modes):
             if p >= HERALD_CUTOFF:
                 yield amps / math.sqrt(p), p, prefix + elements
         return
-    rest_local = list(range(2, len(live)))
+    zeros = dict.fromkeys(range(2, len(live)), 0)
     try:
-        chi, p_zero = herald(phi, {i: 0 for i in rest_local})
+        chi, p_zero = herald(phi, zeros)
         verdict = is_single_mode_type(chi)
     except ZeroOutcome:
         verdict = None
     rotated = phi
     if verdict is not None:
         if not verdict.single_mode:
-            zeros = tuple(Detector(live[i], 0) for i in rest_local)
-            for pair, p, elements in _boson_candidates(chi, live[:2], prefix + zeros, total_modes):
-                yield pair, p_zero * p, elements
+            yield from _descend(chi, p_zero, zeros, live, prefix, total_modes)
             return
         u1, u2 = verdict.alpha
         rot = np.array([[u2.conjugate(), -u1.conjugate()], [u1, u2]]).conj().T
@@ -351,11 +345,18 @@ def _boson_candidates(phi, live, prefix, total_modes):
         except ZeroOutcome:
             continue
         if not is_single_mode_type(branch).single_mode:
-            rest = live[:j] + live[j + 1 :]
-            for pair, p, elements in _boson_candidates(
-                branch, rest, prefix + (Detector(live[j], k),), total_modes
-            ):
-                yield pair, p_branch * p, elements
+            yield from _descend(branch, p_branch, {j: k}, live, prefix, total_modes)
+
+
+def _descend(branch, p_branch, counts, live, prefix, total_modes):
+    """The candidates of ``branch``, which heralding ``counts`` (index into
+    ``live`` -> count) left with probability ``p_branch``: the heralds'
+    detectors join the prefix, the search goes on over the other live modes,
+    and ``p_branch`` is multiplied into each candidate's probability."""
+    rest = [mode for i, mode in enumerate(live) if i not in counts]
+    detectors = tuple(Detector(live[i], k) for i, k in counts.items())
+    for pair, p, elements in _boson_candidates(branch, rest, prefix + detectors, total_modes):
+        yield pair, p_branch * p, elements
 
 
 def _fermion_candidates(phi):
@@ -483,19 +484,11 @@ _PATTERNS = [
 
 @functools.cache
 def _switched(statistics):
-    """``_SWITCH`` on the two-particle 8-mode sector, built on first use: the
-    read-only transfer matrix, whose column r is the kernel's output vector
-    from basis state r of the two-mode pair sector placed on modes (0, 1),
-    and the ranks of the readout patterns ``_PATTERNS`` in that sector."""
-    fermionic = statistics is FERMION
-    pairs = _sector(2, 2, fermionic)[0]
-    placed = np.zeros((len(pairs), 8), dtype=np.intp)
-    placed[:, :2] = pairs
-    units = np.zeros((len(pairs), len(_sector(8, 2, fermionic)[0])), dtype=complex)
-    units[range(len(pairs)), _ranks(8, 2, fermionic, placed)] = 1.0
-    columns = [_evolve_vector(fermionic, 8, 2, unit, _SWITCH._gates) for unit in units]
-    patterns = _ranks(8, 2, fermionic, np.array(_PATTERNS, dtype=np.intp))
-    return _read_only(np.stack(columns, axis=1)), _read_only(patterns)
+    """``_SWITCH`` on the two-particle 8-mode sector, built on first use: its
+    read-only :func:`_transfer` matrix and the ranks of the readout patterns
+    ``_PATTERNS`` in that sector."""
+    patterns = _ranks(8, 2, statistics is FERMION, np.array(_PATTERNS, dtype=np.intp))
+    return _read_only(_transfer(statistics, _SWITCH)), _read_only(patterns)
 
 
 def replay_witness(state, experiment):
@@ -533,5 +526,6 @@ def replay_witness(state, experiment):
     transfer, patterns = _switched(prepared.statistics)
     settings = tuple(zip(_STATIONS[0] + _STATIONS[1], bases))
     fermionic = prepared.statistics is FERMION
-    out = _evolve_vector(fermionic, 8, 2, transfer @ _pair_vector(prepared), settings)
+    pair = _vector(fermionic, 2, 2, prepared._occ, prepared._amp)
+    out = _evolve_vector(fermionic, 8, 2, transfer @ pair, settings)
     return _chsh((np.abs(out.take(patterns)) ** 2).reshape(2, 2, 2, 2))

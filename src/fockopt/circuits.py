@@ -9,11 +9,12 @@ and its kernel gates, and no executor converts elements again.
 Execution runs the herald plan of :mod:`fockopt.states` (the "Herald" bullet
 of its docstring), the same plan as :func:`~fockopt.states.herald`: it
 heralds early where it can, drops idle modes and evolves only what the output
-depends on.  Both :func:`run_circuit` and :func:`detector_statistics` run it;
-a mode the plan left out comes back as vacuum, an output mode through
-``embed`` and a readout as a count of 0.
+depends on.  Both :func:`run_circuit` and :func:`detector_statistics` run it,
+and both read its terms on every unheralded mode: the plan itself brings the
+modes it left out back as vacuum.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,6 @@ from .states import (
     _read_json,
     _read_only,
     _write_json,
-    embed,
     reck_gates,
     require_unitary,
 )
@@ -202,29 +202,20 @@ def run_circuit(state, circuit):
 
     Every detector must carry a herald count.  The probability is that of the
     joint herald; ZeroOutcome is raised when it is below ``HERALD_CUTOFF``.
-    Without heralds it is exactly 1.  Output modes the plan left out come back
-    as vacuum (see the module docstring).
+    Without heralds it is exactly 1.
     """
     if circuit.readout_modes:
         raise InvalidCircuit(
             "run_circuit needs heralded detectors; use detector_statistics "
             "for readout detectors"
         )
-    outputs = circuit.output_modes
-    if not outputs:
+    if not circuit.output_modes:
         raise ShapeMismatch("heralding away every mode leaves no state")
-    heralds = circuit._heralds
     reached = _execute(state, circuit)
-    if heralds:
-        out, prob = _fired(state, heralds, reached)
-    else:
-        # nothing is measured: no renormalization, and p is 1 exactly
-        survivors, occ, amp = reached
-        out = FockState._trusted(state.statistics, len(survivors), state.n_particles, occ, amp)
-        prob = 1.0
-    if out.n_modes < len(outputs):
-        out = embed(out, len(outputs), [outputs.index(m) for m in reached[0]])
-    return out, prob
+    if circuit._heralds:
+        return _fired(state, circuit._heralds, reached)
+    # nothing is measured: no renormalization, and p is 1 exactly
+    return FockState._trusted(state.statistics, circuit.n_modes, state.n_particles, *reached), 1.0
 
 
 @dataclass
@@ -247,14 +238,14 @@ def detector_statistics(state, circuit):
     reached = _execute(state, circuit)
     if reached is None:
         return ReadoutStatistics({}, 0.0, readout)
-    survivors, occ, amp = reached
-    # modes the kernel left out read 0
-    counts = np.zeros((len(amp), circuit.n_modes), dtype=np.intp)
-    counts[:, survivors] = occ
+    occ, amp = reached
+    # a readout's column among the unheralded modes
+    heralded = sorted(circuit._heralds)
+    columns = [m - bisect.bisect(heralded, m) for m in readout]
     # few terms per state: a dict tally beats np.unique's fixed cost per call
     dist = {}
     p_herald = 0.0
-    keys = counts.take(readout, axis=1).tolist()
+    keys = occ.take(columns, axis=1).tolist()
     for key, a in zip(map(tuple, keys), amp.tolist()):
         p = abs(a) ** 2
         p_herald += p

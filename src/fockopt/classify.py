@@ -26,6 +26,7 @@ from .states import (
     _ranks,
     _read_only,
     _sector,
+    _vector,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -127,8 +128,7 @@ def is_single_mode_type(state, tol=DEFAULT_TOL):
     if size < m:
         inside = ~np.logical_or.reduce(occ.compress(~on_support, axis=1), axis=1)
         occ, amps = occ.compress(inside, axis=0).take(support, axis=1), amps.compress(inside)
-    vec = np.zeros(len(sub), dtype=complex)
-    vec[_ranks(size, n, fermionic, occ)] = amps
+    vec = _vector(fermionic, size, n, occ, amps)
 
     def occupation(row):
         full = np.zeros(m, dtype=np.intp)

@@ -16,6 +16,10 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   that agree with the row on the modes before and hold more particles in
   this one, counts read from a cached table of binomials (Knuth, TAOCP 4A,
   7.2.1.3).  Terms of any number are ranked in one gather and one sum.
+  Terms enter a dense vector in one place, :func:`_vector`, and leave it in
+  one, :func:`_sector_terms`.  A sector too large to list, past
+  ``MAX_SECTOR`` entries or past the float range in its multinomials, is
+  refused before it is listed.
 * **Block action.**  One loop, :func:`_evolve_vector`, runs the gates on the
   dense sector vector; every evolution reaches it, terms through
   :func:`_evolve_terms` and replay's switched stage directly.  A two-mode
@@ -56,7 +60,8 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   - *Drop idle modes.*  When there are gates and terms, a mode that is empty
     in every remaining term and that no gate touches stays out of the
     evolved register, and the gates are re-indexed onto the kept modes.  The
-    caller brings such a mode back as vacuum.
+    plan brings such a mode back as vacuum, a zero column, so its terms
+    always cover every unheralded mode.
   - *Evolve, then herald late.*  The gates run through the sector kernel;
     the heralds on touched modes then mask the evolved rows.  The amplitudes
     are not renormalized on the way, so their squared norm is the joint
@@ -108,6 +113,9 @@ PAIR_CACHE = 512
 # by mode, so a mode count from a caller or a file must not reach the size of
 # memory
 MAX_MODES = 2**16
+# the most entries, basis states times modes, of a listed sector: N = 8
+# particles on M = 16 modes (490 314 states, 7.8e6 entries) fit
+MAX_SECTOR = 2**24
 # the longest repr an error text quotes
 _SHOWN = 80
 
@@ -350,19 +358,32 @@ def _read_only(a):
 def _sector(n_modes, n_particles, fermionic):
     """One sector's occupation array in rank order and
     sqrt(N! / prod_j n_j!) per basis state.  :func:`_ranks` finds a row's
-    rank by arithmetic, so no rank map is kept."""
+    rank by arithmetic, so no rank map is kept.
+
+    InvalidParameter, before anything is listed, for a sector of more than
+    ``MAX_SECTOR`` entries and for one whose largest multinomial, at the most
+    even occupation, exceeds the float range."""
+    m, n = n_modes, n_particles
+    size = math.comb(m, n) if fermionic else math.comb(m + n - 1, n)
+    if size * m > MAX_SECTOR:
+        raise InvalidParameter(f"{n} particles on {m} modes span over {MAX_SECTOR // m} states")
+    # the multinomial of the occupation (q + 1, .., q, ..) as a product of
+    # binomials; for fermions (N <= M) it is the one multinomial, N!
+    q, r = divmod(n, m)
+    even = [q + 1] * r + [q] * (m - r)
+    _floats([math.prod(map(math.comb, itertools.accumulate(even), even))])
     if fermionic:
-        picks = itertools.combinations(range(n_modes), n_particles)
+        picks = itertools.combinations(range(m), n)
     else:
-        picks = itertools.combinations_with_replacement(range(n_modes), n_particles)
+        picks = itertools.combinations_with_replacement(range(m), n)
     basis = []
     for pick in picks:
-        occ = [0] * n_modes
+        occ = [0] * m
         for j in pick:
             occ[j] += 1
         basis.append(occ)
-    occupations = np.array(basis, dtype=np.intp).reshape(len(basis), n_modes)
-    top = math.factorial(n_particles)
+    occupations = np.array(basis, dtype=np.intp).reshape(len(basis), m)
+    top = math.factorial(n)
     multinomials = _floats(top // math.prod(map(math.factorial, occ)) for occ in basis)
     return _read_only(occupations), _read_only(np.sqrt(multinomials))
 
@@ -378,18 +399,18 @@ def _rank_table(n_modes, n_particles, fermionic):
     particles left and k = M - j - 1 modes after j, the hockey-stick identity
     sums them to C(R - o - 1 + k, k) for bosons (R > o) and to C(k, R - 1)
     for fermions (o = 0, R >= 1).  Both are read from one table
-    P[y, x] = C(x + y, y), whose row y is the running sum of row y - 1, in
-    O(M N^2) for the whole table.  P is cut to the entries a row of the
-    sector can reach, each at most the sector size, so int64 holds them for
-    any sector that can be listed.
+    P[y, x] = C(x + y, y), whose row y is the running sum of row y - 1.  P is
+    cut to the entries a row of the sector can reach, each at most the
+    sector size, so int64 holds them for any sector that can be listed.
 
-    Entry (j, c, o) sits at j * stride + width * c + o, where width = N + 1
-    for bosons and 2 for fermions.  Every row sums to N, so with a stride
-    divisible by N the mode offset j * stride is (j * stride / N) * sum_i o_i,
-    and one matrix product gives all indices.
+    Entry (j, c, o) sits at j * stride + width * c + o.  A boson entry
+    depends on c + o alone, so bosons take width 1 and fermions width 2, and
+    the whole table holds O(M N) entries.  Every row sums to N, so with a
+    stride divisible by N the mode offset j * stride is
+    (j * stride / N) * sum_i o_i, and one matrix product gives all indices.
     """
     m, n = n_modes, n_particles
-    width = 2 if fermionic else n + 1
+    width = 2 if fermionic else 1
     j, c, o = np.ogrid[:m, : n + 1, :width]
     if fermionic:
         # C(k, R - 1) = P[R - 1, k - R + 1]; a reachable row has c <= j
@@ -495,6 +516,15 @@ def _symmetric_powers(g_bytes, n_max):
     return tuple(out)
 
 
+def _vector(fermionic, m, n, occ, amp):
+    """The dense sector vector in rank order of the terms ``(occ, amp)`` of
+    ``n`` particles on ``m`` modes, the inverse of :func:`_sector_terms`: the
+    one place that scatters terms by rank."""
+    vec = np.zeros(len(_sector(m, n, fermionic)[0]), dtype=complex)
+    vec[_ranks(m, n, fermionic, occ)] = amp
+    return vec
+
+
 def _sector_terms(n_modes, n_particles, fermionic, vec):
     """The significant entries of a sector vector in rank order, as
     ``(occupations, amplitudes)``: entries below ``PRUNE_REL`` of the largest
@@ -546,11 +576,10 @@ def _evolve_vector(fermionic, m, n, vec, gates):
 def _evolve_terms(fermionic, m, n, occ, amp, gates):
     """The sector kernel on terms: ``(occ, amp)`` of ``n`` particles on ``m``
     modes after ``gates``.  The terms are scattered into the dense sector
-    vector, :func:`_evolve_vector` runs the gates on it, and the significant
-    entries come back as :func:`_sector_terms`."""
-    vec = np.zeros(len(_sector(m, n, fermionic)[0]), dtype=complex)
-    vec[_ranks(m, n, fermionic, occ)] = amp
-    return _sector_terms(m, n, fermionic, _evolve_vector(fermionic, m, n, vec, gates))
+    vector (:func:`_vector`), :func:`_evolve_vector` runs the gates on it,
+    and the significant entries come back as :func:`_sector_terms`."""
+    vec = _evolve_vector(fermionic, m, n, _vector(fermionic, m, n, occ, amp), gates)
+    return _sector_terms(m, n, fermionic, vec)
 
 
 def evolve(state, gates):
@@ -645,10 +674,10 @@ def _plan(state, gates, heralds):
     """Run kernel ``gates`` and the ``heralds`` (mode -> count) on ``state``
     over the modes the output depends on (see the module docstring).
 
-    Returns ``(survivors, occ, amp)``: the unmeasured modes that the plan
-    kept, ascending, and the terms on them that pass every herald.  The
-    amplitudes are not renormalized, so their squared norm is the joint herald
-    probability.  Returns None when a count lies outside 0..N.
+    Returns ``(occ, amp)``: the terms that pass every herald, on every
+    unmeasured mode in ascending order, a dropped idle mode as a zero column.
+    The amplitudes are not renormalized, so their squared norm is the joint
+    herald probability.  Returns None when a count lies outside 0..N.
     """
     n = state.n_particles
     # such a count never fires and would not fit the integer comparison
@@ -665,35 +694,39 @@ def _plan(state, gates, heralds):
     if gates and len(amp):
         busy = occ.any(axis=0).tolist()
         keep = [i for i, m in enumerate(kept) if busy[i] or m in touched]
-        kept = [kept[i] for i in keep]
-        if len(kept) < state.n_modes:
-            # re-index the terms and the gates onto the kept modes
-            occ = occ.take(keep, axis=1)
-            local = {m: i for i, m in enumerate(kept)}
+        if len(keep) < state.n_modes:
+            # re-index the gates onto the evolved register
+            local = {kept[i]: r for r, i in enumerate(keep)}
             gates = [(tuple(local[m] for m in modes), value) for modes, value in gates]
         n_kept = n - sum(heralds[m] for m in early)
-        occ, amp = _evolve_terms(fermionic, len(kept), n_kept, occ, amp, gates)
+        out, amp = _evolve_terms(fermionic, len(keep), n_kept, occ.take(keep, axis=1), amp, gates)
+        if len(keep) == len(kept):
+            occ = out
+        else:
+            # the dropped idle modes come back as vacuum
+            occ = np.zeros((len(amp), len(kept)), dtype=np.intp)
+            occ[:, keep] = out
     occ, amp = _project(
         occ, amp, [kept.index(m) for m in late], [heralds[m] for m in late], fermionic
     )
     if fermionic and sum(heralds[e] * heralds[l] for e in early for l in late if l < e) % 2:
         amp = -amp
-    return [m for m in kept if m not in heralds], occ, amp
+    return occ, amp
 
 
 def _fired(state, heralds, reached):
-    """The heralded state on the survivors of ``reached``, a :func:`_plan`
-    result, and its probability; ZeroOutcome when the heralds cannot fire or
-    fire below ``HERALD_CUTOFF``."""
+    """The heralded state of ``reached``, a :func:`_plan` result, and its
+    probability; ZeroOutcome when the heralds cannot fire or fire below
+    ``HERALD_CUTOFF``."""
     if reached is None:
         raise ZeroOutcome(f"herald {heralds} cannot fire on {state.n_particles} particles")
-    survivors, occ, amp = reached
+    occ, amp = reached
     prob = float(np.vdot(amp, amp).real)
     if prob < HERALD_CUTOFF:
         raise ZeroOutcome(f"herald {heralds} fires with probability {prob:.3e}")
     # the kept terms are a rescaled subset of pruned ones, so none is dust
     n = state.n_particles - sum(heralds.values())
-    out = FockState._trusted(state.statistics, len(survivors), n, occ, amp / math.sqrt(prob))
+    out = FockState._trusted(state.statistics, occ.shape[1], n, occ, amp / math.sqrt(prob))
     return out, prob
 
 

@@ -2,8 +2,13 @@
 
 import cmath
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +17,36 @@ from fockopt.errors import ShapeMismatch, ZeroState
 from fockopt.lhv import BLOCK, _splits
 from fockopt.states import _number
 from fockopt.tolerances import HERALD_CUTOFF, RECK_TOL
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src"
+# the address space of a child run by run_limited: a build that grows past it
+# fails in the child and not in the test process
+CHILD_MEMORY = 1_500_000_000
+
+
+def run_limited(script, payload):
+    """Run ``script`` in a child Python under ``CHILD_MEMORY`` of address
+    space, with ``payload`` as JSON in ``sys.argv[1]``; return what it prints,
+    read as JSON.  The child imports ``fockopt`` from this checkout."""
+    preamble = (
+        "import json, resource, sys\n"
+        f"limit = {CHILD_MEMORY}\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    limit = min(limit, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SOURCE), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", preamble + script, json.dumps(payload)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 def random_unitary(rng, m):

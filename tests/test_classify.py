@@ -17,6 +17,7 @@ from helpers import (
     random_alpha,
     random_state,
     random_unitary,
+    run_limited,
     superpose,
 )
 
@@ -140,6 +141,18 @@ class TestExtractAlpha:
 
 
 class TestIsSingleModeType:
+    def test_many_bosons_in_one_mode(self):
+        # the rank table holds O(M N) entries: 20000 bosons in one of three
+        # modes classify in a child under run_limited's address-space limit,
+        # where a table of O(M N^2) entries would take 3 GiB
+        script = (
+            "import fockopt as fo\n"
+            "state = fo.make_number_state(json.loads(sys.argv[1]))\n"
+            "verdict = fo.is_single_mode_type(state)\n"
+            "print(json.dumps([verdict.single_mode, abs(verdict.alpha).tolist()]))\n"
+        )
+        assert run_limited(script, [20000, 0, 0]) == [True, [1.0, 0.0, 0.0]]
+
     def test_fermion_pair_false(self):
         verdict = fo.is_single_mode_type(fo.make_number_state((1, 1), fo.FERMION))
         assert not verdict.single_mode

@@ -29,6 +29,7 @@ from helpers import (
     random_alpha,
     random_state,
     random_unitary,
+    run_limited,
     superpose,
 )
 
@@ -36,6 +37,17 @@ ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "bench" / "inputs"
 FAULTY_SINGLE = INPUTS / "faulty_single.json"
 SHOTS = "2000"
+# the child of run_limited: timed(run, arg) is run(arg)'s result and seconds,
+# with what it prints dropped
+TIMED = (
+    "import contextlib, io, time\n"
+    "from fockopt.cli import main\n"
+    "def timed(run, arg):\n"
+    "    start = time.perf_counter()\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = run(arg)\n"
+    "    return code, time.perf_counter() - start\n"
+)
 
 
 def write(tmp_path, name, payload):
@@ -666,18 +678,11 @@ class TestMalformedFiles:
 
     def test_circuit_wider_than_memory_exits_2(self, tmp_path, witness_document):
         # a circuit lists its modes, so a mode count that fits a float but not
-        # memory is refused before anything is built.  The child runs under a
-        # 1.5 GB address-space limit, so a build that grows anyway fails there
-        # and not in this process.
-        script = (
-            "import json, resource, sys, time\n"
-            "limit = 1_500_000_000\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "if hard != resource.RLIM_INFINITY:\n"
-            "    limit = min(limit, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+        # memory is refused before anything is built.  The child runs under
+        # run_limited's address-space limit, so a build that grows anyway
+        # fails there and not in this process.
+        script = TIMED + (
             "import fockopt as fo\n"
-            "from fockopt.cli import main\n"
             "argvs, witnesses = json.loads(sys.argv[1])\n"
             "def witness(doc):\n"
             "    try:\n"
@@ -685,11 +690,8 @@ class TestMalformedFiles:
             "    except fo.InvalidFile:\n"
             "        return 2\n"
             "    return 0\n"
-            "out = []\n"
-            "for run, arg in [(main, a) for a in argvs] + [(witness, w) for w in witnesses]:\n"
-            "    start = time.perf_counter()\n"
-            "    out.append((run(arg), time.perf_counter() - start))\n"
-            "print(json.dumps(out))\n"
+            "runs = [(main, a) for a in argvs] + [(witness, w) for w in witnesses]\n"
+            "print(json.dumps([timed(run, arg) for run, arg in runs]))\n"
         )
         single, generic = (str(INPUTS / f"{name}.json") for name in ("single", "generic"))
         argvs, witnesses = [], []
@@ -705,20 +707,34 @@ class TestMalformedFiles:
                 ["lhv-compare", single, readout, "--shots", "200"],
             ]
             witnesses.append(replaced(witness_document, ("circuit", "modes"), modes))
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", script, json.dumps([argvs, witnesses])],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-        )
-        assert run.returncode == 0, run.stderr
-        results = json.loads(run.stdout)
+        results = run_limited(script, [argvs, witnesses])
         cases = argvs + [["witness", doc["circuit"]["modes"]] for doc in witnesses]
         assert len(results) == len(cases)
         for case, (code, seconds) in zip(cases, results):
             assert code == 2 and seconds < 1.0, (case, code, seconds)
+
+    def test_sector_too_large_to_list_exits_2(self, tmp_path):
+        # a sector is sized before it is listed: 20000 bosons on three modes
+        # span 2e8 basis states, and three single-mode terms of 3000 bosons
+        # have multinomials past the float range.  A one-mode term of 20000
+        # still classifies, on the one-state sector of its support.
+        one = state_file(tmp_path, fo.make_number_state((20000, 0, 0)), "one.json")
+        terms = [{"occ": [3000 * (i == j) for j in range(3)], "re": 3**-0.5} for i in range(3)]
+        three = write(tmp_path, "three.json", {"statistics": "boson", "modes": 3, "terms": terms})
+        stage = fo.Circuit(3, [fo.BeamSplitter((0, 1)), fo.BeamSplitter((1, 2))])
+        splitter = circuit_file(tmp_path, stage)
+        cases = {
+            ("classify", one): 0,
+            ("evolve", one, splitter): 2,
+            ("lhv-compare", one, str(INPUTS / "readout_circuit.json"), "--shots", "200"): 2,
+            ("classify", three): 2,
+            ("witness", three): 2,
+        }
+        script = TIMED + "print(json.dumps([timed(main, a) for a in json.loads(sys.argv[1])]))\n"
+        results = run_limited(script, list(cases))
+        assert len(results) == len(cases)
+        for (case, expected), (code, seconds) in zip(cases.items(), results):
+            assert code == expected and seconds < 1.0, (case, code, seconds)
 
     @pytest.mark.parametrize(
         "content",

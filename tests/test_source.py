@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import functools
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -31,9 +32,13 @@ def _function_nodes(tree, function=None):
         yield from _function_nodes(child, function)
 
 
+@functools.cache
 def _parsed_sources():
-    for path in sorted(SOURCE.glob("*.py")):
-        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # parsed once per session: the checks only read the trees
+    return tuple(
+        (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(SOURCE.glob("*.py"))
+    )
 
 
 def test_library_errors_are_fockopt_errors():
@@ -235,6 +240,17 @@ def test_one_rank_rule():
     assert len(sector) == 2 and not any(isinstance(part, dict) for part in sector)
 
 
+def _reached(definitions, start):
+    """The top-level names of a module that ``start`` reaches through the
+    names each definition refers to, ``start`` included."""
+    reached, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += sorted((set(_references(definitions[name])) & definitions.keys()) - reached)
+    return reached
+
+
 def test_replay_takes_no_search_shortcut():
     # replay checks that a recorded experiment violates by running its
     # circuits through the kernel: neither replay_witness nor any name of
@@ -250,14 +266,86 @@ def test_replay_takes_no_search_shortcut():
         "chsh_max",
     }
     assert shortcuts <= definitions.keys()
-    reached, todo = set(), ["replay_witness"]
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        todo += sorted((set(_references(definitions[name])) & definitions.keys()) - reached)
+    reached = _reached(definitions, "replay_witness")
     assert "_chsh" in reached
     found = sorted(reached & shortcuts)
     assert not found, f"replay reaches the search's shortcuts: {found}"
+
+
+def test_one_transfer_builder():
+    # both fixed stages of bell.py, the splitter map of the search and the
+    # switch of replay, are built by bell._transfer, which knows neither of
+    # them: it reaches no name of the splitter map or of the kept patterns
+    definitions = dict(_definitions(ast.parse((SOURCE / "bell.py").read_text(encoding="utf-8"))))
+    users = sorted(name for name, node in definitions.items() if "_transfer" in _references(node))
+    assert users == ["_splitter_map", "_switched"], f"transfer builders: {users}"
+    found = sorted(_reached(definitions, "_transfer") & {"_splitter_map", "_KEPT", "_postselect"})
+    assert not found, f"the transfer builder reaches the search's splitter map: {found}"
+
+
+def test_one_scatter():
+    # terms enter a dense sector vector in one place, states._vector, the
+    # inverse of _sector_terms: no other function assigns into an array at
+    # indices computed by _ranks, in the subscript or through a name
+    def ranked(node, names):
+        return any(
+            _calls_to(sub, "_ranks") or (isinstance(sub, ast.Name) and sub.id in names)
+            for sub in ast.walk(node)
+        )
+
+    scatters = set()
+    for path, tree in _parsed_sources():
+        nodes = list(_function_nodes(tree))
+        names = {
+            (function, name.id)
+            for function, node in nodes
+            if isinstance(node, ast.Assign) and ranked(node.value, ())
+            for target in node.targets
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+        }
+        for function, node in nodes:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            else:
+                continue
+            local = {name for owner, name in names if owner == function}
+            if any(isinstance(t, ast.Subscript) and ranked(t.slice, local) for t in targets):
+                scatters.add(f"{path.name}: {function}")
+    assert scatters == {"states.py: _vector"}, f"scatters by rank: {sorted(scatters)}"
+
+
+def test_plan_owns_its_register():
+    # states._plan returns (occ, amp) on every unheralded mode and brings the
+    # idle modes it dropped back itself: every unpacking of a plan result
+    # (the _plan or circuits._execute call, or the name ``reached`` that
+    # carries it) takes two values, none reads past them, and circuits.py
+    # re-embeds nothing
+    def plan_result(node):
+        return (
+            _calls_to(node, "_plan")
+            or _calls_to(node, "_execute")
+            or (isinstance(node, ast.Name) and node.id == "reached")
+        )
+
+    unpacked, found = [], []
+    trees = dict(_parsed_sources())
+    for path, tree in trees.items():
+        for function, node in _function_nodes(tree):
+            if isinstance(node, ast.Assign) and plan_result(node.value):
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple):
+                        unpacked.append(f"{path.name}: {function}")
+                        if len(target.elts) != 2:
+                            found.append(f"{path.name}:{node.lineno} unpacks {len(target.elts)}")
+            if isinstance(node, ast.Subscript) and plan_result(node.value):
+                found.append(f"{path.name}:{node.lineno} indexes a plan result")
+    assert {"states.py: _fired", "circuits.py: detector_statistics"} <= set(unpacked)
+    if "embed" in _names(trees[SOURCE / "circuits.py"]):
+        found.append("circuits.py names embed")
+    assert not found, f"plan results read past (occ, amp): {found}"
 
 
 def test_candidates_build_no_circuit():

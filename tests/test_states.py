@@ -241,6 +241,19 @@ class TestApplyModeUnitary:
         with pytest.raises(InvalidParameter):
             fo.single_mode_state([1, 1], 1100)
 
+    def test_sector_too_large_to_list_rejected(self):
+        # the bound admits N = 8 on M = 16; past it, or past the float range
+        # at the most even occupation, a sector is refused before listing
+        assert math.comb(23, 8) * 16 <= fo.states.MAX_SECTOR
+        for key, why in [
+            ((16, 9, False), "span over"),
+            ((64, 32, True), "span over"),
+            ((3, 3000, False), "float range"),
+            ((171, 171, True), "float range"),
+        ]:
+            with pytest.raises(InvalidParameter, match=why):
+                fo.states._sector(*key)
+
     def test_identity(self, rng):
         s = random_state(rng, 3, 3)
         assert_states_close(fo.apply_mode_unitary(s, np.eye(3)), s)
