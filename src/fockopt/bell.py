@@ -87,7 +87,6 @@ from .states import (
     _read_only,
     _sector,
     _vector,
-    embed,
     evolve,
     herald,
     require_unitary,
@@ -496,15 +495,16 @@ def replay_witness(state, experiment):
     value.
 
     The settings are checked once (shape and unitarity) and the preparation
-    circuit runs on the state once, through ``run_circuit``; ShapeMismatch
-    unless it leaves two particles on two modes.  All four setting pairs then
-    run in one switched stage on 8 modes, as a Bell test with passive basis
-    choice does: the pair enters modes (0, 1), the splitter stage follows,
-    and one balanced beam splitter per rail copies each party's rail pair
-    onto a second station, Alice's (0, 2) onto (4, 5) and Bob's (3, 1) onto
-    (6, 7).  That fixed part is the circuit ``_SWITCH``; the kernel has run
-    it once on each basis state of the pair sector, so on the prepared
-    pair's sector vector it is the transfer matrix of :func:`_switched`.
+    circuit runs on the state once, through ``run_circuit``, which puts
+    vacuum on its ancilla modes; ShapeMismatch unless it leaves two particles
+    on two modes.  All four setting pairs then run in one switched stage on 8
+    modes, as a Bell test with passive basis choice does: the pair enters
+    modes (0, 1), the splitter stage follows, and one balanced beam splitter
+    per rail copies each party's rail pair onto a second station, Alice's
+    (0, 2) onto (4, 5) and Bob's (3, 1) onto (6, 7).  That fixed part is the
+    circuit ``_SWITCH``; the kernel has run it once on each basis state of
+    the pair sector, so on the prepared pair's sector vector it is the
+    transfer matrix of :func:`_switched`.
     Setting a is a two-mode gate on Alice's station a carrying the conjugated
     basis matrix, setting b likewise on Bob's station b; after it a particle
     on the pair's first rail means the basis's first outcome.  The kernel
@@ -517,7 +517,7 @@ def replay_witness(state, experiment):
     """
     bases = _settings(experiment.result).conj()
     circuit = experiment.circuit
-    prepared, _ = run_circuit(embed(state, circuit.n_modes, range(state.n_modes)), circuit)
+    prepared, _ = run_circuit(state, circuit)
     if prepared.n_particles != 2 or prepared.n_modes != 2:
         raise ShapeMismatch(
             f"the witness circuit leaves {prepared.n_particles} particles on "

@@ -11,7 +11,10 @@ of its docstring), the same plan as :func:`~fockopt.states.herald`: it
 heralds early where it can, drops idle modes and evolves only what the output
 depends on.  Both :func:`run_circuit` and :func:`detector_statistics` run it,
 and both read its terms on every unheralded mode: the plan itself brings the
-modes it left out back as vacuum.
+modes it left out back as vacuum.  A circuit is a passive experiment fed the
+state plus vacuum on its extra modes, so a state narrower than the circuit
+runs as it is, on the circuit's first modes; :func:`_execute` refuses only a
+state wider than the circuit.
 """
 
 import bisect
@@ -189,20 +192,22 @@ class Circuit:
 
 def _execute(state, circuit):
     """The herald plan of ``circuit`` on ``state``: ``states._plan`` of its
-    compiled gates and heralds, after checking that the mode counts agree."""
-    if state.n_modes != circuit.n_modes:
+    compiled gates and heralds in the circuit's register, vacuum on the modes
+    past the state's.  ShapeMismatch for a state wider than the circuit."""
+    if state.n_modes > circuit.n_modes:
         raise ShapeMismatch(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
         )
-    return _plan(state, circuit._gates, circuit._heralds)
+    return _plan(state, circuit._gates, circuit._heralds, circuit.n_modes)
 
 
 def run_circuit(state, circuit):
     """Execute the circuit and return ``(state on output modes, probability)``.
 
-    Every detector must carry a herald count.  The probability is that of the
-    joint herald; ZeroOutcome is raised when it is below ``HERALD_CUTOFF``.
-    Without heralds it is exactly 1.
+    A state narrower than the circuit occupies its first modes, vacuum on the
+    rest; ShapeMismatch for a wider one.  Every detector must carry a herald
+    count.  The probability is that of the joint herald; ZeroOutcome is raised
+    when it is below ``HERALD_CUTOFF``.  Without heralds it is exactly 1.
     """
     if circuit.readout_modes:
         raise InvalidCircuit(
@@ -230,9 +235,11 @@ class ReadoutStatistics:
 def detector_statistics(state, circuit):
     """Distribution of readout-detector counts, conditioned on the heralds.
 
-    Modes without any detector are traced out.  Outcome keys are count tuples
-    ordered like ``circuit.readout_modes``.  The heralds apply no cutoff: any
-    probability above 0 gives a distribution.
+    A state narrower than the circuit occupies its first modes, vacuum on the
+    rest; ShapeMismatch for a wider one.  Modes without any detector are
+    traced out.  Outcome keys are count tuples ordered like
+    ``circuit.readout_modes``.  The heralds apply no cutoff: any probability
+    above 0 gives a distribution.
     """
     readout = circuit.readout_modes
     reached = _execute(state, circuit)

@@ -38,7 +38,6 @@ from .states import (
     _decoding,
     _read_json,
     _write_json,
-    embed,
     load_state,
     save_state,
     state_to_dict,
@@ -124,8 +123,6 @@ def _evolve_readout(args, state, circuit):
 def _cmd_evolve(args):
     state = load_state(args.state)
     circuit = load_circuit(args.circuit)
-    if state.n_modes < circuit.n_modes:
-        state = embed(state, circuit.n_modes, range(state.n_modes))
     if circuit.readout_modes:
         return _evolve_readout(args, state, circuit)
     try:

@@ -33,7 +33,7 @@ the order they are first seen across blocks.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,13 +166,18 @@ def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
     required count are rejected (and counted, so the acceptance rate can be
     compared with the quantum herald probability).  Outcome keys follow
     ``circuit.readout_modes``.  ``shots`` must be at least 1.
+
+    A spec narrower than the circuit occupies its first modes, vacuum on the
+    rest: alpha is zero-padded once, so the tallies are those of the padded
+    spec.  ShapeMismatch for a spec wider than the circuit.
     """
-    if spec.n_modes != circuit.n_modes:
+    if spec.n_modes > circuit.n_modes:
         raise ShapeMismatch(
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
     shots = _integer(shots, "shot count", least=1)
     seed = _integer(seed, "seed")
+    spec = replace(spec, alpha=np.append(spec.alpha, np.zeros(circuit.n_modes - spec.n_modes)))
     splits = _splits(spec.alpha, circuit)
     counts = {}
     accepted = 0

@@ -18,8 +18,10 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   7.2.1.3).  Terms of any number are ranked in one gather and one sum.
   Terms enter a dense vector in one place, :func:`_vector`, and leave it in
   one, :func:`_sector_terms`.  A sector too large to list, past
-  ``MAX_SECTOR`` entries or past the float range in its multinomials, is
-  refused before it is listed.
+  ``MAX_SECTOR`` entries in its basis or its rank table or past the float
+  range in its multinomials, is refused before it is listed.  The boson
+  basis is listed by stars and bars, and every multinomial is a product of
+  binomials, so no factorial of N is formed.
 * **Block action.**  One loop, :func:`_evolve_vector`, runs the gates on the
   dense sector vector; every evolution reaches it, terms through
   :func:`_evolve_terms` and replay's switched stage directly.  A two-mode
@@ -50,6 +52,11 @@ simulation of SLOS, Heurtel et al., arXiv:2206.10549):
   :mod:`fockopt.circuits`.  It evolves only what the output depends on, in
   the spirit of SLOS:
 
+  - *Register.*  The plan runs in the register of the circuit, which may be
+    wider than the state: every mode past the state's is vacuum, as the
+    ancillas of a passive experiment are, and enters as a zero column.  A
+    narrower state therefore runs as it is, with no :func:`embed`; only a
+    wider one is refused, by the executor.
   - *Projection.*  A herald is a row mask on the terms, not on the sector,
     so its cost follows the number of terms; dropping the measured columns
     leaves the smaller state's occupations.  The fermion sign of pulling the
@@ -113,8 +120,9 @@ PAIR_CACHE = 512
 # by mode, so a mode count from a caller or a file must not reach the size of
 # memory
 MAX_MODES = 2**16
-# the most entries, basis states times modes, of a listed sector: N = 8
-# particles on M = 16 modes (490 314 states, 7.8e6 entries) fit
+# the most entries, basis states times modes, of a listed sector, and of its
+# rank table: N = 8 particles on M = 16 modes (490 314 states, 7.8e6 entries)
+# fit
 MAX_SECTOR = 2**24
 # the longest repr an error text quotes
 _SHOWN = 80
@@ -361,31 +369,67 @@ def _sector(n_modes, n_particles, fermionic):
     rank by arithmetic, so no rank map is kept.
 
     InvalidParameter, before anything is listed, for a sector of more than
-    ``MAX_SECTOR`` entries and for one whose largest multinomial, at the most
-    even occupation, exceeds the float range."""
+    ``MAX_SECTOR`` entries, for one whose rank table would pass that many,
+    and for one whose largest multinomial, at the most even occupation,
+    exceeds the float range."""
     m, n = n_modes, n_particles
-    size = math.comb(m, n) if fermionic else math.comb(m + n - 1, n)
+    # the size C(M, N) or C(N + M - 1, M - 1) as C(a, k), k the smaller
+    # choice, by the running product C(a - k + i, i), i = 1..k: each partial
+    # product is at most the size, so it stops once one passes the bound,
+    # before the size is a huge int
+    a, k = (m, min(n, m - n)) if fermionic else (n + m - 1, min(n, m - 1))
+    size = int(k >= 0)
+    for i in range(1, k + 1):
+        if size * m > MAX_SECTOR:
+            break
+        size = size * (a - k + i) // i
     if size * m > MAX_SECTOR:
         raise InvalidParameter(f"{n} particles on {m} modes span over {MAX_SECTOR // m} states")
+    # the rank table holds (N + 1) entries per mode, two for fermions, and
+    # its index matrix M per mode
+    if m * ((n + 1) * (1 + fermionic) + m) > MAX_SECTOR:
+        raise InvalidParameter(f"{n} particles on {m} modes need a rank table past {MAX_SECTOR}")
     # the multinomial of the occupation (q + 1, .., q, ..) as a product of
     # binomials; for fermions (N <= M) it is the one multinomial, N!
     q, r = divmod(n, m)
     even = [q + 1] * r + [q] * (m - r)
-    _floats([math.prod(map(math.comb, itertools.accumulate(even), even))])
+    top = _floats([math.prod(map(math.comb, itertools.accumulate(even), even))])
     if fermionic:
-        picks = itertools.combinations(range(m), n)
+        occupations = np.zeros((size, m), dtype=np.intp)
+        np.put_along_axis(occupations, _picks(m, n, size), 1, axis=1)
+        multinomials = top * size
     else:
-        picks = itertools.combinations_with_replacement(range(m), n)
-    basis = []
-    for pick in picks:
-        occ = [0] * m
-        for j in pick:
-            occ[j] += 1
-        basis.append(occ)
-    occupations = np.array(basis, dtype=np.intp).reshape(len(basis), m)
-    top = math.factorial(n)
-    multinomials = _floats(top // math.prod(map(math.factorial, occ)) for occ in basis)
+        # stars and bars: M - 1 bars among N + M - 1 slots, the particles of
+        # mode j between bars j - 1 and j; the bars come in ascending
+        # lexicographic order of the occupations, the reverse of rank order
+        bars = _picks(n + m - 1, m - 1, size)[::-1]
+        occupations = np.diff(bars, axis=1, prepend=-1, append=n + m - 1) - 1
+        multinomials = _floats(_boson_multinomials(m, n))
     return _read_only(occupations), _read_only(np.sqrt(multinomials))
+
+
+def _picks(n, k, size):
+    """The ``size`` k-subsets of range(n) as rows, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=size * k).reshape(size, k)
+
+
+def _boson_multinomials(m, n):
+    """N! / prod_j n_j! of each boson occupation of the sector, in rank order,
+    as exact ints: the product of binomials C(n_0 + .. + n_j, n_j), built one
+    mode at a time from the last.  A row of t particles on the last j modes
+    holds k = t .. 0 in the first of them and a row of t - k on the others,
+    so its multinomial is C(t, k) times theirs, and rows sharing a tail share
+    its product.  Only the row totals a later mode can use are built, so a
+    one-mode sector costs one entry at any N."""
+    tails = {t: [1] for t in (range(n + 1) if m > 1 else (n,))}
+    for j in range(2, m + 1):
+        totals = range(n + 1) if j < m else (n,)
+        tails = {
+            t: [math.comb(t, k) * w for k in range(t, -1, -1) for w in tails[t - k]]
+            for t in totals
+        }
+    return tails[n]
 
 
 @functools.lru_cache(maxsize=SECTOR_CACHE)
@@ -454,7 +498,7 @@ def _floats(exact):
         return [float(k) for k in exact]
     except OverflowError as exc:
         raise InvalidParameter(
-            f"too many particles: a factorial term exceeds the float range ({exc})"
+            f"too many particles: an integer term exceeds the float range ({exc})"
         ) from exc
 
 
@@ -670,9 +714,11 @@ def _project(occ, amp, measured, counts, fermionic):
     return occ.take([j for j in range(occ.shape[1]) if j not in measured], axis=1), amp
 
 
-def _plan(state, gates, heralds):
+def _plan(state, gates, heralds, n_modes):
     """Run kernel ``gates`` and the ``heralds`` (mode -> count) on ``state``
-    over the modes the output depends on (see the module docstring).
+    in a register of ``n_modes`` >= ``state.n_modes`` modes, vacuum on the
+    modes past the state's, over the modes the output depends on (see the
+    module docstring).
 
     Returns ``(occ, amp)``: the terms that pass every herald, on every
     unmeasured mode in ascending order, a dropped idle mode as a zero column.
@@ -684,17 +730,21 @@ def _plan(state, gates, heralds):
     if not all(0 <= c <= n for c in heralds.values()):
         return None
     fermionic = state.statistics is FERMION
+    occ = state._occ
+    if state.n_modes < n_modes:
+        occ = np.zeros((len(occ), n_modes), dtype=np.intp)
+        occ[:, : state.n_modes] = state._occ
     touched = {m for modes, _ in gates for m in modes}
     early = sorted(m for m in heralds if m not in touched)
     late = sorted(m for m in heralds if m in touched)
-    occ, amp = _project(state._occ, state._amp, early, [heralds[m] for m in early], fermionic)
-    kept = [m for m in range(state.n_modes) if m not in early]
+    occ, amp = _project(occ, state._amp, early, [heralds[m] for m in early], fermionic)
+    kept = [m for m in range(n_modes) if m not in early]
     # without gates, or with no term left (whose early counts may even sum
     # past N), there is nothing to evolve and no mode to drop
     if gates and len(amp):
         busy = occ.any(axis=0).tolist()
         keep = [i for i, m in enumerate(kept) if busy[i] or m in touched]
-        if len(keep) < state.n_modes:
+        if len(keep) < n_modes:
             # re-index the gates onto the evolved register
             local = {kept[i]: r for r, i in enumerate(keep)}
             gates = [(tuple(local[m] for m in modes), value) for modes, value in gates]
@@ -748,7 +798,7 @@ def herald(state, required_counts):
             raise ShapeMismatch(f"measured mode {m} out of range")
     if len(required) >= state.n_modes:
         raise ShapeMismatch("heralding away every mode leaves no state")
-    return _fired(state, required, _plan(state, (), required))
+    return _fired(state, required, _plan(state, (), required, state.n_modes))
 
 
 def embed(state, n_modes, positions):

@@ -435,9 +435,12 @@ def oracle_gates(circuit):
 
 
 def _full_register(state, circuit):
-    """Every gate of ``circuit`` on the whole sector of ``state``."""
-    if state.n_modes != circuit.n_modes:
+    """Every gate of ``circuit`` on the whole sector of ``state``, a narrower
+    state first embedded by ``fo.embed`` with vacuum on the extra modes."""
+    if state.n_modes > circuit.n_modes:
         raise fo.ShapeMismatch(f"state has {state.n_modes} modes, circuit {circuit.n_modes}")
+    if state.n_modes < circuit.n_modes:
+        state = fo.embed(state, circuit.n_modes, range(state.n_modes))
     return fo.states.evolve(state, oracle_gates(circuit))
 
 

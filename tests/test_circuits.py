@@ -98,8 +98,19 @@ class TestRunCircuit:
     @pytest.mark.parametrize("run", [fo.run_circuit, fo.detector_statistics])
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_state_of_other_mode_count_rejected(self, run, n_modes):
-        with pytest.raises(ShapeMismatch, match=f"state has 2 modes, circuit {n_modes}"):
-            run(fo.make_number_state((1, 1)), fo.Circuit(n_modes))
+        # a wider state is refused; a narrower one runs as its embedding,
+        # vacuum on the circuit's extra modes, bit for bit
+        state = fo.make_number_state((1, 1))
+        if n_modes < state.n_modes:
+            with pytest.raises(ShapeMismatch, match=f"state has 2 modes, circuit {n_modes}"):
+                run(state, fo.Circuit(n_modes))
+            return
+        readout = [fo.Detector(2)] if run is fo.detector_statistics else []
+        circuit = fo.Circuit(n_modes, [fo.BeamSplitter((1, 2)), fo.Detector(0, 1), *readout])
+        narrow, embedded = run(state, circuit), run(fo.embed(state, n_modes, (0, 1)), circuit)
+        if run is fo.run_circuit:
+            narrow, embedded = (narrow[0].items(), narrow[1]), (embedded[0].items(), embedded[1])
+        assert narrow == embedded
 
     def test_unheralded_detector_rejected_by_run(self):
         circuit = fo.Circuit(2, [fo.Detector(0)])
@@ -200,7 +211,9 @@ class TestDetectorStatisticsMatchesTermLoop:
 
 def sparse_case(rng, statistics, readouts):
     """A random state with vacuum on some modes and a random circuit whose
-    gates touch only a few modes.  Every mode gets, at random, a herald, a
+    gates touch only a few modes.  The state ends at a random mode past its
+    last occupied one, so the circuit is often wider than the state and runs
+    it with vacuum on the rest.  Every mode gets, at random, a herald, a
     readout (with ``readouts``) or nothing, so heralds fall on touched and
     untouched modes, often between the two modes of a gate, and readouts
     fall on idle vacuum modes.  A herald count is mostly that of one term of
@@ -212,7 +225,8 @@ def sparse_case(rng, statistics, readouts):
     if fermionic:
         n = min(n, k)
     positions = sorted(int(p) for p in rng.choice(m, k, replace=False))
-    state = fo.embed(random_state(rng, n, k, statistics), m, positions)
+    width = int(rng.integers(positions[-1] + 1, m + 1))
+    state = fo.embed(random_state(rng, n, k, statistics), width, positions)
     elements = []
     for _ in range(int(rng.integers(0, 4))):
         s, t = (int(x) for x in rng.choice(m, 2, replace=False))
@@ -223,7 +237,7 @@ def sparse_case(rng, statistics, readouts):
         else:
             elements.append(fo.BeamSplitter((s, t), random_unitary(rng, 2)))
     terms = state.items()
-    reference = terms[int(rng.integers(len(terms)))][0]
+    reference = terms[int(rng.integers(len(terms)))][0] + (0,) * (m - width)
     for j in rng.permutation(m).tolist():
         r = rng.random()
         if r < 0.45:
@@ -285,7 +299,7 @@ class TestReachedModesMatchFullRegister:
     @pytest.mark.parametrize("statistics", [fo.BOSON, fo.FERMION])
     def test_run_circuit(self, statistics):
         rng = np.random.default_rng(7 if statistics is fo.BOSON else 8)
-        fired = early_fired = flipped = 0
+        fired = early_fired = flipped = narrow = 0
         for _ in range(400):
             state, circuit = sparse_case(rng, statistics, readouts=False)
             expected = outcome(oracle_run_circuit, state, circuit)
@@ -300,7 +314,8 @@ class TestReachedModesMatchFullRegister:
             touched = touched_modes(circuit)
             early_fired += any(m not in touched for m in circuit.heralds)
             flipped += late_below_early_sign(circuit)
-        assert fired > 100 and early_fired > 50
+            narrow += state.n_modes < circuit.n_modes
+        assert fired > 100 and early_fired > 50 and narrow > 50
         if statistics is fo.FERMION:
             assert flipped > 0
 
@@ -316,9 +331,9 @@ class TestReachedModesMatchFullRegister:
             assert_same_distribution(result.distribution, dist)
             assert result.readout_modes == circuit.readout_modes
             fired += p_herald > 0.0
-            occupied = state._occ.any(axis=0)
+            occupied = set(np.flatnonzero(state._occ.any(axis=0)).tolist())
             idle_readouts += p_herald > 0.0 and any(
-                not occupied[m] for m in circuit.readout_modes
+                m not in occupied for m in circuit.readout_modes
             )
         assert fired > 100 and idle_readouts > 20
 

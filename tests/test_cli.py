@@ -417,6 +417,19 @@ class TestLhvCompare:
     def test_tiny_support_entry_exits_0(self, tmp_path, mesh):
         assert self.lhv(str(FAULTY_SINGLE), circuit_file(tmp_path, readout(mesh))) == 0
 
+    def test_state_on_fewer_modes_is_padded_with_vacuum(self, tmp_path, capsys, single, mesh):
+        # a 3-mode state on a 5-mode circuit enters modes 1..3, vacuum on 4
+        # and 5, and prints what the explicitly widened state file prints
+        extra = (fo.BeamSplitter((2, 3)), fo.BeamSplitter((1, 4)), fo.Detector(4, 0))
+        circuit = fo.Circuit(5, mesh.elements + extra + tuple(map(fo.Detector, range(4))))
+        path = circuit_file(tmp_path, circuit)
+        widened = state_file(tmp_path, fo.embed(single, 5, range(3)), "widened.json")
+        assert self.lhv(state_file(tmp_path, single), path, "--format", "json") == 0
+        narrow = capsys.readouterr().out
+        assert self.lhv(widened, path, "--format", "json") == 0
+        assert capsys.readouterr().out == narrow
+        assert 0 < json.loads(narrow)["accepted"] < int(SHOTS)
+
     def test_vacuum_exits_0(self, tmp_path, capsys, mesh):
         # the vacuum has no alpha; any unit vector describes it
         vacuum = state_file(tmp_path, fo.make_number_state((0, 0, 0)))
@@ -714,17 +727,21 @@ class TestMalformedFiles:
             assert code == 2 and seconds < 1.0, (case, code, seconds)
 
     def test_sector_too_large_to_list_exits_2(self, tmp_path):
-        # a sector is sized before it is listed: 20000 bosons on three modes
-        # span 2e8 basis states, and three single-mode terms of 3000 bosons
-        # have multinomials past the float range.  A one-mode term of 20000
-        # still classifies, on the one-state sector of its support.
-        one = state_file(tmp_path, fo.make_number_state((20000, 0, 0)), "one.json")
+        # a sector is sized before it is listed: 2e6 bosons on three modes
+        # span 2e12 basis states, and three single-mode terms of 3000 bosons
+        # have multinomials past the float range.  A one-mode term of 2e6
+        # still classifies, on the one-state sector of its support, with no
+        # factorial of N; one of 2^62 is refused, since the rank table of
+        # that sector holds N + 1 entries.
+        one = state_file(tmp_path, fo.make_number_state((2 * 10**6, 0, 0)), "one.json")
+        huge = state_file(tmp_path, fo.make_number_state((2**62, 0, 0)), "huge.json")
         terms = [{"occ": [3000 * (i == j) for j in range(3)], "re": 3**-0.5} for i in range(3)]
         three = write(tmp_path, "three.json", {"statistics": "boson", "modes": 3, "terms": terms})
         stage = fo.Circuit(3, [fo.BeamSplitter((0, 1)), fo.BeamSplitter((1, 2))])
         splitter = circuit_file(tmp_path, stage)
         cases = {
             ("classify", one): 0,
+            ("classify", huge): 2,
             ("evolve", one, splitter): 2,
             ("lhv-compare", one, str(INPUTS / "readout_circuit.json"), "--shots", "200"): 2,
             ("classify", three): 2,

@@ -192,6 +192,19 @@ class TestRunExperiment:
         spec = fo.EpistemicSpec(random_alpha(rng, 3), 2)
         with pytest.raises(ShapeMismatch):
             fo.run_lhv_experiment(spec, fo.Circuit(2), 10)
+        # a narrower spec runs as the zero-padded one, vacuum on the extra
+        # mode: the same tallies under the same seed, and the same report
+        circuit = fo.Circuit(
+            4,
+            [fo.BeamSplitter((2, 3), fo.hadamard()), fo.BeamSplitter((0, 3), fo.hadamard()),
+             fo.Detector(3, 1), fo.Detector(0), fo.Detector(1), fo.Detector(2)],
+        )
+        padded = fo.EpistemicSpec(np.append(spec.alpha, 0.0), 2)
+        narrow = fo.run_lhv_experiment(spec, circuit, 500, seed=21)
+        assert narrow == fo.run_lhv_experiment(padded, circuit, 500, seed=21)
+        assert 0 < narrow.accepted < 500
+        report = fo.compare_lhv_quantum(spec, circuit, 500, seed=21)
+        assert report == fo.compare_lhv_quantum(padded, circuit, 500, seed=21)
 
 
 class TestInvariants:

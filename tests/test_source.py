@@ -317,12 +317,28 @@ def test_one_scatter():
     assert scatters == {"states.py: _vector"}, f"scatters by rank: {sorted(scatters)}"
 
 
+def _compares_widths(node):
+    """Whether ``node`` compares two registers' widths: a comparison of the
+    ``n_modes`` of two different objects."""
+    if not isinstance(node, ast.Compare):
+        return False
+    owners = {
+        ast.dump(operand.value)
+        for operand in (node.left, *node.comparators)
+        if isinstance(operand, ast.Attribute) and operand.attr == "n_modes"
+    }
+    return len(owners) > 1
+
+
 def test_plan_owns_its_register():
     # states._plan returns (occ, amp) on every unheralded mode and brings the
     # idle modes it dropped back itself: every unpacking of a plan result
     # (the _plan or circuits._execute call, or the name ``reached`` that
     # carries it) takes two values, none reads past them, and circuits.py
-    # re-embeds nothing
+    # re-embeds nothing.  The plan also owns the vacuum of a register wider
+    # than the state: neither the CLI nor replay embeds, and only the two
+    # executors compare a state's width with a circuit's, to refuse a wider
+    # state
     def plan_result(node):
         return (
             _calls_to(node, "_plan")
@@ -330,10 +346,12 @@ def test_plan_owns_its_register():
             or (isinstance(node, ast.Name) and node.id == "reached")
         )
 
-    unpacked, found = [], []
+    unpacked, found, widths = [], [], set()
     trees = dict(_parsed_sources())
     for path, tree in trees.items():
         for function, node in _function_nodes(tree):
+            if _compares_widths(node):
+                widths.add(f"{path.name}: {function}")
             if isinstance(node, ast.Assign) and plan_result(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Tuple):
@@ -343,9 +361,11 @@ def test_plan_owns_its_register():
             if isinstance(node, ast.Subscript) and plan_result(node.value):
                 found.append(f"{path.name}:{node.lineno} indexes a plan result")
     assert {"states.py: _fired", "circuits.py: detector_statistics"} <= set(unpacked)
-    if "embed" in _names(trees[SOURCE / "circuits.py"]):
-        found.append("circuits.py names embed")
-    assert not found, f"plan results read past (occ, amp): {found}"
+    for name in ("circuits.py", "cli.py", "bell.py"):
+        if "embed" in _names(trees[SOURCE / name]):
+            found.append(f"{name} names embed")
+    assert not found, f"plan results read past (occ, amp), or a caller embeds: {found}"
+    assert widths == {"circuits.py: _execute", "lhv.py: run_lhv_experiment"}
 
 
 def test_candidates_build_no_circuit():

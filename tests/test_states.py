@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from helpers import (
     detection_distribution,
     embedded_gate,
     fidelity,
+    multinomial,
     oracle_amplitude,
     oracle_evolve,
     oracle_herald,
@@ -242,17 +244,32 @@ class TestApplyModeUnitary:
             fo.single_mode_state([1, 1], 1100)
 
     def test_sector_too_large_to_list_rejected(self):
-        # the bound admits N = 8 on M = 16; past it, or past the float range
-        # at the most even occupation, a sector is refused before listing
+        # the bound admits N = 8 on M = 16; past it, past a rank table of as
+        # many entries, or past the float range at the most even occupation,
+        # a sector is refused before listing, and before its size is a huge
+        # int: C(2^40 + 65535, 65535) has about 500 000 digits
         assert math.comb(23, 8) * 16 <= fo.states.MAX_SECTOR
         for key, why in [
             ((16, 9, False), "span over"),
             ((64, 32, True), "span over"),
+            ((65536, 2**40, False), "span over"),
+            ((4096, 4096, True), "rank table"),
+            ((8192, 0, False), "rank table"),
             ((3, 3000, False), "float range"),
             ((171, 171, True), "float range"),
         ]:
+            start = time.perf_counter()
             with pytest.raises(InvalidParameter, match=why):
                 fo.states._sector(*key)
+            assert time.perf_counter() - start < 0.05, key
+
+    @pytest.mark.parametrize("fermionic", [False, True])
+    def test_sector_multinomials_match_the_factorial_oracle(self, fermionic):
+        for m in range(1, 7):
+            for n in range(m + 1 if fermionic else 9):
+                occupations, weights = fo.states._sector(m, n, fermionic)
+                expected = [math.sqrt(multinomial(n, occ)) for occ in occupations.tolist()]
+                assert weights.tolist() == expected, (m, n)
 
     def test_identity(self, rng):
         s = random_state(rng, 3, 3)
