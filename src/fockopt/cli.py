@@ -33,7 +33,7 @@ from .circuits import (
 )
 from .classify import is_single_mode_type
 from .errors import FockoptError, InvalidParameter, ZeroOutcome
-from .lhv import DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
+from .lhv import BLOCK, DEFAULT_SEED, EpistemicSpec, compare_lhv_quantum
 from .states import (
     _decoding,
     _read_json,
@@ -280,8 +280,11 @@ def build_parser():
     )
     p.add_argument("state")
     p.add_argument("circuit")
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--shots", type=int, default=100_000, help=(
+        f"shots, at least 1, run in random streams of at most {BLOCK}; "
+        "the tally is fixed by the seed, the shot count and that size"))
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=(
+        "an integer in [0, 2**64); any other seed exits 2"))
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(func=_cmd_lhv_compare)

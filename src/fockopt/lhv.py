@@ -10,25 +10,51 @@ weights, so the count law equals the quantum detection law at every step.
 
 Alpha evolves deterministically up to a global phase that no statistic sees,
 so every split probability p is fixed by the circuit: :func:`_splits`
-computes them once, and phase shifters enter only through them.  Shots run
-in blocks of ``BLOCK``.  Block b of seed s draws from its own counter-based
-Philox stream keyed (s, b) (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11): one multinomial for the block's starts, then one
-vectorized binomial per gate.  A tally therefore depends on the seed, the
-shot count and ``BLOCK`` alone, not on the order in which blocks run;
-``BLOCK`` is part of that contract, and changing it changes every tally.
+computes them once, and phase shifters enter only through them.
 
-A block is tallied without sorting rows.  Each accepted readout row becomes
+The sampler deals groups of identical shots, not single shots.  A stream's
+state is a histogram: its distinct count vectors (rows) and how many shots
+hold each (hits).  A deal on (s, t) with probability p first merges the rows
+that agree off (s, t) and hold the same pair total k, then re-deals each
+merged group of c shots in one draw: ``multinomial(c, Binomial(k, p) pmf)``
+over the k + 1 splits when k + 1 <= c, else c binomials, one per shot.  The
+start is M - 1 deals of the same kind: all N particles on mode 0, which
+hands mode j its share w_j / (w_0 + ... + w_j) of what it holds, from the
+last mode down; that is the multinomial of the preparation, drawn
+mode by mode.  Each shot thus runs the Markov chain described above, so
+the tally law does not depend on the grouping.
+
+One deal costs the sum over its groups of min(c, k + 1) draws: a run of
+many shots costs about as much as the count vectors it visits, and a run of
+huge N falls to one binomial per shot and gate.  Besides its draws, a gate
+merges and copies whole rows, G rows of M counts.  The start copies none:
+a start group is only its count left on mode 0 and the group it came from,
+and the rows are read back from that path once, when the start ends.
+
+Shots run in streams of at most ``BLOCK``.  Stream i of seed s draws from
+its own counter-based Philox stream keyed (s, i) (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), so a tally is fixed by the
+seed, the shot count and ``BLOCK`` alone, not by the order in which streams
+run; ``BLOCK`` is part of that contract, and changing it changes every
+tally.  A seed is one key word, in [0, 2**64).  A stream holds at most
+``BLOCK`` rows of M int64 counts, 2**16 * 8 * M bytes (512 KiB per mode),
+plus the copies of one deal and a start path of at most (M - 1) * ``BLOCK``
+pairs of int64; the multinomial of a band pads each group's pmf to at most
+max(16, 2 (k + 1)) cells, so a deal's pmf table is bounded by
+16 * ``BLOCK`` floats.
+
+A stream is tallied without sorting rows.  Each accepted readout row becomes
 one int64 code (:func:`_row_codes`): the columns are folded in, most
 significant first, each in base (column maximum + 1), so the codes sort the
 way the rows sort lexicographically.  Before a fold could pass
-``CODE_LIMIT`` the partial code is replaced by its rank among the block's
+``CODE_LIMIT`` the partial code is replaced by its rank among the stream's
 rows, which keeps the order and is below the row count; a column too wide
 even for that is folded in by its own rank.  The codes are therefore exact
-for any particle number and readout width.  One 1-D ``np.unique`` counts
-them, and each outcome's row is read back at its first index, so nothing is
-decoded: a block's outcomes come out in lexicographic order, and a run's in
-the order they are first seen across blocks.
+for any particle number and readout width.  One 1-D ``np.unique`` finds
+them, the hits of each are summed, and each outcome's row is read back at
+its first index, so nothing is decoded: a stream's outcomes come out in
+lexicographic order, and a run's in the order they are first seen across
+streams.  The same codes merge the groups before each deal.
 """
 
 import cmath
@@ -44,8 +70,12 @@ from .states import _complex_array, _integer, _read_only
 from .tolerances import EMPTY_PAIR, NORM_TOL
 
 DEFAULT_SEED = 20240901
+# a seed is one uint64 word of the Philox key
+SEED_LIMIT = 2**64
 # shots per random stream; part of the reproducibility contract (see above)
-BLOCK = 4096
+BLOCK = 2**16
+# counts are int64, so a particle number must stay below this
+COUNT_LIMIT = 2**63
 # a partial row code is ranked before a fold could take it past this
 CODE_LIMIT = 2**62
 
@@ -120,27 +150,110 @@ def _row_codes(rows):
     return codes
 
 
-def _run_block(spec, circuit, splits, seed, block, size):
-    """Readout tallies and accepted count of ``size`` shots of block ``block``."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    probs = np.abs(spec.alpha) ** 2
-    counts = rng.multinomial(spec.n_particles, probs / probs.sum(), size=size)
+def _split_laws(k, p):
+    """One Binomial(k_i, p) pmf per entry k_i of the integer array ``k``: row
+    i gives, in column j, the probability that j - (K - k_i) of k_i
+    particles leave on s, where K = max(k), and 0 for j < K - k_i.
+
+    The rows are right-aligned so that the last column is the split k_i of
+    every row: numpy's multinomial gives the last column 1 minus the sum of
+    the others, which must fall on a split that exists.  The terms come from
+    log-factorials, so none overflows, and each row is normalized; at p = 0
+    or p = 1 each row is an exact point mass, with no NaN from 0 * log 0.
+    """
+    top = int(k.max())
+    k = k[:, None]
+    ks = np.arange(top + 1) - (top - k)
+    if p in (0.0, 1.0):
+        return (ks == k * p).astype(float)
+    real = np.maximum(ks, 0)
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(top + 1)])
+    log_pmf = (
+        log_fact[k] - log_fact[real] - log_fact[k - real]
+        + real * math.log(p) + (k - real) * math.log1p(-p)
+    )
+    pmf = np.where(ks < 0, 0.0, np.exp(log_pmf))
+    # the log-factorials of large k carry rounding that would let the sum
+    # pass 1 by more than numpy's multinomial accepts
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
+def _stream(spec, splits, seed, index, size):
+    """Final ``(rows, hits)`` of ``size`` shots drawn from stream ``index``:
+    the distinct count vectors and how many shots hold each (see the module
+    docstring)."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+    def deal(k, hits, p):
+        """Re-deal groups of ``hits`` shots with ``k`` particles on a pair:
+        ``(group, ks, hits)`` of the new groups, ``group`` indexing the old
+        one each came from and ``ks`` its particles left on s."""
+        parts = []
+        # a group of at most k shots deals each shot one binomial
+        each = np.flatnonzero(hits <= k)
+        if len(each):
+            at = np.repeat(each, hits[each])
+            parts.append((at, rng.binomial(k[at], p), np.ones_like(at)))
+        # the others deal their k + 1 splits in one multinomial; one call
+        # serves every k of a band, padded to the band's largest k: below
+        # 16, or within one power of two, so that the padding stays small
+        pooled = np.flatnonzero(hits > k)
+        band = np.maximum(np.frexp(k[pooled])[1] - 4, 0)
+        for b in range(band.max(initial=-1) + 1):
+            at = pooled[band == b]
+            if not len(at):
+                continue
+            distinct, law = np.unique(k[at], return_inverse=True)
+            drawn = rng.multinomial(hits[at], _split_laws(distinct, p)[law])
+            row, column = np.nonzero(drawn)
+            ks = column - (drawn.shape[1] - 1 - k[at[row]])
+            parts.append((at[row], ks, drawn[row, column]))
+        return map(np.concatenate, zip(*parts))
+
+    # the start: mode 0 hands each mode j, from the last down, its share
+    # w_j / (w_0 + ... + w_j) of what it holds; a group is its count left on
+    # mode 0 and the group it came from, read back into rows at the end
+    weights = np.cumsum(np.abs(spec.alpha) ** 2)
+    held = np.array([spec.n_particles], dtype=np.int64)
+    hits = np.array([size], dtype=np.int64)
+    path = []
+    for j in range(spec.n_modes - 1, 0, -1):
+        p = float(weights[j - 1] / weights[j]) if weights[j] > 0.0 else 1.0
+        group, kept, hits = deal(held, hits, p)
+        path.append((group, held[group] - kept))
+        held = kept
+    rows = np.empty((len(hits), spec.n_modes), dtype=np.int64)
+    rows[:, 0] = held
+    at = np.arange(len(hits))
+    for j, (group, handed) in enumerate(reversed(path), start=1):
+        rows[:, j] = handed[at]
+        at = group[at]
     for s, t, p in splits:
-        k = counts[:, s] + counts[:, t]
+        k = rows[:, s] + rows[:, t]
         if p is None:
             if k.any():
                 raise DegenerateAmplitude(
                     "both rotated amplitudes vanish while particles are present"
                 )
             continue
-        counts[:, s] = rng.binomial(k, p)
-        counts[:, t] = k - counts[:, s]
+        # merge the groups that agree off (s, t) and hold k on the pair
+        rows[:, s], rows[:, t] = k, 0
+        _, first, inverse = np.unique(_row_codes(rows), return_index=True, return_inverse=True)
+        rows, k = rows[first], k[first]
+        group, ks, hits = deal(k, np.bincount(inverse, weights=hits).astype(np.int64), p)
+        rows = rows[group]
+        rows[:, s], rows[:, t] = ks, k[group] - ks
+    return rows, hits
+
+
+def _tally(circuit, rows, hits):
+    """Readout tallies and accepted count of a stream's final ``(rows, hits)``."""
     heralds = circuit.heralds
-    accepted = np.all(counts[:, list(heralds)] == list(heralds.values()), axis=1)
-    readout = counts[accepted][:, list(circuit.readout_modes)]
-    _, first, hits = np.unique(_row_codes(readout), return_index=True, return_counts=True)
-    return dict(zip(map(tuple, readout[first].tolist()), hits.tolist())), int(accepted.sum())
+    fired = np.all(rows[:, list(heralds)] == list(heralds.values()), axis=1)
+    readout = rows[fired][:, list(circuit.readout_modes)]
+    _, first, inverse = np.unique(_row_codes(readout), return_index=True, return_inverse=True)
+    tally = np.bincount(inverse, weights=hits[fired]).astype(np.int64)
+    return dict(zip(map(tuple, readout[first].tolist()), tally.tolist())), int(hits[fired].sum())
 
 
 @dataclass
@@ -157,15 +270,25 @@ class LhvRunResult:
         return self.accepted / self.shots if self.shots else 0.0
 
 
+def _seed(seed):
+    """``seed`` as an int in [0, 2**64), the range of a Philox key word;
+    InvalidParameter for anything else, so that no two seeds alias."""
+    seed = _integer(seed, "seed", least=0)
+    if seed >= SEED_LIMIT:
+        raise InvalidParameter(f"seed must be below 2**64, got {seed}")
+    return seed
+
+
 def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
     """Run ``shots`` independent shots and tally readout-detector outcomes.
 
-    Shots run in blocks of ``BLOCK``, block b drawing from the Philox stream
-    keyed ``(seed, b)`` (see the module docstring), so a tally is fixed by
-    ``(seed, shots, BLOCK)``.  Shots whose heralded detectors miss their
-    required count are rejected (and counted, so the acceptance rate can be
-    compared with the quantum herald probability).  Outcome keys follow
-    ``circuit.readout_modes``.  ``shots`` must be at least 1.
+    Shots run in streams of at most ``BLOCK``, stream i drawing from the
+    Philox stream keyed ``(seed, i)`` (see the module docstring), so a tally
+    is fixed by ``(seed, shots, BLOCK)``.  ``seed`` lies in [0, 2**64).
+    Shots whose heralded detectors miss their required count are rejected
+    (and counted, so the acceptance rate can be compared with the quantum
+    herald probability).  Outcome keys follow ``circuit.readout_modes``.
+    ``shots`` must be at least 1.
 
     A spec narrower than the circuit occupies its first modes, vacuum on the
     rest: alpha is zero-padded once, so the tallies are those of the padded
@@ -176,16 +299,19 @@ def run_lhv_experiment(spec, circuit, shots, seed=DEFAULT_SEED):
             f"spec has {spec.n_modes} modes, circuit {circuit.n_modes}"
         )
     shots = _integer(shots, "shot count", least=1)
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
+    if spec.n_particles >= COUNT_LIMIT:
+        raise InvalidParameter(
+            f"a count is an int64: {spec.n_particles} particles are too many to sample"
+        )
     spec = replace(spec, alpha=np.append(spec.alpha, np.zeros(circuit.n_modes - spec.n_modes)))
     splits = _splits(spec.alpha, circuit)
     counts = {}
     accepted = 0
-    for block, start in enumerate(range(0, shots, BLOCK)):
-        tally, hits = _run_block(
-            spec, circuit, splits, seed, block, min(BLOCK, shots - start)
-        )
-        accepted += hits
+    for index, start in enumerate(range(0, shots, BLOCK)):
+        rows, hits = _stream(spec, splits, seed, index, min(BLOCK, shots - start))
+        tally, fired = _tally(circuit, rows, hits)
+        accepted += fired
         for outcome, hit in tally.items():
             counts[outcome] = counts.get(outcome, 0) + hit
     return LhvRunResult(counts, shots, accepted, circuit.readout_modes)
@@ -377,7 +503,7 @@ def compare_lhv_quantum(spec, circuit, shots, seed=DEFAULT_SEED, postselect=None
     rejection), covering post-selection rules that are not per-mode heralds.
     The pairs are checked before any shot runs (see :func:`_postselection`).
     """
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
     keep = _postselection(circuit.readout_modes, postselect) if postselect else None
     # the run checks the shot count and the widths before any shot
     run = run_lhv_experiment(spec, circuit, shots, seed)

@@ -14,7 +14,7 @@ import numpy as np
 
 import fockopt as fo
 from fockopt.errors import ShapeMismatch, ZeroState
-from fockopt.lhv import BLOCK, _splits
+from fockopt.lhv import BLOCK, _splits, _stream
 from fockopt.states import _number
 from fockopt.tolerances import HERALD_CUTOFF, RECK_TOL
 
@@ -390,32 +390,25 @@ def lhv_count_law(spec, circuit):
 
 
 def oracle_lhv_counts(spec, circuit, shots, seed):
-    """``run_lhv_experiment`` with each block tallied by sorting its readout
-    rows, ``np.unique(..., axis=0)``: the same Philox draws per block, then
-    the blocks merged in order.  Returns ``(counts, accepted)``."""
+    """``run_lhv_experiment`` tallied apart from its tally: each stream's
+    final groups from ``lhv._stream``, their readout rows sorted by
+    ``np.unique(..., axis=0)`` and weighted by the groups' hits, then the
+    streams merged in order.  Returns ``(counts, accepted)``."""
     splits = _splits(spec.alpha, circuit)
-    probs = np.abs(spec.alpha) ** 2
     heralds = circuit.heralds
     counts = {}
     accepted = 0
-    for block, start in enumerate(range(0, shots, BLOCK)):
-        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        occ = rng.multinomial(
-            spec.n_particles, probs / probs.sum(), size=min(BLOCK, shots - start)
+    for index, start in enumerate(range(0, shots, BLOCK)):
+        rows, hits = _stream(spec, splits, seed, index, min(BLOCK, shots - start))
+        fired = np.all(rows[:, list(heralds)] == list(heralds.values()), axis=1)
+        keys, inverse = np.unique(
+            rows[fired][:, list(circuit.readout_modes)], axis=0, return_inverse=True
         )
-        for s, t, p in splits:
-            k = occ[:, s] + occ[:, t]
-            if p is not None:
-                occ[:, s] = rng.binomial(k, p)
-                occ[:, t] = k - occ[:, s]
-        fired = np.all(occ[:, list(heralds)] == list(heralds.values()), axis=1)
-        rows, hits = np.unique(
-            occ[fired][:, list(circuit.readout_modes)], axis=0, return_counts=True
-        )
-        for row, hit in zip(map(tuple, rows.tolist()), hits.tolist()):
+        weights = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(weights, inverse.reshape(-1), hits[fired])
+        for row, hit in zip(map(tuple, keys.tolist()), weights.tolist()):
             counts[row] = counts.get(row, 0) + hit
-        accepted += int(fired.sum())
+        accepted += int(hits[fired].sum())
     return counts, accepted
 
 

@@ -503,6 +503,18 @@ class TestLhvCompare:
         argv = ["lhv-compare", state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
         assert main(argv + ["--shots", shots]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+    def test_seed_outside_key_range_exits_2(self, tmp_path, capsys, single, mesh, seed):
+        # a seed is one uint64 word of the stream key; these used to alias
+        argv = ["lhv-compare", state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
+        assert main(argv + ["--shots", SHOTS, "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_largest_seed_exits_0(self, tmp_path, capsys, single, mesh):
+        argv = ["lhv-compare", state_file(tmp_path, single), circuit_file(tmp_path, readout(mesh))]
+        assert main(argv + ["--shots", SHOTS, "--seed", str(2**64 - 1), "--format", "json"]) == 0
+        assert printed_json(capsys)["seed"] == 2**64 - 1
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tolerance_exits_2(self, tmp_path, generic, mesh, tol):
         # a rejected tolerance must not read as a non-local resource (11)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,17 @@ import pytest
 import fockopt as fo
 from fockopt.bell import ALICE_RAILS, BOB_RAILS
 from fockopt.errors import DegenerateAmplitude, InvalidCircuit, InvalidParameter, ShapeMismatch
-from fockopt.lhv import BLOCK, CODE_LIMIT, _chi2_sf, _chi_square_p, _row_codes, _run_block, _splits
+from fockopt.lhv import (
+    BLOCK,
+    CODE_LIMIT,
+    _chi2_sf,
+    _chi_square_p,
+    _row_codes,
+    _split_laws,
+    _splits,
+    _stream,
+    _tally,
+)
 from fockopt.tolerances import NORM_TOL
 from helpers import (
     circuit_unitary,
@@ -102,7 +113,7 @@ class TestGates:
         # guard is reached here through a split record that contradicts alpha
         spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 1)
         with pytest.raises(DegenerateAmplitude):
-            _run_block(spec, fo.Circuit(2), [(0, 1, None)], 7, 0, 1)
+            _stream(spec, [(0, 1, None)], 7, 0, 1)
 
 
 class TestRunExperiment:
@@ -172,7 +183,12 @@ class TestRunExperiment:
         with pytest.raises(InvalidParameter):
             fo.run_lhv_experiment(spec, readout_circuit(fo.Circuit(2)), shots)
 
-    @pytest.mark.parametrize("shots, seed", [(10.5, 1), ("10", 1), (10, 1.5), (10, "1"), (10, None)])
+    # a seed is one uint64 word of the stream key: -1 and 2**64 + 1 used to
+    # run as 2**64 - 1 and 1, under a report that named the seed passed in
+    @pytest.mark.parametrize(
+        "shots, seed",
+        [(10.5, 1), ("10", 1), (10, 1.5), (10, "1"), (10, None), (10, -1), (10, 2**64), (10, 2**64 + 1)],
+    )
     def test_non_integral_shots_or_seed_rejected(self, shots, seed):
         spec = fo.EpistemicSpec(np.array([1.0, 0.0]), 2)
         circuit = readout_circuit(fo.Circuit(2))
@@ -180,6 +196,21 @@ class TestRunExperiment:
             fo.run_lhv_experiment(spec, circuit, shots, seed)
         with pytest.raises(InvalidParameter):
             fo.compare_lhv_quantum(spec, circuit, shots, seed)
+
+    def test_seeds_at_the_ends_of_the_key_range_run(self):
+        spec = fo.EpistemicSpec(np.array([1 / SQ2, 1 / SQ2]), 2)
+        circuit = readout_circuit(fo.Circuit(2))
+        for seed in (0, 2**64 - 1):
+            assert fo.run_lhv_experiment(spec, circuit, 10, seed).accepted == 10
+            assert fo.compare_lhv_quantum(spec, circuit, 10, seed).seed == seed
+
+    def test_particle_number_past_int64_rejected(self):
+        # counts are int64: 2**63 particles used to escape as an OverflowError
+        circuit = readout_circuit(fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())]))
+        with pytest.raises(InvalidParameter, match="particles"):
+            fo.run_lhv_experiment(fo.EpistemicSpec(np.array([0.6, 0.8]), 2**63), circuit, 3)
+        run = fo.run_lhv_experiment(fo.EpistemicSpec(np.array([0.6, 0.8]), 2**63 - 1), circuit, 3)
+        assert all(sum(occ) == 2**63 - 1 for occ in run.counts)
 
     def test_integral_float_shots_and_seed_accepted(self):
         spec = fo.EpistemicSpec(np.array([1 / SQ2, 1 / SQ2]), 2.0)
@@ -234,7 +265,7 @@ class TestInvariants:
         assert r1.counts == r2.counts
 
     def test_shot_order_irrelevant(self, rng):
-        # per-block streams: tallying the blocks in reverse gives the same run
+        # per-stream keys: tallying the streams in reverse gives the same run
         spec = fo.EpistemicSpec(random_alpha(rng, 2), 2)
         circuit = readout_circuit(fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())]))
         shots = 5 * BLOCK // 2
@@ -242,9 +273,9 @@ class TestInvariants:
         splits = _splits(spec.alpha, circuit)
         tallies = {}
         accepted = 0
-        for block in reversed(range(3)):
-            size = min(BLOCK, shots - block * BLOCK)
-            tally, hits = _run_block(spec, circuit, splits, 13, block, size)
+        for index in reversed(range(3)):
+            size = min(BLOCK, shots - index * BLOCK)
+            tally, hits = _tally(circuit, *_stream(spec, splits, 13, index, size))
             accepted += hits
             for outcome, hit in tally.items():
                 tallies[outcome] = tallies.get(outcome, 0) + hit
@@ -255,7 +286,7 @@ class TestInvariants:
 def assert_tally_matches_oracle(spec, circuit, shots, seed):
     run = fo.run_lhv_experiment(spec, circuit, shots, seed=seed)
     counts, accepted = oracle_lhv_counts(spec, circuit, shots, seed)
-    # key order too: lexicographic within a block, first seen across blocks
+    # key order too: lexicographic within a stream, first seen across streams
     assert list(run.counts.items()) == list(counts.items())
     assert run.accepted == accepted
     return run
@@ -318,6 +349,113 @@ class TestTally:
             same_row = np.all(rows[order][1:] == rows[order][:-1], axis=1)
             steps = np.diff(codes[order])
             assert np.all(steps[same_row] == 0) and np.all(steps[~same_row] > 0)
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts the draws of each kind: how many
+    ``multinomial`` calls, and how many binomial variates."""
+
+    draws = Counter()
+
+    def multinomial(self, n, pvals, size=None):
+        CountingGenerator.draws["multinomial"] += 1
+        return super().multinomial(n, pvals, size)
+
+    def binomial(self, n, p, size=None):
+        CountingGenerator.draws["binomial"] += int(np.size(n))
+        return super().binomial(n, p, size)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    CountingGenerator.draws = Counter()
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
+    return CountingGenerator.draws
+
+
+class TestGroupSampler:
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 0.3, 1e-3, 0.999, 1e-300])
+    def test_split_laws_are_binomial(self, p):
+        # every k <= 60 in one call: rows right-aligned in 61 columns
+        k = np.arange(61)
+        laws = _split_laws(k, p)
+        assert laws.shape == (61, 61) and not np.isnan(laws).any()
+        for n in k.tolist():
+            pad, law = laws[n, : 60 - n], laws[n, 60 - n :]
+            assert not pad.any()
+            exact = [math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+            assert np.max(np.abs(law - exact)) < 1e-12, (n, p)
+
+    @pytest.mark.parametrize("n, shots", [(3, 5000), (10**4, 50)])
+    def test_deals_at_p_0_and_1_are_deterministic(self, draws, n, shots):
+        # a group deal (shots > n) and a per-shot deal (shots < n) alike
+        spec = fo.EpistemicSpec(np.array([0.6, 0.8]), n)
+        for p, final in ((0.0, (0, n)), (1.0, (n, 0))):
+            for seed in (1, 2):
+                rows, hits = _stream(spec, [(0, 1, p)], seed, 0, shots)
+                assert set(map(tuple, rows.tolist())) == {final}
+                assert hits.sum() == shots
+        assert draws["multinomial" if shots > n else "binomial"] > 0
+
+    def test_grouped_deals_have_the_chain_law(self, rng, draws):
+        # shots far above the count vectors: groups deal by multinomial
+        for case in range(6):
+            m = 3 + case % 3
+            n = 2 + case % 4
+            circuit = fo.reck_decompose(random_unitary(rng, m))
+            spec = fo.EpistemicSpec(random_alpha(rng, m), n)
+            # the herald count of the two that fires more often
+            herald = int(rng.integers(m))
+            fired = [
+                lhv_count_law(spec, circuit.extended([fo.Detector(herald, c)]))[1] for c in (0, 1)
+            ]
+            detectors = [fo.Detector(herald, int(np.argmax(fired)))]
+            detectors += [fo.Detector(j) for j in range(m) if j != herald]
+            circuit = circuit.extended(detectors)
+            law, p_herald = lhv_count_law(spec, circuit)
+            draws.clear()
+            run = fo.run_lhv_experiment(spec, circuit, 20000, seed=40 + case)
+            assert draws["multinomial"] > 0
+            assert run.accepted >= 1000
+            assert _chi_square_p(run.counts, law, run.accepted) >= 1e-6
+            sigma = math.sqrt(p_herald * (1 - p_herald) / run.shots)
+            assert abs(run.herald_rate - p_herald) < 5 * sigma + 1e-12
+
+    def test_per_shot_deals_have_the_chain_law(self, rng, draws):
+        # N = 10**4 far above 2000 shots: every deal is one binomial per
+        # shot.  Each particle walks the chain alone, so given none on the
+        # heralded mode 2 the count on mode 0 is Binomial(N, P0 / (P0 + P1)),
+        # with P the one-particle law of the same chain
+        from scipy import stats
+
+        n, shots = 10**4, 2000
+        for case in range(3):
+            alpha = random_alpha(rng, 3)
+            alpha[2] *= 3e-3 / abs(alpha[2])
+            alpha /= np.linalg.norm(alpha)
+            theta = 2e-3
+            leak = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+            gates = [
+                fo.BeamSplitter((0, 1), random_unitary(rng, 2)),
+                fo.BeamSplitter((1, 2), leak),
+                fo.BeamSplitter((0, 1), random_unitary(rng, 2)),
+            ]
+            one, _ = lhv_count_law(
+                fo.EpistemicSpec(alpha, 1), fo.Circuit(3, gates + [fo.Detector(j) for j in range(3)])
+            )
+            p0, p1, p2 = (one.get(tuple(int(j == i) for j in range(3)), 0.0) for i in range(3))
+            circuit = fo.Circuit(3, gates + [fo.Detector(2, 0), fo.Detector(0), fo.Detector(1)])
+            draws.clear()
+            run = fo.run_lhv_experiment(fo.EpistemicSpec(alpha, n), circuit, shots, seed=50 + case)
+            assert draws["multinomial"] == 0
+            assert draws["binomial"] == shots * (2 + len(gates))
+            assert run.accepted >= 1000
+            pmf = stats.binom.pmf(np.arange(n + 1), n, p0 / (p0 + p1))
+            law = {(k, n - k): float(q) for k, q in enumerate(pmf) if q > 0.0}
+            assert _chi_square_p(run.counts, law, run.accepted) >= 1e-6
+            p_herald = (1.0 - p2) ** n
+            sigma = math.sqrt(p_herald * (1 - p_herald) / shots)
+            assert abs(run.herald_rate - p_herald) < 5 * sigma
 
 
 class TestExactLaw:

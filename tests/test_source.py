@@ -368,6 +368,37 @@ def test_plan_owns_its_register():
     assert widths == {"circuits.py: _execute", "lhv.py: run_lhv_experiment"}
 
 
+def test_one_lhv_engine():
+    # every random draw of the LHV model is made in one function, the stream
+    # of lhv.py (its deals included): nothing else keys a Philox stream or
+    # draws a multinomial or a binomial.  run_lhv_experiment alone cuts shots
+    # into streams, and BLOCK is their only size
+    trees = dict(_parsed_sources())
+    lhv = trees[SOURCE / "lhv.py"]
+    stream = set(map(id, ast.walk(dict(_definitions(lhv))["_stream"])))
+    found = [
+        f"{path.name}:{node.lineno} {node.attr} in {function}"
+        for path, tree in trees.items()
+        for function, node in _function_nodes(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("Philox", "multinomial", "binomial")
+        and id(node) not in stream
+    ]
+    assert not found, f"random draws outside the LHV stream: {found}"
+    callers = {
+        f"{path.name}: {function}"
+        for path, tree in trees.items()
+        for function, node in _function_nodes(tree)
+        if _calls_to(node, "_stream")
+    }
+    assert callers == {"lhv.py: run_lhv_experiment"}, f"streams run from {callers}"
+    run = dict(_definitions(lhv))["run_lhv_experiment"]
+    steps = [ast.unparse(node.args[-1]) for node in ast.walk(run) if _calls_to(node, "range")]
+    sizes = [ast.unparse(node.args[-1]) for node in ast.walk(run) if _calls_to(node, "_stream")]
+    assert steps == ["BLOCK"] and sizes == ["min(BLOCK, shots - start)"], (steps, sizes)
+    assert [name for name, _ in _definitions(lhv)].count("BLOCK") == 1
+
+
 def test_candidates_build_no_circuit():
     # a candidate is a heralded pair vector: the generators herald branches
     # and read stage maps, and find_witness builds a circuit for the witness
