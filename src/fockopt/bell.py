@@ -9,9 +9,11 @@ fixed stages of this module, this one and replay's switch below, come from
 one builder, :func:`_transfer`: the kernel runs a fixed circuit's gates once
 per statistics on each basis state of the two-particle pair sector placed on
 modes (0, 1), and the vectors it leaves are the matrix's columns.  The
-two-qubit state is pure, so its CHSH optimum is read off its Schmidt form
-l0|a0 b0> + l1|a1 b1>: the value is 2 sqrt(1 + (2 l0 l1)^2) (Gisin), reached by
-the settings of the Horodecki criterion in the Schmidt frame.
+two-qubit state psi is pure, so its CHSH optimum is 2 sqrt(1 + C^2) (Gisin),
+with C = 2|det psi| its concurrence: a closed form in the four amplitudes.
+The settings that reach it, those of the Horodecki criterion in the Schmidt
+frame, are closed-form as well, since that frame diagonalizes the 2x2
+Hermitian psi psi^dag; no SVD runs.
 
 The classifier decides which states have no witness: those reducible to a
 single mode.  For every other state :func:`find_witness` assembles an
@@ -33,7 +35,9 @@ occupied pair leaves |1,1>.  Every candidate of either statistics is one
 triple ``(pair, p, elements)``: the heralded two-particle two-mode state as
 its unit-norm sector vector in rank order, the joint herald probability, and
 the circuit elements.  The search post-selects each pair through the
-splitter map and builds a circuit for the witness it returns alone.
+splitter map and screens it on the concurrence alone; only the first pair
+that violates becomes a ``TwoQubitState``, gets its settings from
+:func:`chsh_max` and has its circuit built.
 
 :func:`replay_witness` re-runs a finished experiment through circuits and the
 kernel alone, none of the maps above: the preparation circuit, then all four
@@ -52,7 +56,7 @@ weight 1/4 of a pair of stations cancels.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +116,7 @@ class TwoQubitState:
         if amps.shape != (4,):
             raise ShapeMismatch("two-qubit state needs exactly four amplitudes")
         # written so that a NaN norm fails it too
-        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
+        if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_TOL:
             raise InvalidParameter("two-qubit amplitudes must be finite and normalized")
         object.__setattr__(self, "amplitudes", _read_only(amps.copy()))
 
@@ -137,7 +141,13 @@ class BellTestResult:
 
     @property
     def violated(self):
-        return self.chsh > 2.0 + VIOLATION_MARGIN
+        return _violates(self.chsh)
+
+
+def _violates(chsh):
+    """The rule of :attr:`BellTestResult.violated`, which the search's screen
+    applies too."""
+    return chsh > 2.0 + VIOLATION_MARGIN
 
 
 def _transfer(statistics, circuit):
@@ -163,10 +173,11 @@ def _splitter_map(statistics):
 def _postselect(statistics, pair):
     """The splitter stage as :func:`_splitter_map` on ``pair``, the sector
     vector of a two-particle two-mode state in rank order: the shared
-    two-qubit state and the post-selection probability."""
+    two-qubit state's unit amplitudes (uu, ud, du, dd) and the
+    post-selection probability."""
     amps = _splitter_map(statistics) @ pair
     prob = float(np.vdot(amps, amps).real)
-    return TwoQubitState(amps / math.sqrt(prob)), prob
+    return amps / math.sqrt(prob), prob
 
 
 def yurke_stoler_postselect(phi):
@@ -181,7 +192,8 @@ def yurke_stoler_postselect(phi):
     if phi.n_particles != 2 or phi.n_modes != 2:
         raise ShapeMismatch("the splitter stage expects two particles in two modes")
     pair = _vector(phi.statistics is FERMION, 2, 2, phi._occ, phi._amp)
-    return _postselect(phi.statistics, pair)
+    amps, prob = _postselect(phi.statistics, pair)
+    return TwoQubitState(amps), prob
 
 
 def _chsh(probs):
@@ -195,29 +207,72 @@ def _chsh(probs):
     return e11 + e12 + e21 - e22
 
 
-def chsh_max(chi):
-    """Exact CHSH maximum over projective settings, from the Schmidt form.
+def _optimum(a0, a1, a2, a3):
+    """``(2 sqrt(1 + C^2), C)`` for the unit amplitudes (uu, ud, du, dd):
+    the CHSH optimum and the concurrence C = 2|a0 a3 - a1 a2|."""
+    concurrence = 2.0 * abs(a0 * a3 - a1 * a2)
+    return 2.0 * math.sqrt(1.0 + concurrence * concurrence), concurrence
 
-    The SVD of the amplitude matrix psi (rows Alice, columns Bob) is the
-    Schmidt form l0|a0 b0> + l1|a1 b1>.  With s = 2*l0*l1 the maximum is
-    2*sqrt(1 + s^2) >= 2 (Gisin, PLA 154, 201 (1991)).  The settings are those
-    of the Horodecki criterion (PLA 200, 340 (1995)) in the Schmidt frame,
-    where the correlation matrix is diag(s, -s, 1): Alice measures z and x,
-    Bob cos(theta)*z +- sin(theta)*x with tan(theta) = s.  They are
-    continuous in the state except at l0 = l1, where the Schmidt frame is
-    any rotation that float dust picks.  The value is re-verified against
-    the outcome probabilities |A^dag psi B*|^2 of the four setting pairs.
+
+def chsh_max(chi):
+    """Exact CHSH maximum over projective settings, in closed form.
+
+    For the amplitude matrix psi (rows Alice, columns Bob) with Schmidt form
+    l0|a0 b0> + l1|a1 b1>, l0 l1 = |det psi|, so with the concurrence
+    s = 2|det psi| the maximum is 2*sqrt(1 + s^2) >= 2 (Gisin, PLA 154, 201
+    (1991); Wootters, PRL 80, 2245 (1998)).  The Schmidt frame is closed-form
+    too: a0 is the top eigenvector of the 2x2 Hermitian psi psi^dag, read off
+    the better-conditioned column of psi psi^dag - l1^2 (e0 when psi psi^dag
+    is a multiple of 1), b0 = psi^T a0* / l0, and a1 and b1 are their
+    orthogonal complements, b1's phase fixed so that a1^dag psi b1* >= 0.
+    The settings are those of the Horodecki criterion (PLA 200, 340 (1995))
+    in that frame, where the correlation matrix is diag(s, -s, 1): Alice
+    measures z and x, Bob cos(theta)*z +- sin(theta)*x with tan(theta) = s.
+    They are continuous in the state except at l0 = l1, where the Schmidt
+    frame is any rotation that float dust picks.  The value is re-verified
+    against the outcome probabilities |A^dag psi B*|^2 of the four setting
+    pairs.
     """
     psi = chi.amplitudes.reshape(2, 2)
-    u, (l0, l1), vh = np.linalg.svd(psi)
-    s = 2.0 * l0.item() * l1.item()
-    value = 2.0 * math.sqrt(1.0 + s * s)
+    uu, ud, du, dd = chi.amplitudes.tolist()
+    value, s = _optimum(uu, ud, du, dd)
+    # psi psi^dag - l1^2 = [[r + skew, h], [h*, r - skew]]: each column is a
+    # multiple of a0, their squared norms 2r(r + skew) and 2r(r - skew)
+    skew = 0.5 * (abs(uu) ** 2 + abs(ud) ** 2 - abs(du) ** 2 - abs(dd) ** 2)
+    h = uu * du.conjugate() + ud * dd.conjugate()
+    r = math.hypot(skew, abs(h))
+    if r == 0.0:
+        x, y = 1.0, 0.0
+    elif skew >= 0.0:
+        x, y = r + skew, h.conjugate()
+    else:
+        x, y = h, r - skew
+    norm = math.hypot(abs(x), abs(y))
+    x, y = x / norm, y / norm
+    # b0 = psi^T a0*, normalized: its norm is l0 >= 1/sqrt(2)
+    p, q = uu * x.conjugate() + du * y.conjugate(), ud * x.conjugate() + dd * y.conjugate()
+    norm = math.hypot(abs(p), abs(q))
+    p, q = p / norm, q / norm
+    # a1 = (-y*, x*); b1 = w (-q*, p*) with the phase w that makes
+    # a1^dag psi b1* = w* (y q uu - y p ud - x q du + x p dd) real and >= 0
+    w = y * q * uu - y * p * ud - x * q * du + x * p * dd
+    w = w / abs(w) if w else 1.0
+    ax, ay = -y.conjugate(), x.conjugate()
+    bx, by = -w * q.conjugate(), w * p.conjugate()
     half = 0.5 * math.atan(s)
     c, t = math.cos(half), math.sin(half)
-    # the columns of u and of vh.T are the Schmidt vectors; each basis below
-    # is an eigenbasis in that frame, its +1 outcome first
-    alice = np.stack((u, u @ hadamard()))
-    bob = vh.T @ np.array([[[c, -t], [t, c]], [[c, t], [-t, c]]])
+    g = math.sqrt(0.5)
+    # each basis is an eigenbasis in the Schmidt frame, its +1 outcome
+    # first, columns the outcome states: Alice's (a0, a1) and its Hadamard
+    # image, Bob's (b0, b1) rotated by +theta/2 and by -theta/2
+    alice = np.array([
+        [[x, ax], [y, ay]],
+        [[(x + ax) * g, (x - ax) * g], [(y + ay) * g, (y - ay) * g]],
+    ], dtype=complex)
+    bob = np.array([
+        [[c * p + t * bx, c * bx - t * p], [c * q + t * by, c * by - t * q]],
+        [[c * p - t * bx, c * bx + t * p], [c * q - t * by, c * by + t * q]],
+    ], dtype=complex)
     amps = alice.conj().transpose(0, 2, 1)[:, None] @ psi @ bob.conj()
     direct = _chsh(np.abs(amps) ** 2)
     if abs(direct - value) > SETTINGS_CHECK_TOL:
@@ -380,13 +435,22 @@ def find_witness(state):
     violates by more than ``VIOLATION_MARGIN``.  No prefix is simulated
     twice: each herald runs on the branch the earlier ones left, and the
     stages of a two-mode boson branch evolve nothing.  Each candidate's pair
-    then costs the splitter stage as its constant map and one CHSH optimum;
-    the circuit is built for the witness alone.  A joint herald probability
-    below ``HERALD_CUTOFF`` skips the candidate, as its whole circuit never
-    fires even when every conditional herald does.
+    then costs the splitter stage as its constant map and the closed-form
+    optimum of its concurrence; :func:`chsh_max`, which finds and checks the
+    settings, runs for the witness alone, and so does its circuit.  A joint
+    herald probability below ``HERALD_CUTOFF`` skips the candidate, as its
+    whole circuit never fires even when every conditional herald does.
     """
-    if is_single_mode_type(state).single_mode:
-        return None
+    return _witness_search(state)[1]
+
+
+def _witness_search(state):
+    """The classifier's verdict on ``state`` and the witness of
+    :func:`find_witness`, or None: a caller that reports the verdict when
+    no witness is found classifies once."""
+    verdict = is_single_mode_type(state)
+    if verdict.single_mode:
+        return verdict, None
     m = state.n_modes
     if state.statistics is FERMION:
         candidates, n_modes = _fermion_candidates(state), m
@@ -396,13 +460,13 @@ def find_witness(state):
     for pair, prob, elements in candidates:
         if prob < HERALD_CUTOFF:
             continue
-        chi, p_ys = _postselect(state.statistics, pair)
-        result = chsh_max(chi)
-        if result.violated:
-            return WitnessExperiment(
-                Circuit(n_modes, elements), replace(result, success_probability=prob * p_ys)
-            )
-    return None
+        amps, p_ys = _postselect(state.statistics, pair)
+        # chsh_max computes the same value from the same amplitudes
+        if _violates(_optimum(*amps.tolist())[0]):
+            result = chsh_max(TwoQubitState(amps))
+            result.success_probability = prob * p_ys
+            return verdict, WitnessExperiment(Circuit(n_modes, elements), result)
+    return verdict, None
 
 
 def _parties():

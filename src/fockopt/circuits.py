@@ -44,11 +44,13 @@ from .states import (
 )
 
 _SWAP_MATRIX = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+_HADAMARD = _read_only(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0))
 
 
 def hadamard():
-    """The real 2x2 Hadamard; note it is its own inverse."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    """The real 2x2 Hadamard, one shared read-only array; note it is its own
+    inverse."""
+    return _HADAMARD
 
 
 def _check_pair(modes):

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .bell import (
+    _witness_search,
     chsh_max,
-    find_witness,
     witness_to_dict,
     yurke_stoler_postselect,
 )
@@ -169,9 +169,8 @@ def _cmd_ys_test(args):
 
 def _cmd_witness(args):
     state = load_state(args.state)
-    experiment = find_witness(state)
+    verdict, experiment = _witness_search(state)
     if experiment is None:
-        verdict = is_single_mode_type(state)
         if args.format == "json":
             residual = verdict.residual if verdict.residual != float("inf") else None
             _print_json(dict(witness=None, single_mode=verdict.single_mode, residual=residual))

@@ -26,7 +26,9 @@ the tally law does not depend on the grouping.
 
 One deal costs the sum over its groups of min(c, k + 1) draws: a run of
 many shots costs about as much as the count vectors it visits, and a run of
-huge N falls to one binomial per shot and gate.  Besides its draws, a gate
+huge N falls to one binomial per shot and gate.  A deal at p = 0 or 1 is
+sure and draws nothing: a vacuum mode in the start, or a gate whose pair
+leaves all its particles on one side.  Besides its draws, a gate
 merges and copies whole rows, G rows of M counts.  The start copies none:
 a start group is only its count left on mode 0 and the group it came from,
 and the rows are read back from that path once, when the start ends.
@@ -158,14 +160,12 @@ def _split_laws(k, p):
     The rows are right-aligned so that the last column is the split k_i of
     every row: numpy's multinomial gives the last column 1 minus the sum of
     the others, which must fall on a split that exists.  The terms come from
-    log-factorials, so none overflows, and each row is normalized; at p = 0
-    or p = 1 each row is an exact point mass, with no NaN from 0 * log 0.
+    log-factorials, so none overflows, and each row is normalized.  p lies
+    strictly between 0 and 1: a sure deal draws nothing (:func:`_stream`).
     """
     top = int(k.max())
     k = k[:, None]
     ks = np.arange(top + 1) - (top - k)
-    if p in (0.0, 1.0):
-        return (ks == k * p).astype(float)
     real = np.maximum(ks, 0)
     log_fact = np.array([math.lgamma(n + 1.0) for n in range(top + 1)])
     log_pmf = (
@@ -219,15 +219,22 @@ def _stream(spec, splits, seed, index, size):
     path = []
     for j in range(spec.n_modes - 1, 0, -1):
         p = float(weights[j - 1] / weights[j]) if weights[j] > 0.0 else 1.0
-        group, kept, hits = deal(held, hits, p)
-        path.append((group, held[group] - kept))
+        if p in (0.0, 1.0):
+            # a sure deal draws nothing and keeps the groups: each keeps all
+            # it holds (a vacuum mode) or hands all on (no weight below j)
+            kept = held if p else np.zeros_like(held)
+            path.append((None, held - kept))
+        else:
+            group, kept, hits = deal(held, hits, p)
+            path.append((group, held[group] - kept))
         held = kept
     rows = np.empty((len(hits), spec.n_modes), dtype=np.int64)
     rows[:, 0] = held
     at = np.arange(len(hits))
     for j, (group, handed) in enumerate(reversed(path), start=1):
         rows[:, j] = handed[at]
-        at = group[at]
+        if group is not None:
+            at = group[at]
     for s, t, p in splits:
         k = rows[:, s] + rows[:, t]
         if p is None:
@@ -235,6 +242,12 @@ def _stream(spec, splits, seed, index, size):
                 raise DegenerateAmplitude(
                     "both rotated amplitudes vanish while particles are present"
                 )
+            continue
+        if p in (0.0, 1.0):
+            # a sure gate draws nothing: the pair's particles all go one way.
+            # Its groups stay unmerged; the next deal's merge and the tally
+            # are the same for any order or split of equal rows
+            rows[:, s], rows[:, t] = (k, 0) if p else (0, k)
             continue
         # merge the groups that agree off (s, t) and hold k on the pair
         rows[:, s], rows[:, t] = k, 0

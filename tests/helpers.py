@@ -486,6 +486,16 @@ def correlation_matrix(chi):
     return np.array([[np.vdot(psi, np.kron(si, sj) @ psi).real for sj in PAULI] for si in PAULI])
 
 
+def svd_schmidt(chi):
+    """``(chsh, u, v)`` of a two-qubit state by ``np.linalg.svd`` of its
+    amplitude matrix psi = u diag(l0, l1) v^T: the CHSH optimum
+    2 sqrt(1 + (2 l0 l1)^2) and the Schmidt vectors as the columns of u
+    (Alice) and of v (Bob).  The oracle of the closed-form ``chsh_max``."""
+    u, (l0, l1), vh = np.linalg.svd(chi.amplitudes.reshape(2, 2))
+    s = 2.0 * l0 * l1
+    return 2.0 * math.sqrt(1.0 + s * s), u, vh.T
+
+
 def is_product(chi, tol=1e-9):
     """True iff the two-qubit state factorizes: its 2x2 amplitude matrix is singular."""
     return abs(np.linalg.det(chi.amplitudes.reshape(2, 2))) < tol

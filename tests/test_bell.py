@@ -31,6 +31,7 @@ from helpers import (
     stage_test,
     state_with_empty_modes,
     superpose,
+    svd_schmidt,
     two_mode_stages,
 )
 
@@ -289,6 +290,58 @@ class TestChshMax:
                 assert basis.shape == (2, 2)
                 assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-12
                 assert abs(np.linalg.norm(bloch_vector(basis)) - 1.0) < 1e-12
+
+    @staticmethod
+    def schmidt_states(rng, l0, l1, count):
+        """Random states u diag(l0, l1) v^T with unitary u and v."""
+        for _ in range(count):
+            u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+            yield fo.TwoQubitState((u @ np.diag([l0, l1]) @ v.T).reshape(4))
+
+    def near_degenerate_states(self, rng):
+        # l0 - l1 = 1e-9 (the frame is nearly free) and l1 = 1e-9 (nearly
+        # a product), unit norm in both
+        a = math.sqrt(2.0 - 1e-18)
+        yield from self.schmidt_states(rng, 0.5 * (a + 1e-9), 0.5 * (a - 1e-9), 50)
+        yield from self.schmidt_states(rng, math.sqrt(1.0 - 1e-18), 1e-9, 50)
+
+    def test_closed_form_matches_svd_oracle(self, rng):
+        cases = [
+            *self.random_states(rng, 300),
+            *self.degenerate_states(),
+            *self.near_degenerate_states(rng),
+        ]
+        for chi in cases:
+            res = fo.chsh_max(chi)
+            value, _, _ = svd_schmidt(chi)
+            assert abs(res.chsh - value) <= 1e-14
+            for basis in res.settings_a + res.settings_b:
+                assert np.abs(basis.conj().T @ basis - np.eye(2)).max() <= 1e-12
+            # <psi| A x B |psi> of the returned bases, by np.kron
+            a1, a2, b1, b2 = (
+                basis @ np.diag([1, -1]) @ basis.conj().T
+                for basis in res.settings_a + res.settings_b
+            )
+            psi = chi.amplitudes
+            e = [[np.vdot(psi, np.kron(a, b) @ psi).real for b in (b1, b2)] for a in (a1, a2)]
+            assert abs(e[0][0] + e[0][1] + e[1][0] - e[1][1] - res.chsh) <= SETTINGS_CHECK_TOL
+
+    def test_closed_frame_is_the_svd_frame_up_to_phase(self, rng):
+        # away from l0 = l1 the Schmidt vectors are unique up to a phase
+        # each, and a phase on Alice's vector comes back conjugated on Bob's:
+        # the first settings of both parties are those frames
+        for chi in self.random_states(rng, 200):
+            _, u, v = svd_schmidt(chi)
+            res = fo.chsh_max(chi)
+            alice = u.conj().T @ res.settings_a[0]
+            # Bob's two settings rotate his frame by -+theta/2: their sum is
+            # the frame times 2 cos(theta/2)
+            bob = v.conj().T @ (res.settings_b[0] + res.settings_b[1])
+            bob /= np.abs(bob).max()
+            for frame in (alice, bob):
+                assert max(abs(frame[0, 1]), abs(frame[1, 0])) <= 1e-12
+            assert np.allclose(np.abs(np.diag(alice)), 1.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(np.diag(bob), np.diag(alice).conj(), rtol=0.0, atol=1e-12)
 
     def test_bounds_random(self, rng):
         for _ in range(20):
@@ -627,6 +680,50 @@ class TestFindWitness:
             single = fo.is_single_mode_type(state).single_mode
             wit = fo.find_witness(state)
             assert (wit is None) == single
+
+    def test_chsh_max_runs_once_per_witness(self, rng, monkeypatch):
+        # every candidate is post-selected and screened on its concurrence;
+        # chsh_max runs for the returned witness alone, and never when the
+        # search returns None, after no candidate or after all of them
+        calls = {"chsh_max": 0, "_postselect": 0}
+
+        def counted(name):
+            real = getattr(bell, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(bell, name, wrapper)
+
+        counted("chsh_max")
+        counted("_postselect")
+        u = random_unitary(np.random.default_rng(293), 4)
+        phase = np.exp(1j * np.random.default_rng(293).uniform(0, 2 * np.pi))
+        cases = [
+            # only the erasure stage, after every filter, violates
+            superpose(
+                [(1, fo.single_mode_state(u[0], 8)), (phase, fo.single_mode_state(u[1], 8))]
+            ),
+            # not of single-mode type, but no candidate violates
+            superpose([
+                (1, fo.single_mode_state([0.4, -0.7, -0.7], 2)),
+                (1, fo.single_mode_state([-0.2, 0.3, -1.4], 2)),
+            ]),
+            fo.single_mode_state(random_alpha(rng, 3), 4),
+            random_state(rng, 3, 3),
+            random_state(rng, 2, 4, fo.FERMION),
+        ]
+        found, screened = [], []
+        for state in cases:
+            for name in calls:
+                calls[name] = 0
+            wit = fo.find_witness(state)
+            assert calls["chsh_max"] == (wit is not None)
+            found.append(wit is not None)
+            screened.append(calls["_postselect"])
+        assert found == [True, False, False, True, True]
+        assert screened[0] > 1 and screened[1] > 1 and screened[2] == 0
 
     def test_deterministic(self, rng):
         state = random_state(rng, 3, 3)
@@ -1023,8 +1120,8 @@ class TestShortcutsMatchTheCircuits:
                 assert len(found) < n
             for (circuit, res), (pair, p_herald, elements) in zip(expected, found):
                 assert repr(fo.Circuit(4, elements)) == repr(circuit)
-                chi, p_ys = bell._postselect(fo.BOSON, pair)
-                assert abs(fo.chsh_max(chi).chsh - res.chsh) <= 1e-12
+                amps, p_ys = bell._postselect(fo.BOSON, pair)
+                assert abs(fo.chsh_max(fo.TwoQubitState(amps)).chsh - res.chsh) <= 1e-12
                 p = res.success_probability
                 assert abs(p_herald * p_ys - p) <= 1e-12 * p
         # one array per N, which no caller can change

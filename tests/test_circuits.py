@@ -464,6 +464,13 @@ class TestCircuitToUnitary:
         circuit = fo.Circuit(2, [fo.BeamSplitter((0, 1), fo.hadamard())])
         np.testing.assert_allclose(circuit_unitary(circuit), fo.hadamard(), atol=1e-12)
 
+    def test_hadamard_is_one_read_only_array(self):
+        h = fo.hadamard()
+        assert fo.hadamard() is h and not h.flags.writeable
+        np.testing.assert_allclose(h * math.sqrt(2.0), [[1, 1], [1, -1]], rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
     def test_swap(self):
         circuit = fo.Circuit(3, [fo.Swap((0, 2))])
         u = circuit_unitary(circuit)

@@ -390,7 +390,9 @@ class TestWitness:
     def test_infinite_residual_is_null_in_json(self, tmp_path, capsys, monkeypatch):
         # a fermion pair has residual inf; with the search made to miss it,
         # the residual prints as null, as `classify --format json` prints it
-        monkeypatch.setattr(cli, "find_witness", lambda state: None)
+        monkeypatch.setattr(
+            cli, "_witness_search", lambda state: (fo.is_single_mode_type(state), None)
+        )
         path = state_file(tmp_path, fo.make_number_state((1, 1), fo.FERMION))
         assert main(["witness", path, "--format", "json"]) == 10
         assert printed_json(capsys) == {"witness": None, "single_mode": False, "residual": None}

@@ -374,7 +374,7 @@ def draws(monkeypatch):
 
 
 class TestGroupSampler:
-    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 0.3, 1e-3, 0.999, 1e-300])
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3, 0.999, 1e-300])
     def test_split_laws_are_binomial(self, p):
         # every k <= 60 in one call: rows right-aligned in 61 columns
         k = np.arange(61)
@@ -388,14 +388,51 @@ class TestGroupSampler:
 
     @pytest.mark.parametrize("n, shots", [(3, 5000), (10**4, 50)])
     def test_deals_at_p_0_and_1_are_deterministic(self, draws, n, shots):
-        # a group deal (shots > n) and a per-shot deal (shots < n) alike
+        # a group deal (shots > n) and a per-shot deal (shots < n) alike: the
+        # start's deal at p = 0.36 draws, and the sure gate adds no draw
         spec = fo.EpistemicSpec(np.array([0.6, 0.8]), n)
+        _stream(spec, [], 1, 0, shots)
+        start = Counter(draws)
+        assert start["multinomial" if shots > n else "binomial"] > 0
         for p, final in ((0.0, (0, n)), (1.0, (n, 0))):
             for seed in (1, 2):
+                draws.clear()
                 rows, hits = _stream(spec, [(0, 1, p)], seed, 0, shots)
                 assert set(map(tuple, rows.tolist())) == {final}
                 assert hits.sum() == shots
-        assert draws["multinomial" if shots > n else "binomial"] > 0
+                assert draws == start
+
+    def test_sure_deals_draw_nothing(self, draws):
+        # all of alpha on mode 1: every start deal is sure (the vacuum modes
+        # above it receive nothing, and mode 0 hands all on to it), and so
+        # are both swaps, so no shot draws at all
+        n, shots = 3, 1000
+        swap = np.array([[0, 1], [1, 0]])
+        circuit = fo.Circuit(
+            4,
+            [fo.Swap((1, 2)), fo.PhaseShifter(2, 0.7), fo.BeamSplitter((3, 2), swap)]
+            + [fo.Detector(j) for j in range(4)],
+        )
+        assert [p for _, _, p in _splits(np.eye(4)[1], circuit)] == [0.0, 1.0]
+        run = fo.run_lhv_experiment(fo.EpistemicSpec(np.eye(4)[1], n), circuit, shots, seed=4)
+        assert run.counts == {(0, 0, 0, n): shots}
+        assert not draws
+        # vacuum modes and a sure gate draw nothing either beside a real
+        # split: the 5-mode run, narrow or padded, draws what the 2-mode run
+        # draws and, under the same seed, tallies the same counts
+        spec = fo.EpistemicSpec(np.array([0.6, 0.8j]), 4)
+        h = fo.BeamSplitter((0, 1), fo.hadamard())
+        narrow = fo.run_lhv_experiment(
+            spec, fo.Circuit(2, [h, fo.Detector(0), fo.Detector(1)]), 5000, seed=9
+        )
+        two = Counter(draws)
+        assert two == {"multinomial": 2}
+        wide = fo.Circuit(5, [h, fo.Swap((1, 3)), fo.Detector(0), fo.Detector(3)])
+        for alpha in (spec.alpha, np.append(spec.alpha, np.zeros(3))):
+            draws.clear()
+            run = fo.run_lhv_experiment(fo.EpistemicSpec(alpha, 4), wide, 5000, seed=9)
+            assert draws == two
+            assert run.counts == narrow.counts and run.accepted == narrow.accepted == 5000
 
     def test_grouped_deals_have_the_chain_law(self, rng, draws):
         # shots far above the count vectors: groups deal by multinomial

@@ -272,6 +272,33 @@ def test_replay_takes_no_search_shortcut():
     assert not found, f"replay reaches the search's shortcuts: {found}"
 
 
+def test_two_qubit_stage_runs_no_lapack_and_copies_no_result():
+    # the search screens every candidate in closed form and chsh_max finds
+    # its Schmidt frame in closed form: bell.py reaches for no linear-algebra
+    # routine, and a witness's result is built once, not copied per candidate
+    tree = ast.parse((SOURCE / "bell.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in {
+                ("np", "linalg"), ("numpy", "linalg"), ("dataclasses", "replace")
+            }:
+                found.append(f"{node.lineno} {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            module, names = node.module or "", {alias.name for alias in node.names}
+            if (module == "dataclasses" and "replace" in names) or (
+                module.startswith("numpy") and "linalg" in {*module.split("."), *names}
+            ):
+                found.append(f"{node.lineno} from {module} import {sorted(names)}")
+        elif isinstance(node, ast.Import):
+            found += [
+                f"{node.lineno} import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("numpy.linalg")
+            ]
+    assert not found, f"bell.py names LAPACK or dataclasses.replace: {found}"
+
+
 def test_one_transfer_builder():
     # both fixed stages of bell.py, the splitter map of the search and the
     # switch of replay, are built by bell._transfer, which knows neither of
